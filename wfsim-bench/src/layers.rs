@@ -7,7 +7,9 @@ use std::hint::black_box;
 use std::path::Path;
 
 use wf_model::{Workflow, WorkflowId};
-use wf_repo::{sort_best_bound_first, CancelToken, RankedCandidate, SearchStats, TokenIndex};
+use wf_repo::{
+    sort_best_bound_first, CancelToken, RankedCandidate, SearchHit, SearchStats, TokenIndex,
+};
 use wf_serve::{
     decode_request, decode_response, encode_request, encode_response, Hit, Request, Response,
 };
@@ -34,7 +36,7 @@ pub struct StageCounts {
     pub scored_pairs: u64,
 }
 
-pub fn hits_of(hits: Vec<wf_repo::SearchHit>) -> Vec<Hit> {
+pub fn hits_of(hits: Vec<SearchHit>) -> Vec<Hit> {
     hits.into_iter()
         .map(|h| Hit {
             id: h.id.0,
@@ -52,31 +54,11 @@ pub fn server_path(
     rec: &mut Recorder,
     wrong: &mut Vec<String>,
 ) -> Vec<(f64, SearchStats)> {
-    probe
-        .iter()
-        .map(|(id, want)| {
-            let start = std::time::Instant::now();
-            let outcome = rec.span("shard.server_path", |_| {
-                service.search_deadline_with(id, K, &CancelToken::never(), |_| true)
-            });
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            match outcome {
-                Some(found) => {
-                    if found.degraded {
-                        wrong.push(format!("server path {id}: degraded"));
-                    }
-                    if let Err(why) = same_hits(&hits_of(found.hits), want) {
-                        wrong.push(format!("server path {id}: {why}"));
-                    }
-                    (ms, found.stats)
-                }
-                None => {
-                    wrong.push(format!("server path {id}: not resident"));
-                    (ms, SearchStats::default())
-                }
-            }
-        })
-        .collect()
+    time_path("shard.server_path", probe, rec, wrong, |id| {
+        service
+            .search_deadline_with(id, K, &CancelToken::never(), |_| true)
+            .map(|found| (found.hits, found.stats, found.degraded))
+    })
 }
 
 /// The global-frontier path the in-process benches time:
@@ -87,24 +69,39 @@ pub fn frontier_path(
     rec: &mut Recorder,
     wrong: &mut Vec<String>,
 ) -> Vec<(f64, SearchStats)> {
+    time_path("shard.frontier_path", probe, rec, wrong, |id| {
+        sharded
+            .search_with_stats(id, K)
+            .map(|(hits, stats)| (hits, stats, false))
+    })
+}
+
+/// Times `search` on every probe query in a span named `path`, and checks
+/// that it answers every query exactly and undegraded.
+fn time_path(
+    path: &'static str,
+    probe: &[(WorkflowId, &[Hit])],
+    rec: &mut Recorder,
+    wrong: &mut Vec<String>,
+    mut search: impl FnMut(&WorkflowId) -> Option<(Vec<SearchHit>, SearchStats, bool)>,
+) -> Vec<(f64, SearchStats)> {
     probe
         .iter()
         .map(|(id, want)| {
             let start = std::time::Instant::now();
-            let outcome = rec.span("shard.frontier_path", |_| sharded.search_with_stats(id, K));
+            let outcome = rec.span(path, |_| search(id));
             let ms = start.elapsed().as_secs_f64() * 1e3;
-            match outcome {
-                Some((hits, stats)) => {
-                    if let Err(why) = same_hits(&hits_of(hits), want) {
-                        wrong.push(format!("frontier path {id}: {why}"));
-                    }
-                    (ms, stats)
-                }
-                None => {
-                    wrong.push(format!("frontier path {id}: not resident"));
-                    (ms, SearchStats::default())
-                }
+            let Some((hits, stats, degraded)) = outcome else {
+                wrong.push(format!("{path} {id}: not resident"));
+                return (ms, SearchStats::default());
+            };
+            if degraded {
+                wrong.push(format!("{path} {id}: degraded"));
             }
+            if let Err(why) = same_hits(&hits_of(hits), want) {
+                wrong.push(format!("{path} {id}: {why}"));
+            }
+            (ms, stats)
         })
         .collect()
 }

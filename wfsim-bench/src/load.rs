@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 use wf_model::Workflow;
 use wf_serve::{Client, Hit, SearchOutcome};
 
+use crate::rng::Rng;
 use crate::trace::Tracer;
 
 /// Top-k of every search.
@@ -19,12 +20,18 @@ pub const K: usize = 10;
 const FAILED_LATENCY_MS: f64 = 2000.0;
 
 /// One write cycle (remove + re-add, two requests on one connection)
-/// falls due every 40 ms: 50 write requests per second.
-const WRITE_PERIOD: Duration = Duration::from_millis(40);
+/// falls due in every 40 ms slot, at a seeded uniform time within it: 50
+/// write requests per second.  The random offset keeps the writer from
+/// falling into step with a closed-loop reader, whose searches take about
+/// half a slot at 10k, so that each cycle meets the reader at a random
+/// phase; the slots keep bursts to two cycles.
+const WRITE_SLOT: Duration = Duration::from_millis(40);
 
 /// Read-only inputs of a load phase.
 pub struct LoadContext<'a> {
     pub addr: SocketAddr,
+    /// Seeds the writer's offsets within its slots.
+    pub seed: u64,
     /// The query set; replies are checked against `expected[i]`.
     pub query_ids: &'a [String],
     pub expected: &'a [Vec<Hit>],
@@ -40,29 +47,29 @@ pub struct LoadContext<'a> {
 #[derive(Default)]
 pub struct PhaseResult {
     pub search_ms: Vec<f64>,
-    pub searches_ok: u64,
+    /// When each correct search completed, in seconds from the phase
+    /// start.
+    pub search_done_s: Vec<f64>,
     pub write_ms: Vec<f64>,
     pub write_late_ms: Vec<f64>,
     pub attempted: u64,
     pub failed: u64,
     pub retries: u64,
-    /// Wrong or degraded replies: any entry fails the run.
+    /// Wrong, degraded, failed or retried requests: any entry fails the
+    /// run.
     pub wrong: Vec<String>,
-    /// Wall time from the phase start to the last reader's last reply.
-    pub read_elapsed_s: f64,
 }
 
 impl PhaseResult {
     fn absorb(&mut self, other: PhaseResult) {
         self.search_ms.extend(other.search_ms);
-        self.searches_ok += other.searches_ok;
+        self.search_done_s.extend(other.search_done_s);
         self.write_ms.extend(other.write_ms);
         self.write_late_ms.extend(other.write_late_ms);
         self.attempted += other.attempted;
         self.failed += other.failed;
         self.retries += other.retries;
         self.wrong.extend(other.wrong);
-        self.read_elapsed_s = self.read_elapsed_s.max(other.read_elapsed_s);
     }
 }
 
@@ -89,7 +96,7 @@ pub fn run_phase(
             })
             .collect();
         let writer = writes.map(|(pool, offset)| {
-            scope.spawn(move || write_loop(ctx.addr, pool, offset, start, deadline, tracer, traced))
+            scope.spawn(move || write_loop(ctx, pool, offset, start, deadline, tracer, traced))
         });
         let mut total = PhaseResult::default();
         for handle in reader_handles {
@@ -114,7 +121,6 @@ fn read_loop(
     let mut client = Client::new(ctx.addr, client_config(reader as u64));
     let mut rec = tracer.recorder(traced);
     let mut out = PhaseResult::default();
-    let mut last = start;
     while Instant::now() < deadline {
         // ordering: Relaxed — a ticket into the precomputed query stream;
         // publishes no other data.
@@ -125,34 +131,35 @@ fn read_loop(
         let reply = rec.span("client.search", |_| {
             client.search(&ctx.query_ids[qi], K as u32, 0)
         });
-        last = Instant::now();
-        let ms = (last - sent).as_secs_f64() * 1e3;
+        let done = Instant::now();
+        let ms = (done - sent).as_secs_f64() * 1e3;
         out.attempted += 1;
         let retried = client.retries() > retries_before;
         match reply {
             Ok(outcome) => match check_reply(ctx, qi, &outcome) {
                 Ok(()) if !retried => {
-                    out.searches_ok += 1;
                     out.search_ms.push(ms);
+                    out.search_done_s.push((done - start).as_secs_f64());
                 }
-                Ok(()) => fail(&mut out, ms, false),
-                Err(why) => {
-                    fail(&mut out, ms, false);
-                    out.wrong
-                        .push(format!("search {}: {why}", ctx.query_ids[qi]));
-                }
+                Ok(()) => fail(&mut out, ms, false, || {
+                    format!("search {}: answered only after a retry", ctx.query_ids[qi])
+                }),
+                Err(why) => fail(&mut out, ms, false, || {
+                    format!("search {}: {why}", ctx.query_ids[qi])
+                }),
             },
-            Err(_) => fail(&mut out, ms, false),
+            Err(e) => fail(&mut out, ms, false, || {
+                format!("search {}: {e}", ctx.query_ids[qi])
+            }),
         }
     }
     out.retries = client.retries();
-    out.read_elapsed_s = (last - start).as_secs_f64();
     tracer.collect(rec);
     out
 }
 
 fn write_loop(
-    addr: SocketAddr,
+    ctx: &LoadContext<'_>,
     pool: &[Workflow],
     offset: usize,
     start: Instant,
@@ -160,11 +167,12 @@ fn write_loop(
     tracer: &Tracer,
     traced: bool,
 ) -> PhaseResult {
-    let mut client = Client::new(addr, client_config(0xC4A0));
+    let mut client = Client::new(ctx.addr, client_config(0xC4A0));
     let mut rec = tracer.recorder(traced);
     let mut out = PhaseResult::default();
+    let mut offsets = Rng::new(ctx.seed, 0xC4A0 + offset as u64);
     for cycle in 0u32.. {
-        let due = start + WRITE_PERIOD * cycle;
+        let due = start + WRITE_SLOT * cycle + WRITE_SLOT.mul_f64(offsets.next_f64());
         if due >= deadline {
             break;
         }
@@ -183,16 +191,17 @@ fn write_loop(
         });
         let ms = due.elapsed().as_secs_f64() * 1e3;
         out.attempted += 1;
+        let retried = client.retries() > retries_before;
         match (removed, added) {
-            (Ok(true), Ok(_)) if client.retries() == retries_before => {
-                out.write_ms.push(ms);
-            }
-            (Ok(false), _) => {
-                fail(&mut out, ms, true);
-                out.wrong
-                    .push(format!("remove {}: id was not resident", wf.id));
-            }
-            _ => fail(&mut out, ms, true),
+            (Ok(true), Ok(_)) if !retried => out.write_ms.push(ms),
+            (Ok(true), Ok(_)) => fail(&mut out, ms, true, || {
+                format!("write {}: answered only after a retry", wf.id)
+            }),
+            (Ok(false), _) => fail(&mut out, ms, true, || {
+                format!("remove {}: id was not resident", wf.id)
+            }),
+            (Err(e), _) => fail(&mut out, ms, true, || format!("remove {}: {e}", wf.id)),
+            (_, Err(e)) => fail(&mut out, ms, true, || format!("add {}: {e}", wf.id)),
         }
     }
     out.retries = client.retries();
@@ -200,10 +209,13 @@ fn write_loop(
     out
 }
 
-/// Counts a failed operation and charges it a latency that misses any
-/// limit.
-fn fail(out: &mut PhaseResult, ms: f64, write: bool) {
+/// Counts a failed operation, charges it a latency that misses any limit
+/// and records why it failed: a failed, shed or retried request makes the
+/// run incorrect, because at the seed every request must succeed on its
+/// first attempt.
+fn fail(out: &mut PhaseResult, ms: f64, write: bool, why: impl FnOnce() -> String) {
     out.failed += 1;
+    out.wrong.push(why());
     let samples = if write {
         &mut out.write_ms
     } else {

@@ -8,7 +8,8 @@
 //!
 //! `--trace 0` prints the end-to-end metrics, measured with tracing off;
 //! `--trace 1` prints the per-layer metrics.  The last stdout line is the
-//! JSON result; the exit code is non-zero when any reply was wrong.
+//! JSON result; the exit code is non-zero when any request failed or any
+//! reply was wrong.
 
 #![deny(unsafe_code)]
 
@@ -30,7 +31,7 @@ use wf_serve::{Client, Hit, Server, ServerConfig, ServerHandle, StatsSnapshot};
 use wf_sim::{Corpus, CorpusService, SearchParallelism, ShardedCorpus, SimilarityConfig};
 
 use load::{run_phase, LoadContext, PhaseResult, K};
-use report::{mean, median, quantile, Metrics};
+use report::{block_rate, mean, median, quantile, Metrics};
 use rng::{Rng, Zipf};
 use trace::Tracer;
 
@@ -42,7 +43,9 @@ const STREAM_LEN: usize = 100_000;
 const WRITE_POOL: usize = 256;
 /// Length of the write tail that read-only workloads run after their
 /// read window, beside one closed-loop reader.
-const WRITE_TAIL: Duration = Duration::from_secs(5);
+const WRITE_TAIL: Duration = Duration::from_secs(10);
+/// Blocks of the read window whose median throughput is `search_qps`.
+const QPS_BLOCKS: usize = 15;
 /// Workflows the traced run removes and re-adds in process.
 const PROBE_WRITES: usize = 32;
 /// Workflows removed from each shard's rebuilt profiles and index.
@@ -60,11 +63,8 @@ enum Mix {
     /// Uniform: shuffled passes with each id once per pass, over the whole
     /// corpus or a seeded subset of it.
     Uniform { subset: Option<usize> },
-    /// Zipf(s) popularity over a seeded subset.  Popularity drifts: the
-    /// rank → id order is redrawn every `epoch` requests, so one run
-    /// averages over several popularity orders instead of resting on the
-    /// cost of whichever query happens to rank first.
-    Zipf { subset: usize, s: f64, epoch: usize },
+    /// Zipf(s) popularity over a seeded subset, in a seeded rank order.
+    Zipf { subset: usize, s: f64 },
 }
 
 struct Spec {
@@ -104,11 +104,11 @@ impl Workload {
         match self {
             Workload::Lookup => Spec {
                 corpus: 1483,
-                setup_reps: 9,
+                setup_reps: 25,
                 readers: 2,
                 mix: Mix::Uniform { subset: None },
                 concurrent_writes: false,
-                snapshot_reps: 9,
+                snapshot_reps: 21,
                 oracle_queries: 8,
                 probe_queries: 256,
                 check_queries: 256,
@@ -120,7 +120,6 @@ impl Workload {
                 mix: Mix::Zipf {
                     subset: 512,
                     s: 1.1,
-                    epoch: 128,
                 },
                 concurrent_writes: false,
                 snapshot_reps: 2,
@@ -178,7 +177,7 @@ impl Args {
         Ok(Args {
             workload: workload.ok_or("--workload is required")?,
             seed: seed.unwrap_or(1),
-            seconds: seconds.unwrap_or(10).max(2),
+            seconds: seconds.unwrap_or(15).max(2),
             trace: trace.unwrap_or(false),
         })
     }
@@ -189,6 +188,9 @@ struct Inputs {
     query_ids: Vec<String>,
     /// Query indices in the order readers take them.
     stream: Vec<u32>,
+    /// The write tail's reader's stream: uniform passes over the queries
+    /// the writer leaves alone.
+    tail_stream: Vec<u32>,
     /// Workflows the writer removes and re-adds.
     pool: Vec<Workflow>,
     /// The pool's ids: replies under writes may lack exactly these.
@@ -211,12 +213,7 @@ impl Inputs {
             Mix::Uniform { subset } => {
                 let take = subset.unwrap_or(order.len()).min(order.len());
                 let query_ids: Vec<String> = order[..take].iter().map(|&i| id(i)).collect();
-                let mut stream = Vec::with_capacity(STREAM_LEN + take);
-                while stream.len() < STREAM_LEN {
-                    let mut pass: Vec<u32> = (0..take as u32).collect();
-                    rng.shuffle(&mut pass);
-                    stream.extend(pass);
-                }
+                let stream = uniform_passes(&mut rng, (0..take as u32).collect());
                 // The whole corpus is queried: the writer may reuse any id.
                 let rest = if subset.is_some() {
                     &order[take..]
@@ -225,16 +222,15 @@ impl Inputs {
                 };
                 (query_ids, stream, rest)
             }
-            Mix::Zipf { subset, s, epoch } => {
+            Mix::Zipf { subset, s } => {
+                // `order` is a seeded shuffle, so rank r is the subset's
+                // r-th id.
                 let take = subset.min(order.len());
                 let query_ids: Vec<String> = order[..take].iter().map(|&i| id(i)).collect();
                 let zipf = Zipf::new(take, s);
-                let mut by_rank: Vec<u32> = (0..take as u32).collect();
-                let mut stream = Vec::with_capacity(STREAM_LEN + epoch);
-                while stream.len() < STREAM_LEN {
-                    rng.shuffle(&mut by_rank);
-                    stream.extend((0..epoch).map(|_| by_rank[zipf.sample(&mut rng)]));
-                }
+                let stream = (0..STREAM_LEN)
+                    .map(|_| zipf.sample(&mut rng) as u32)
+                    .collect();
                 (query_ids, stream, &order[take..])
             }
         };
@@ -243,13 +239,18 @@ impl Inputs {
             .take(WRITE_POOL)
             .map(|&i| workflows[i].clone())
             .collect();
-        let churned = pool.iter().map(|wf| wf.id.0.clone()).collect();
+        let churned: BTreeSet<String> = pool.iter().map(|wf| wf.id.0.clone()).collect();
+        let untouched = (0..query_ids.len() as u32)
+            .filter(|&qi| !churned.contains(&query_ids[qi as usize]))
+            .collect();
+        let tail_stream = uniform_passes(&mut rng, untouched);
         let probe = stream[..spec.probe_queries.min(stream.len())].to_vec();
         Inputs {
             check: distinct_prefix(&stream, spec.check_queries),
             oracle: distinct_prefix(&stream, spec.oracle_queries),
             query_ids,
             stream,
+            tail_stream,
             pool,
             churned,
             probe,
@@ -259,6 +260,17 @@ impl Inputs {
     fn id(&self, qi: u32) -> WorkflowId {
         WorkflowId::new(self.query_ids[qi as usize].clone())
     }
+}
+
+/// At least `STREAM_LEN` query indices: shuffled passes over `queries`,
+/// each once per pass.
+fn uniform_passes(rng: &mut Rng, mut queries: Vec<u32>) -> Vec<u32> {
+    let mut stream = Vec::with_capacity(STREAM_LEN + queries.len());
+    while stream.len() < STREAM_LEN && !queries.is_empty() {
+        rng.shuffle(&mut queries);
+        stream.extend_from_slice(&queries);
+    }
+    stream
 }
 
 /// The first `n` distinct entries of `stream`, in stream order.
@@ -351,7 +363,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let correct = outcome.wrong.is_empty() && outcome.metrics.all_finite();
+    let correct = outcome.wrong.is_empty() && outcome.failed == 0 && outcome.metrics.all_finite();
     println!(
         "workload {} seed {} trace {}: attempted {} failed {} correct {correct}",
         args.workload.name(),
@@ -405,7 +417,13 @@ fn run(args: &Args) -> Result<Outcome, String> {
     for phase in load.phases() {
         out.count(phase);
     }
-    out.failed += load.stats.bad_frames;
+    if load.stats.bad_frames > 0 {
+        out.failed += load.stats.bad_frames;
+        out.wrong.push(format!(
+            "the server saw {} bad frames",
+            load.stats.bad_frames
+        ));
+    }
     serving.server.shutdown();
     let service = sole_owner(serving.service)?;
 
@@ -540,6 +558,7 @@ fn drive(
     let no_churn = BTreeSet::new();
     let window_ctx = LoadContext {
         addr: serving.server.addr(),
+        seed: args.seed,
         query_ids: &inputs.query_ids,
         expected: &serving.expected,
         stream: &inputs.stream,
@@ -549,15 +568,8 @@ fn drive(
             &no_churn
         },
     };
-    // The write tail's reader skips the ids the writer removes.
-    let tail_stream: Vec<u32> = inputs
-        .stream
-        .iter()
-        .copied()
-        .filter(|&qi| !inputs.churned.contains(&inputs.query_ids[qi as usize]))
-        .collect();
     let tail_ctx = LoadContext {
-        stream: &tail_stream,
+        stream: &inputs.tail_stream,
         churned: &inputs.churned,
         ..window_ctx
     };
@@ -659,7 +671,7 @@ fn end_to_end_metrics(m: &mut Metrics, setup_s: &[f64], load: &Load, snapshots: 
     m.put("setup_s", median(setup_s), "s");
     m.put(
         "search_qps",
-        reads.searches_ok as f64 / reads.read_elapsed_s.max(1e-9),
+        block_rate(&reads.search_done_s, QPS_BLOCKS),
         "1/s",
     );
     m.put("search_p50_ms", quantile(&reads.search_ms, 0.50), "ms");

@@ -17,6 +17,26 @@ pub fn median(values: &[f64]) -> f64 {
     quantile(values, 0.5)
 }
 
+/// Throughput over a phase: the median, over `blocks` consecutive blocks
+/// of equally many completions, of each block's completions per second.
+/// `done_s` holds the completion times in seconds from the phase start.
+/// A few slow or fast seconds of the host move it less than a mean would.
+pub fn block_rate(done_s: &[f64], blocks: usize) -> f64 {
+    let mut done = done_s.to_vec();
+    done.sort_by(f64::total_cmp);
+    let per = done.len() / blocks.max(1);
+    if per == 0 {
+        return done.len() as f64 / done.last().copied().unwrap_or(0.0).max(1e-9);
+    }
+    let rates: Vec<f64> = (0..blocks)
+        .map(|b| {
+            let from = if b == 0 { 0.0 } else { done[b * per - 1] };
+            per as f64 / (done[(b + 1) * per - 1] - from).max(1e-9)
+        })
+        .collect();
+    median(&rates)
+}
+
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         0.0
