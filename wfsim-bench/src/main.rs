@@ -13,6 +13,7 @@
 
 #![deny(unsafe_code)]
 
+mod calib;
 mod layers;
 mod load;
 mod report;
@@ -30,6 +31,7 @@ use wf_repo::SearchStats;
 use wf_serve::{Client, Hit, Server, ServerConfig, ServerHandle, StatsSnapshot};
 use wf_sim::{Corpus, CorpusService, SearchParallelism, ShardedCorpus, SimilarityConfig};
 
+use calib::Calibration;
 use load::{run_phase, LoadContext, PhaseResult, K};
 use report::{block_rate, mean, median, quantile, Metrics};
 use rng::{Rng, Zipf};
@@ -42,10 +44,14 @@ const STREAM_LEN: usize = 100_000;
 /// Resident workflows the writer cycles through.
 const WRITE_POOL: usize = 256;
 /// Length of the write tail that read-only workloads run after their
-/// read window, beside one closed-loop reader.
-const WRITE_TAIL: Duration = Duration::from_secs(10);
+/// read window, with no reader beside it.
+const WRITE_TAIL: Duration = Duration::from_secs(6);
 /// Blocks of the read window whose median throughput is `search_qps`.
 const QPS_BLOCKS: usize = 15;
+/// Calibration kernel runs at each boundary between load phases, and
+/// after each set-up, snapshot save and snapshot load.
+const CAL_SAMPLES: usize = 10;
+const STEP_SAMPLES: usize = 2;
 /// Workflows the traced run removes and re-adds in process.
 const PROBE_WRITES: usize = 32;
 /// Workflows removed from each shard's rebuilt profiles and index.
@@ -104,11 +110,11 @@ impl Workload {
         match self {
             Workload::Lookup => Spec {
                 corpus: 1483,
-                setup_reps: 25,
+                setup_reps: 15,
                 readers: 2,
                 mix: Mix::Uniform { subset: None },
                 concurrent_writes: false,
-                snapshot_reps: 21,
+                snapshot_reps: 11,
                 oracle_queries: 8,
                 probe_queries: 256,
                 check_queries: 256,
@@ -188,9 +194,6 @@ struct Inputs {
     query_ids: Vec<String>,
     /// Query indices in the order readers take them.
     stream: Vec<u32>,
-    /// The write tail's reader's stream: uniform passes over the queries
-    /// the writer leaves alone.
-    tail_stream: Vec<u32>,
     /// Workflows the writer removes and re-adds.
     pool: Vec<Workflow>,
     /// The pool's ids: replies under writes may lack exactly these.
@@ -240,17 +243,12 @@ impl Inputs {
             .map(|&i| workflows[i].clone())
             .collect();
         let churned: BTreeSet<String> = pool.iter().map(|wf| wf.id.0.clone()).collect();
-        let untouched = (0..query_ids.len() as u32)
-            .filter(|&qi| !churned.contains(&query_ids[qi as usize]))
-            .collect();
-        let tail_stream = uniform_passes(&mut rng, untouched);
         let probe = stream[..spec.probe_queries.min(stream.len())].to_vec();
         Inputs {
             check: distinct_prefix(&stream, spec.check_queries),
             oracle: distinct_prefix(&stream, spec.oracle_queries),
             query_ids,
             stream,
-            tail_stream,
             pool,
             churned,
             probe,
@@ -402,6 +400,7 @@ fn run(args: &Args) -> Result<Outcome, String> {
     let inputs = Inputs::draw(&spec, &workflows, args.seed);
     let tracer = Tracer::new();
     let mut out = Outcome::default();
+    let mut cal = Calibration::new();
     eprintln!(
         "wfsim-bench: {} — {} workflows, {} queries, seed {}",
         args.workload.name(),
@@ -411,9 +410,9 @@ fn run(args: &Args) -> Result<Outcome, String> {
     );
 
     let reps = if args.trace { 1 } else { spec.setup_reps };
-    let serving = setup(&workflows, reps, &inputs.query_ids)?;
+    let serving = setup(&workflows, reps, &inputs.query_ids, &mut cal)?;
     let expected = &serving.expected;
-    let load = drive(args, &spec, &inputs, &serving, &tracer)?;
+    let load = drive(args, &spec, &inputs, &serving, &tracer, &mut cal)?;
     for phase in load.phases() {
         out.count(phase);
     }
@@ -475,7 +474,7 @@ fn run(args: &Args) -> Result<Outcome, String> {
     tracer.collect(rec);
 
     let reps = if args.trace { 1 } else { spec.snapshot_reps };
-    let (loaded, snapshots) = round_trips(sharded, reps, &snap_dir)?;
+    let (loaded, snapshots) = round_trips(sharded, reps, &snap_dir, &mut cal)?;
     if loaded.len() != workflows.len() {
         out.wrong.push(format!(
             "loaded snapshot holds {} workflows, expected {}",
@@ -489,9 +488,9 @@ fn run(args: &Args) -> Result<Outcome, String> {
     out.check_oracle(&workflows, &inputs, expected);
 
     match probes {
-        None => end_to_end_metrics(&mut out.metrics, &serving.setup_s, &load, &snapshots),
+        None => end_to_end_metrics(&mut out.metrics, &serving.setup_s, &load, &snapshots, &cal),
         Some(probes) => {
-            per_layer_metrics(&mut out, &tracer, &load, &probes, &workflows);
+            per_layer_metrics(&mut out, &tracer, &load, &probes, &workflows, &cal);
             let counters: Vec<layers::QueryCounters> = probe
                 .iter()
                 .zip(probes.server_path.iter().zip(&probes.frontier))
@@ -546,14 +545,16 @@ impl Load {
 
 /// Runs the read window (split into an untraced and a traced half in a
 /// traced run), with the writer beside it on `churn`, then the write tail
-/// of the read-only workloads: the same writer beside one reader, so a
-/// write meets searches on every workload.
+/// of the read-only workloads: the same writer alone, so that every
+/// workload times writes.  Calibration samples fall before, between and
+/// after the phases.
 fn drive(
     args: &Args,
     spec: &Spec,
     inputs: &Inputs,
     serving: &Serving,
     tracer: &Tracer,
+    cal: &mut Calibration,
 ) -> Result<Load, String> {
     let no_churn = BTreeSet::new();
     let window_ctx = LoadContext {
@@ -567,11 +568,6 @@ fn drive(
         } else {
             &no_churn
         },
-    };
-    let tail_ctx = LoadContext {
-        stream: &inputs.tail_stream,
-        churned: &inputs.churned,
-        ..window_ctx
     };
     let pool = inputs.pool.as_slice();
     let window = Duration::from_secs(args.seconds);
@@ -590,21 +586,33 @@ fn drive(
         )
     };
     let beside = |offset: usize| spec.concurrent_writes.then_some(offset);
+    cal.sample(CAL_SAMPLES);
     let (reads, traced) = if args.trace {
         let plain = reads(beside(0), window / 2, false);
+        cal.sample(CAL_SAMPLES);
         let offset = plain.write_ms.len();
         let traced = reads(beside(offset), window / 2, true);
         (plain, Some(traced))
     } else {
         (reads(beside(0), window, false), None)
     };
-    let peak_rss_mb = peak_rss_mb()?;
+    // The calibration array is the benchmark's, not the program's.
+    let peak_rss_mb = peak_rss_mb()? - calib::ARRAY_BYTES as f64 / 1e6;
+    cal.sample(CAL_SAMPLES);
     let tail = (!spec.concurrent_writes).then(|| {
         let cursor = AtomicUsize::new(0);
         let writes = Some((pool, 0));
-        run_phase(
-            &tail_ctx, 1, writes, WRITE_TAIL, &cursor, tracer, args.trace,
-        )
+        let tail = run_phase(
+            &window_ctx,
+            0,
+            writes,
+            WRITE_TAIL,
+            &cursor,
+            tracer,
+            args.trace,
+        );
+        cal.sample(CAL_SAMPLES);
+        tail
     });
     let stats = Client::connect(serving.server.addr())
         .stats()
@@ -641,6 +649,7 @@ fn round_trips(
     mut corpus: ShardedCorpus,
     reps: usize,
     dir: &Path,
+    cal: &mut Calibration,
 ) -> Result<(ShardedCorpus, Snapshots), String> {
     let mut snapshots = Snapshots {
         save_s: Vec::new(),
@@ -656,34 +665,55 @@ fn round_trips(
         snapshots.save_s.push(started.elapsed().as_secs_f64());
         snapshots.bytes = dir_bytes(dir)?;
         drop(corpus);
+        cal.sample(STEP_SAMPLES);
         let started = Instant::now();
         corpus = ShardedCorpus::load(dir, config())
             .map_err(|e| format!("load {}: {e}", dir.display()))?;
         snapshots.load_s.push(started.elapsed().as_secs_f64());
+        cal.sample(STEP_SAMPLES);
     }
     let _ = std::fs::remove_dir_all(dir);
     Ok((corpus, snapshots))
 }
 
-fn end_to_end_metrics(m: &mut Metrics, setup_s: &[f64], load: &Load, snapshots: &Snapshots) {
+/// The end-to-end metrics, scaled to the reference speed (see `calib`).
+/// The human-readable lines also give each timing as measured.
+fn end_to_end_metrics(
+    m: &mut Metrics,
+    setup_s: &[f64],
+    load: &Load,
+    snapshots: &Snapshots,
+    cal: &Calibration,
+) {
     let reads = &load.reads;
-    let write_ms = load.write_ms();
-    m.put("setup_s", median(setup_s), "s");
-    m.put(
-        "search_qps",
-        block_rate(&reads.search_done_s, QPS_BLOCKS),
-        "1/s",
+    let qps = block_rate(&reads.search_done_s, QPS_BLOCKS);
+    let writes = load.write_ms();
+    let slowdown = cal.slowdown();
+    println!(
+        "host: calibration kernel median {:.3} ms over {} runs, {slowdown:.4} times the reference {} ms",
+        cal.median_ms(),
+        cal.runs(),
+        calib::REFERENCE_MS
     );
-    m.put("search_p50_ms", quantile(&reads.search_ms, 0.50), "ms");
+    let durations = [
+        ("setup_s", median(setup_s), "s"),
+        ("search_p50_ms", median(&reads.search_ms), "ms"),
+        ("write_p50_ms", median(&writes), "ms"),
+        ("save_s", median(&snapshots.save_s), "s"),
+        ("load_s", median(&snapshots.load_s), "s"),
+    ];
+    println!("measured search_qps {qps:.4} 1/s");
+    m.put("search_qps", qps * slowdown, "1/s");
+    for (name, measured, unit) in durations {
+        println!("measured {name} {measured:.4} {unit}");
+        m.put(name, measured / slowdown, unit);
+    }
     m.put("peak_rss_mb", load.peak_rss_mb, "MB");
-    m.put("write_p50_ms", quantile(&write_ms, 0.50), "ms");
-    m.put("save_s", median(&snapshots.save_s), "s");
-    m.put("load_s", median(&snapshots.load_s), "s");
     m.put("snapshot_mb", snapshots.bytes as f64 / 1e6, "MB");
     println!(
         "samples: {} searches, {} writes, {} set-ups, {} snapshot round trips",
         reads.search_ms.len(),
-        write_ms.len(),
+        writes.len(),
         setup_s.len(),
         snapshots.save_s.len()
     );
@@ -712,6 +742,7 @@ fn per_layer_metrics(
     load: &Load,
     probes: &Probes,
     workflows: &[Workflow],
+    cal: &Calibration,
 ) {
     let layers = tracer.layers();
     let layer = |name: &str| layers.get(name).cloned().unwrap_or_default();
@@ -719,7 +750,9 @@ fn per_layer_metrics(
     let per = |name: &str, work: u64, unit_ns: f64| {
         layer(name).self_ns as f64 / work.max(1) as f64 / unit_ns
     };
-    let (reads, stats, stage) = (&load.reads, &load.stats, &probes.stage);
+    let (stats, stage) = (&load.stats, &probes.stage);
+    // Per-layer timings are as measured: they have no bound.
+    let reads_ms = &load.reads.search_ms;
     let (server, frontier) = (&probes.server_path, &probes.frontier);
     let queries = server.len().max(1) as f64;
     let server_ms: Vec<f64> = server.iter().map(|(ms, _)| *ms).collect();
@@ -745,7 +778,7 @@ fn per_layer_metrics(
     );
     m.put(
         "serve.unattributed_p50_ms",
-        median(&reads.search_ms) - median(&server_ms) - layer("protocol.codec").mean(1e6),
+        median(reads_ms) - median(&server_ms) - layer("protocol.codec").mean(1e6),
         "ms",
     );
     m.put("serve.shed", stats.shed as f64, "count");
@@ -830,15 +863,16 @@ fn per_layer_metrics(
         probes.snapshot_bytes as f64 / input_bytes.max(1) as f64,
         "ratio",
     );
-    m.put("search_p99_ms", quantile(&reads.search_ms, 0.99), "ms");
+    m.put("search_p99_ms", quantile(reads_ms, 0.99), "ms");
     m.put("write_p99_ms", quantile(&load.write_ms(), 0.99), "ms");
     m.put("gen.write_late_ms", quantile(&write_late_ms, 0.99), "ms");
     let traced_ms = load.traced.as_ref().map_or(&[][..], |p| &p.search_ms[..]);
     m.put(
         "trace.overhead_p50_ms",
-        median(traced_ms) - median(&reads.search_ms),
+        median(traced_ms) - median(reads_ms),
         "ms",
     );
+    m.put("host.calib_ms", cal.median_ms(), "ms");
     for (path, runs) in [("server", server), ("frontier", frontier)] {
         for (name, counter) in COUNTERS {
             m.put(
@@ -860,8 +894,14 @@ fn per_layer_metrics(
 /// service wrapping, server start and first reply), computes the expected
 /// hits of every query on the last build outside the timing, and leaves
 /// that build serving.
-fn setup(workflows: &[Workflow], reps: usize, query_ids: &[String]) -> Result<Serving, String> {
+fn setup(
+    workflows: &[Workflow],
+    reps: usize,
+    query_ids: &[String],
+    cal: &mut Calibration,
+) -> Result<Serving, String> {
     let mut setup_s = Vec::with_capacity(reps);
+    cal.sample(STEP_SAMPLES);
     for rep in 0..reps {
         let input = workflows.to_vec();
         let started = Instant::now();
@@ -884,6 +924,7 @@ fn setup(workflows: &[Workflow], reps: usize, query_ids: &[String]) -> Result<Se
             .map_err(|e| format!("first ping: {e}"))?;
         secs += started.elapsed().as_secs_f64();
         setup_s.push(secs);
+        cal.sample(STEP_SAMPLES);
         match expected {
             Some(expected) => {
                 return Ok(Serving {
