@@ -24,7 +24,7 @@ fn bench_retrieval(c: &mut Criterion) {
     .with_threads(8);
     let profiled =
         ProfiledMeasure::new(SimilarityConfig::best_module_sets(), repository.workflows());
-    let indexed = IndexedSearchEngine::new(&profiled).with_threads(8);
+    let indexed = IndexedSearchEngine::new(&profiled);
     assert_eq!(engine.top_k(&query, 10), indexed.top_k(query_index, 10));
 
     let mut group = c.benchmark_group("top10_retrieval_200_workflows");

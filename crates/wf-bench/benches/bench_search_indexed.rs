@@ -6,8 +6,8 @@
 //!   [`WorkflowSimilarity`] that re-projects and re-derives text per pair;
 //! * `scan_profiled` — exhaustive scan, but scoring from precomputed
 //!   [`ProfiledMeasure`] profiles;
-//! * `indexed` / `indexed_parallel` — the inverted-index engine with
-//!   upper-bound pruning on top of the profiles.
+//! * `indexed` — the inverted-index engine with upper-bound pruning on
+//!   top of the profiles.
 //!
 //! All three return bit-identical hit lists (asserted once up front).
 
@@ -29,7 +29,7 @@ fn bench_search_indexed(c: &mut Criterion) {
     );
     let profiled =
         ProfiledMeasure::new(SimilarityConfig::best_module_sets(), repository.workflows());
-    let indexed = IndexedSearchEngine::new(&profiled).with_threads(8);
+    let indexed = IndexedSearchEngine::new(&profiled);
 
     // The engines must agree before their speed is worth comparing.
     let expected = scan_engine.top_k(&query, 10);
@@ -46,9 +46,6 @@ fn bench_search_indexed(c: &mut Criterion) {
     });
     group.bench_function("indexed", |b| {
         b.iter(|| indexed.top_k(black_box(query_index), 10))
-    });
-    group.bench_function("indexed_parallel", |b| {
-        b.iter(|| indexed.top_k_parallel(black_box(query_index), 10))
     });
     group.finish();
 }

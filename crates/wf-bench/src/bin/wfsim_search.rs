@@ -218,15 +218,10 @@ fn run_search(options: &Options, repository: &Repository) -> Result<(), String> 
     match (options.engine, config) {
         (Engine::Indexed, Some(config)) => {
             let corpus = Corpus::build(config, repository.workflows().to_vec());
-            let engine = corpus.search_engine().with_threads(options.threads);
             let query_index = corpus
                 .index_of(&query_id)
                 .expect("query id resolved against the same corpus");
-            let (hits, stats) = if options.threads > 1 {
-                engine.top_k_parallel_with_stats(query_index, options.k)
-            } else {
-                engine.top_k_with_stats(query_index, options.k)
-            };
+            let (hits, stats) = corpus.top_k_with_stats(query_index, options.k);
             print_hits(
                 repository,
                 &query,

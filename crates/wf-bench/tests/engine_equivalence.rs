@@ -70,16 +70,16 @@ fn indexed_topk_is_bit_identical_for_all_six_schemes() {
             let scan = SearchEngine::new(&repository, |a: &Workflow, b: &Workflow| {
                 plain.similarity(a, b)
             });
-            let indexed = IndexedSearchEngine::new(&profiled).with_threads(3);
+            let indexed = IndexedSearchEngine::new(&profiled);
             for query_index in [0usize, 33, 79] {
                 let query = &repository.workflows()[query_index];
                 let expected = scan.top_k(query, 10);
                 let (hits, stats) = indexed.top_k_with_stats(query_index, 10);
                 assert_eq!(hits, expected, "{name}, query {}", query.id);
                 assert_eq!(
-                    indexed.top_k_parallel(query_index, 10),
+                    indexed.top_k(query_index, 10),
                     expected,
-                    "{name} parallel, query {}",
+                    "{name} top_k, query {}",
                     query.id
                 );
                 assert_eq!(
@@ -160,12 +160,12 @@ proptest! {
         let scan = SearchEngine::new(&repository, |a: &Workflow, b: &Workflow| {
             plain.similarity(a, b)
         });
-        let indexed = IndexedSearchEngine::new(&profiled).with_threads(4);
+        let indexed = IndexedSearchEngine::new(&profiled);
         let query_index = query_offset % repository.len();
         let query = &repository.workflows()[query_index];
         let expected = scan.top_k(query, k);
         prop_assert_eq!(indexed.top_k(query_index, k), expected.clone());
-        prop_assert_eq!(indexed.top_k_parallel(query_index, k), expected);
+        prop_assert_eq!(indexed.top_k_with_stats(query_index, k).0, expected);
     }
 
     /// Parallel matrix ≡ sequential matrix on randomized mutated corpora

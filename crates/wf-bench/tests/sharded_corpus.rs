@@ -107,28 +107,49 @@ fn racing_topk_is_bit_identical_for_all_schemes_and_shard_counts() {
 /// corpus must not multiply scoring work.  One shared best-bound frontier
 /// scores (nearly) the same candidate set at 8 shards as at 1 — only
 /// cross-shard bound ties may reorder, so the budget is a tight 1.2×.
+///
+/// The serving path must be that same frontier: an ungated
+/// `CorpusService::search_deadline` (what a fault-free wf-serve runs)
+/// scores exactly as many candidates as `ShardedCorpus::search_with_stats`
+/// at every shard count.
 #[test]
 fn sharding_does_not_inflate_scored_comparisons() {
     let workflows = demo_workflows(200, 23);
     let config = SimilarityConfig::best_module_sets();
     let queries: Vec<WorkflowId> = workflows.iter().map(|w| w.id.clone()).step_by(7).collect();
-    let scored_at = |shards: usize| -> u64 {
+    let scored_at = |shards: usize| -> (u64, u64) {
         let sharded = ShardedCorpus::build(config.clone(), shards, workflows.clone());
-        queries
+        let frontier: u64 = queries
             .iter()
             .map(|id| {
                 let (_, stats) = sharded.search_with_stats(id, 10).expect("resident");
                 stats.scored as u64
             })
-            .sum()
+            .sum();
+        let service = CorpusService::new(sharded);
+        let served: u64 = queries
+            .iter()
+            .map(|id| {
+                let result = service
+                    .search_deadline(id, 10, &CancelToken::never())
+                    .expect("resident");
+                result.stats.scored as u64
+            })
+            .sum();
+        (frontier, served)
     };
-    let baseline = scored_at(1);
+    let (baseline, served) = scored_at(1);
     assert!(baseline > 0, "queries must do real scoring work");
+    assert_eq!(served, baseline, "1 shard: served vs frontier scoring");
     for shards in [2usize, 4, 8] {
-        let scored = scored_at(shards);
+        let (scored, served) = scored_at(shards);
         assert!(
             scored as f64 <= 1.2 * baseline as f64,
             "{shards} shards scored {scored} candidates vs {baseline} at 1 shard"
+        );
+        assert_eq!(
+            served, scored,
+            "{shards} shards: the served deadline path must score like the frontier"
         );
     }
 }

@@ -268,9 +268,8 @@ pub fn sort_best_bound_first(candidates: &mut [RankedCandidate]) {
 }
 
 /// The one prune-and-score loop behind every bound-pruned top-k scan — the
-/// sequential indexed engine, each parallel worker's stride, and every
-/// shard of a scatter-gather search all walk their candidates through
-/// here, so the zero-bound short-circuit, the strict-below-floor pruning
+/// indexed engine and every unit of a sharded scatter-gather search walk
+/// their candidates through here, so the zero-bound short-circuit, the strict-below-floor pruning
 /// and the stats accounting can never drift apart between engines.
 ///
 /// `candidates` must arrive in [`sort_best_bound_first`] order (`total` is
@@ -349,86 +348,6 @@ where
     top.into_hits()
 }
 
-/// Parallel variant of [`scan_ranked_candidates`]: the bound-ranked list
-/// is dealt round-robin to `threads` racing workers, each walking its
-/// stride through the sequential scan loop — private [`TopK`] heap, the
-/// one shared `threshold` published via its lock-free `fetch_max`, the
-/// `cancel` token polled per worker between candidates — and the workers'
-/// heaps gathered through [`merge_top_k`] into the canonical order.
-///
-/// Bit-identical to the sequential scan over the same list, under every
-/// interleaving: each stride preserves the global best-bound-first order
-/// within the worker, and any floor a worker prunes against is a true
-/// worst-of-k of `k` distinct exactly-scored candidates, so the final
-/// k-th best is at least the floor and no pruned candidate could have
-/// entered the merged top-k.  Racing changes how much work each worker
-/// prunes — never the result.  Unlike the sequential scan (which returns
-/// heap order for the caller to merge), this returns the merged, sorted
-/// top-k.  Worker counters are accumulated into `stats`.
-#[allow(clippy::too_many_arguments)] // the scan's full contract, plus the worker count
-pub fn scan_ranked_candidates_parallel<F, G>(
-    candidates: &[RankedCandidate],
-    k: usize,
-    threads: usize,
-    threshold: &SearchThreshold,
-    cancel: &crate::search::CancelToken,
-    stats: &mut SearchStats,
-    score: F,
-    id_of: G,
-) -> Vec<SearchHit>
-where
-    F: Fn(usize) -> f64 + Sync,
-    G: Fn(usize) -> WorkflowId + Sync,
-{
-    let threads = threads.max(1).min(candidates.len().max(1));
-    if threads <= 1 {
-        let hits = scan_ranked_candidates(
-            candidates.iter(),
-            candidates.len(),
-            k,
-            threshold,
-            cancel,
-            stats,
-            &score,
-            &id_of,
-        );
-        return merge_top_k([hits], k);
-    }
-    let (parts, worker_stats) = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|worker| {
-                let (score, id_of) = (&score, &id_of);
-                scope.spawn(move || {
-                    let mut local = SearchStats::default();
-                    // Round-robin stride, preserving the global
-                    // best-bound-first order within the worker.
-                    let hits = scan_ranked_candidates(
-                        candidates.iter().skip(worker).step_by(threads),
-                        candidates.len().saturating_sub(worker).div_ceil(threads),
-                        k,
-                        threshold,
-                        cancel,
-                        &mut local,
-                        score,
-                        id_of,
-                    );
-                    (hits, local)
-                })
-            })
-            .collect();
-        let mut parts = Vec::with_capacity(threads);
-        let mut merged = SearchStats::default();
-        for w in workers {
-            let (hits, s) = w.join().expect("parallel scan worker panicked");
-            parts.push(hits);
-            merged.merge(&s);
-        }
-        (merge_top_k(parts, k), merged)
-    });
-    stats.merge(&worker_stats);
-    parts
-}
-
 /// A pull-based merge of several [`sort_best_bound_first`]-ordered
 /// candidate lists into one global best-bound-first stream.
 ///
@@ -440,9 +359,11 @@ where
 /// the candidates are partitioned.
 ///
 /// Cursor positions live in [`Cell`]s: the iterator advances them through
-/// a shared reference, and after a (possibly cancelled) scan the caller
-/// reads [`RankedFrontier::exhausted`] per cursor to report which shards
-/// were fully covered.
+/// a shared reference.  They are not a coverage report:
+/// [`scan_ranked_candidates`] pops a candidate before it checks its
+/// cancel token, so after a cancelled scan a cursor whose last candidate
+/// was never scored would still read as drained.  Callers report coverage
+/// from the scan's `stats.cancelled` instead.
 ///
 /// Ties (equal bound and overlap) resolve to the earliest cursor — a
 /// deterministic order; the final top-k content is insertion-order
@@ -464,21 +385,6 @@ impl<'a> RankedFrontier<'a> {
     /// Total candidates across all cursors.
     pub fn total(&self) -> usize {
         self.lists.iter().map(|l| l.len()).sum()
-    }
-
-    /// Number of cursors.
-    pub fn cursors(&self) -> usize {
-        self.lists.len()
-    }
-
-    /// How many candidates of cursor `list` have been yielded so far.
-    pub fn position(&self, list: usize) -> usize {
-        self.positions[list].get()
-    }
-
-    /// True when cursor `list` has been fully drained.
-    pub fn exhausted(&self, list: usize) -> bool {
-        self.positions[list].get() >= self.lists[list].len()
     }
 
     /// The merged best-bound-first stream (advances cursor positions as
@@ -536,7 +442,6 @@ impl<'f, 'a> Iterator for RankedFrontierIter<'f, 'a> {
 pub struct IndexedSearchEngine<'s, S: CorpusScorer + ?Sized> {
     scorer: &'s S,
     index: Cow<'s, TokenIndex>,
-    threads: usize,
 }
 
 impl<'s, S: CorpusScorer + ?Sized> IndexedSearchEngine<'s, S> {
@@ -545,7 +450,6 @@ impl<'s, S: CorpusScorer + ?Sized> IndexedSearchEngine<'s, S> {
         IndexedSearchEngine {
             index: Cow::Owned(TokenIndex::build(scorer)),
             scorer,
-            threads: 4,
         }
     }
 
@@ -564,15 +468,7 @@ impl<'s, S: CorpusScorer + ?Sized> IndexedSearchEngine<'s, S> {
         IndexedSearchEngine {
             index: Cow::Borrowed(index),
             scorer,
-            threads: 4,
         }
-    }
-
-    /// Sets the number of worker threads for
-    /// [`IndexedSearchEngine::top_k_parallel`] (at least 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// The underlying inverted index.
@@ -602,42 +498,6 @@ impl<'s, S: CorpusScorer + ?Sized> IndexedSearchEngine<'s, S> {
             |i| self.scorer.workflow_id(i).clone(),
         );
         (merge_top_k([hits], k), stats)
-    }
-
-    /// Parallel variant: the bound-ranked candidate list is dealt
-    /// round-robin to workers, each keeping a private bounded top-k heap
-    /// but publishing its worst-of-k to one shared [`SearchThreshold`], so
-    /// every worker prunes against the best floor any of them has found.
-    /// Lock-free and bit-identical to the sequential search.
-    pub fn top_k_parallel(&self, query: usize, k: usize) -> Vec<SearchHit> {
-        self.top_k_parallel_with_stats(query, k).0
-    }
-
-    /// [`IndexedSearchEngine::top_k_parallel`] plus instrumentation.
-    pub fn top_k_parallel_with_stats(
-        &self,
-        query: usize,
-        k: usize,
-    ) -> (Vec<SearchHit>, SearchStats) {
-        let (candidates, mut stats) = self.ranked_candidates(query);
-        if k == 0 || candidates.is_empty() {
-            stats.pruned = candidates.len();
-            return (Vec::new(), stats);
-        }
-        if self.threads.min(candidates.len()) <= 1 {
-            return self.top_k_with_stats(query, k);
-        }
-        let hits = scan_ranked_candidates_parallel(
-            &candidates,
-            k,
-            self.threads,
-            &SearchThreshold::new(),
-            &crate::search::CancelToken::never(),
-            &mut stats,
-            |i| self.scorer.score(query, i),
-            |i| self.scorer.workflow_id(i).clone(),
-        );
-        (hits, stats)
     }
 
     /// All candidates (corpus minus query) with their bounds and token
@@ -775,15 +635,15 @@ mod tests {
     #[test]
     fn indexed_matches_exhaustive_scan_for_every_query_and_k() {
         let scorer = corpus();
-        let engine = IndexedSearchEngine::new(&scorer).with_threads(3);
+        let engine = IndexedSearchEngine::new(&scorer);
         for query in 0..scorer.corpus_len() {
             for k in [0, 1, 3, 6, 10] {
                 let expected = scan_top_k(&scorer, query, k);
                 assert_eq!(engine.top_k(query, k), expected, "q={query} k={k}");
                 assert_eq!(
-                    engine.top_k_parallel(query, k),
+                    engine.top_k_with_stats(query, k).0,
                     expected,
-                    "parallel q={query} k={k}"
+                    "with stats q={query} k={k}"
                 );
             }
         }
@@ -1012,8 +872,6 @@ mod tests {
         let b = vec![rc(3, 0.7, 3), rc(4, 0.5, 4), rc(5, 0.5, 1)];
         let frontier = RankedFrontier::new(vec![&a, &[], &b]);
         assert_eq!(frontier.total(), 6);
-        assert_eq!(frontier.cursors(), 3);
-        assert!(frontier.exhausted(1), "the empty cursor starts exhausted");
 
         let order: Vec<usize> = frontier.iter().map(|c| c.index).collect();
         // 0.9 → 0.7 → the 0.5 tie resolves by overlap desc (4), then the
@@ -1022,28 +880,6 @@ mod tests {
         assert_eq!(order, vec![0, 3, 4, 1, 5, 2]);
         let bounds: Vec<f64> = frontier.iter().map(|c| c.bound).collect();
         assert!(bounds.is_empty(), "a drained frontier yields nothing more");
-        assert!((0..3).all(|c| frontier.exhausted(c)));
-        assert_eq!(frontier.position(0), 3);
-        assert_eq!(frontier.position(2), 3);
-    }
-
-    #[test]
-    fn partially_consumed_frontier_reports_cursor_positions() {
-        let rc = |index, bound| RankedCandidate {
-            index,
-            bound,
-            overlap: 0,
-        };
-        let a = vec![rc(0, 0.9), rc(1, 0.2)];
-        let b = vec![rc(2, 0.8), rc(3, 0.7)];
-        let frontier = RankedFrontier::new(vec![&a, &b]);
-        let mut iter = frontier.iter();
-        assert_eq!(iter.next().map(|c| c.index), Some(0));
-        assert_eq!(iter.next().map(|c| c.index), Some(2));
-        assert_eq!(iter.next().map(|c| c.index), Some(3));
-        assert_eq!(frontier.position(0), 1);
-        assert!(!frontier.exhausted(0));
-        assert!(frontier.exhausted(1));
     }
 
     #[test]

@@ -46,8 +46,8 @@ pub mod usage;
 
 pub use importance::{ImportanceConfig, ImportanceScorer};
 pub use index::{
-    scan_ranked_candidates, scan_ranked_candidates_parallel, scan_top_k, sort_best_bound_first,
-    CorpusScorer, IndexedSearchEngine, RankedCandidate, RankedFrontier, SearchStats, TokenIndex,
+    scan_ranked_candidates, scan_top_k, sort_best_bound_first, CorpusScorer, IndexedSearchEngine,
+    RankedCandidate, RankedFrontier, SearchStats, TokenIndex,
 };
 pub use mining::{mine_repository, mine_transactions, FrequentItemsets, ItemSource, MiningConfig};
 pub use preselect::{

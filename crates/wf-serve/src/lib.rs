@@ -14,7 +14,14 @@
 //!   with a retry hint) instead of queueing without bound; per-request
 //!   deadlines ride the [`wf_repo::CancelToken`] into the scatter-gather
 //!   scan and come back as exact *degraded* partial results that record
-//!   which shards answered.
+//!   which shards answered.  Without a fault plan a search runs
+//!   [`wf_sim::CorpusService::search_deadline`] — the same global
+//!   best-bound-first frontier as an in-process
+//!   [`wf_sim::ShardedCorpus::search`] — so a deadline that cuts it
+//!   returns exact partial hits with every shard unanswered.  Only a
+//!   server started with a [`FaultPlan`] gates each shard
+//!   ([`wf_sim::CorpusService::search_deadline_with`]) and scans them one
+//!   unit per shard, so work finished before an injected stall survives.
 //! * [`client`] — a retrying client with jittered exponential backoff
 //!   that distinguishes retryable (overload, reset, timeout) from
 //!   non-retryable (bad request) failures and reuses request ids across

@@ -512,10 +512,14 @@ fn execute(job: &Job, shared: &Shared) -> Response {
             } else {
                 CancelToken::never()
             };
-            let gate = |shard: usize| -> bool {
-                match &shared.fault {
-                    None => true,
-                    Some(state) => match state.shard_fault(shard) {
+            let query_id = WorkflowId::new(query.clone());
+            let k = *k as usize;
+            // Without a fault plan there is no gate, so the search runs the
+            // same global frontier as an in-process `ShardedCorpus::search`.
+            let outcome = match &shared.fault {
+                None => shared.service.search_deadline(&query_id, k, &cancel),
+                Some(state) => {
+                    let gate = |shard: usize| match state.shard_fault(shard) {
                         ShardFault::Pass => true,
                         ShardFault::Delay(delay) => {
                             shared.metrics.faults_injected.incr();
@@ -526,14 +530,12 @@ fn execute(job: &Job, shared: &Shared) -> Response {
                             shared.metrics.faults_injected.incr();
                             false
                         }
-                    },
+                    };
+                    shared
+                        .service
+                        .search_deadline_with(&query_id, k, &cancel, gate)
                 }
             };
-            let query_id = WorkflowId::new(query.clone());
-            let outcome =
-                shared
-                    .service
-                    .search_deadline_with(&query_id, *k as usize, &cancel, gate);
             shared.metrics.search_latency.record(job.arrival.elapsed());
             match outcome {
                 None => Response::Error(ServeError::NotFound { id: query.clone() }),

@@ -471,8 +471,22 @@ fn control_plane_add_remove_and_typed_errors() {
     client.add(&wf).expect("add over the wire");
     assert_eq!(client.len().expect("len"), 21);
     let outcome = client.search("wired-1", 5, 0).expect("new resident serves");
-    assert_eq!(outcome.answered.len(), 2);
+    assert_eq!(outcome.answered, vec![true; 2]);
     assert!(!outcome.degraded);
+    // Without a fault plan the server runs the same ungated frontier as an
+    // in-process search, bit for bit.
+    let served: Vec<(String, u64)> = outcome
+        .hits
+        .iter()
+        .map(|h| (h.id.clone(), h.score.to_bits()))
+        .collect();
+    let in_process: Vec<(String, u64)> = service
+        .search(&WorkflowId::new("wired-1"), 5)
+        .expect("resident")
+        .iter()
+        .map(|h| (h.id.0.clone(), h.score.to_bits()))
+        .collect();
+    assert_eq!(served, in_process);
 
     // Searching a missing id is a typed, non-retryable NotFound.
     match client.search("no-such-workflow", 5, 0) {

@@ -230,13 +230,6 @@ impl Corpus {
         self.search_engine().top_k_with_stats(query, k)
     }
 
-    /// Multi-threaded [`Corpus::top_k_index`] (bit-identical results).
-    pub fn top_k_parallel(&self, query: usize, k: usize, threads: usize) -> Vec<SearchHit> {
-        self.search_engine()
-            .with_threads(threads)
-            .top_k_parallel(query, k)
-    }
-
     /// Serializes the built corpus — workflows, pool, profiles, index —
     /// with a `magic version checksum config` header line in front of a
     /// single-line JSON body.
@@ -545,9 +538,9 @@ mod tests {
         for query in 0..corpus.len() {
             assert_eq!(corpus.top_k_index(query, 3), fresh.top_k(query, 3));
             assert_eq!(
-                corpus.top_k_parallel(query, 3, 3),
+                corpus.top_k_with_stats(query, 3).0,
                 fresh.top_k(query, 3),
-                "parallel, query {query}"
+                "with stats, query {query}"
             );
         }
         assert_eq!(

@@ -111,26 +111,29 @@ impl ShardPartition {
     }
 }
 
-/// How a single query's candidate scan is executed across the shards.
+/// How many workers one query's scatter runs on.
 ///
 /// Both modes are **bit-identical** — ids, scores, tie order — to the
 /// single-corpus [`IndexedSearchEngine`](wf_repo::IndexedSearchEngine);
-/// the knob only trades scheduling strategy:
+/// the knob only sets the worker count the scatter is planned with
+/// ([`SearchParallelism::workers_for`]):
 ///
-/// * [`Sequential`](SearchParallelism::Sequential) merges every shard's
-///   ranked cursor into one global best-bound-first frontier scanned on
-///   the calling thread.  Scoring order is globally optimal, so this mode
-///   does the *least* total work; per-query latency is flat in shard
-///   count.
-/// * [`Racing`](SearchParallelism::Racing) spawns one worker per shard
-///   (bounded by `max_workers`) that drains its shard's cursor against
-///   the one shared lock-free [`SearchThreshold`], so every worker prunes
-///   against the globally tightening k-th-best floor.  Workers may score
-///   candidates a sequential frontier would have pruned (the floor
-///   tightens a little later), but pruning is *strictly below* a floor
-///   that is always a true worst-of-k of exactly-scored candidates, so no
-///   interleaving can change the merged result — only the work split.
-///   With idle cores this turns shards into a per-query latency win.
+/// * [`Sequential`](SearchParallelism::Sequential) is one worker, inline
+///   on the calling thread.  Without a shard gate every shard's ranked
+///   cursor is merged into one global best-bound-first frontier, so
+///   scoring order is globally optimal and this mode does the *least*
+///   total work; per-query latency is flat in shard count.  This is the
+///   path the fault-free `wf-serve` server runs.
+/// * [`Racing`](SearchParallelism::Racing) with two or more workers
+///   scans each shard as its own unit: workers claim shards off one
+///   ticket and drain them against the one shared lock-free
+///   [`SearchThreshold`], so every worker prunes against the globally
+///   tightening k-th-best floor.  Workers may score candidates a global
+///   frontier would have pruned (the floor tightens a little later), but
+///   pruning is *strictly below* a floor that is always a true worst-of-k
+///   of exactly-scored candidates, so no interleaving can change the
+///   merged result — only the work split.  What racing is kept for is
+///   isolation: a shard whose gate stalls pins only its own worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchParallelism {
     /// One global frontier, scanned sequentially (the default).
@@ -158,24 +161,15 @@ impl SearchParallelism {
     pub fn workers_for(self, shard_count: usize) -> usize {
         match self {
             SearchParallelism::Sequential => 1,
-            SearchParallelism::Racing { max_workers } => max_workers.max(1).min(shard_count.max(1)),
+            SearchParallelism::Racing { max_workers } => clamp_workers(max_workers, shard_count),
         }
     }
 }
 
-impl fmt::Display for SearchParallelism {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SearchParallelism::Sequential => f.write_str("sequential"),
-            SearchParallelism::Racing { max_workers } => {
-                if *max_workers == usize::MAX {
-                    f.write_str("racing")
-                } else {
-                    write!(f, "racing({max_workers})")
-                }
-            }
-        }
-    }
+/// The one worker clamp: at least one worker, and no more than there are
+/// units of work to claim.
+fn clamp_workers(requested: usize, units: usize) -> usize {
+    requested.max(1).min(units.max(1))
 }
 
 fn hash_route(id: &WorkflowId, shards: usize) -> usize {
@@ -439,9 +433,8 @@ impl ShardedCorpus {
         query: &WorkflowId,
         k: usize,
     ) -> Option<(Vec<SearchHit>, SearchStats)> {
-        let wf = self.get(query)?;
-        let features = self.query_features(wf);
-        Some(self.scatter(&features, query, k))
+        let result = self.search_deadline(query, k, &CancelToken::never())?;
+        Some((result.hits, result.stats))
     }
 
     /// Query by example: the `k` workflows most similar to an arbitrary
@@ -449,17 +442,17 @@ impl ShardedCorpus {
     /// id are excluded, mirroring the single-corpus engines.
     pub fn search_workflow(&self, wf: &Workflow, k: usize) -> Vec<SearchHit> {
         let features = self.query_features(wf);
-        self.scatter(&features, &wf.id, k).0
+        self.scatter(&features, &wf.id, k, &CancelToken::never())
+            .hits
     }
 
-    /// Answers a batch of queries on `threads` worker threads, one global
-    /// best-bound-first frontier per query (queries are the work-stealing
-    /// unit, so every query keeps the full pruning power of
-    /// [`ShardedCorpus::search`]).  Query profiling is amortized: each
-    /// query's pool-independent features are extracted once and only
-    /// *bound* per shard.  Unknown ids yield `None`; results align with
-    /// `queries` and are individually bit-identical to
-    /// [`ShardedCorpus::search`].
+    /// Answers a batch of queries on `threads` worker threads, one full
+    /// scatter per query (queries are the work-stealing unit, so every
+    /// query keeps the full pruning power of [`ShardedCorpus::search`]).
+    /// Query profiling is amortized: each query's pool-independent
+    /// features are extracted once and only *bound* per shard.  Unknown
+    /// ids yield `None`; results align with `queries` and are individually
+    /// bit-identical to [`ShardedCorpus::search`].
     pub fn search_batch(
         &self,
         queries: &[WorkflowId],
@@ -479,55 +472,18 @@ impl ShardedCorpus {
         k: usize,
         threads: usize,
     ) -> (Vec<Option<Vec<SearchHit>>>, SearchStats) {
-        if queries.is_empty() {
-            return (Vec::new(), SearchStats::default());
-        }
-        let prepared: Vec<Option<QueryFeatures>> = queries
-            .iter()
-            .map(|id| self.get(id).map(|wf| self.query_features(wf)))
-            .collect();
-        let workers = threads.max(1).min(queries.len());
-        let cursor = AtomicUsize::new(0);
-        let mut results: Vec<Option<Vec<SearchHit>>> = vec![None; queries.len()];
-        let mut stats = SearchStats::default();
-        let gathered = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let (cursor, prepared) = (&cursor, &prepared);
-                    scope.spawn(move || {
-                        let mut out: Vec<(usize, Vec<SearchHit>)> = Vec::new();
-                        let mut worker_stats = SearchStats::default();
-                        loop {
-                            // ordering: Relaxed — a pure work-stealing
-                            // ticket: fetch_add's atomicity hands each
-                            // query index to exactly one worker, and the
-                            // scope join below is the synchronization edge
-                            // for the results.
-                            let qi = cursor.fetch_add(1, Ordering::Relaxed);
-                            if qi >= queries.len() {
-                                return (out, worker_stats);
-                            }
-                            let Some(features) = &prepared[qi] else {
-                                continue;
-                            };
-                            let (hits, query_stats) = self.scatter(features, &queries[qi], k);
-                            worker_stats.merge(&query_stats);
-                            out.push((qi, hits));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("batch search worker panicked"))
-                .collect::<Vec<_>>()
+        let answers = claim_units(queries.len(), threads, |qi| {
+            self.search_with_stats(&queries[qi], k)
         });
-        for (worker_hits, worker_stats) in gathered {
-            stats.merge(&worker_stats);
-            for (qi, hits) in worker_hits {
-                results[qi] = Some(hits);
-            }
-        }
+        let mut stats = SearchStats::default();
+        let results = answers
+            .into_iter()
+            .map(|answer| {
+                let (hits, query_stats) = answer?;
+                stats.merge(&query_stats);
+                Some(hits)
+            })
+            .collect();
         (results, stats)
     }
 
@@ -537,36 +493,36 @@ impl ShardedCorpus {
         self.shards[0].measure().query_features(wf)
     }
 
-    /// Scatter-gather in the configured [`SearchParallelism`] mode:
-    /// either one global sequential frontier or per-shard workers racing
-    /// the shared threshold — bit-identical results either way.
+    /// One ungated [`scatter`] over the owned shards, planned with the
+    /// configured [`SearchParallelism`].
     fn scatter(
         &self,
         features: &QueryFeatures,
         exclude: &WorkflowId,
         k: usize,
-    ) -> (Vec<SearchHit>, SearchStats) {
-        match self.parallelism {
-            SearchParallelism::Sequential => {
-                scatter_gather(self.shards.len(), |i| &self.shards[i], features, exclude, k)
-            }
-            SearchParallelism::Racing { max_workers } => scatter_gather_racing(
-                self.shards.len(),
-                |i| &self.shards[i],
-                features,
-                exclude,
-                k,
-                max_workers,
-            ),
-        }
+        cancel: &CancelToken,
+    ) -> DegradedSearch {
+        let plan = ScatterPlan {
+            cancel,
+            gate: None,
+            workers: self.parallelism.workers_for(self.shards.len()),
+        };
+        scatter(
+            self.shards.len(),
+            |i| &self.shards[i],
+            features,
+            exclude,
+            k,
+            &plan,
+        )
     }
 
-    /// Deadline-bound scatter-gather: like [`ShardedCorpus::search`], but
-    /// the scan polls `cancel` between candidates and between shards, so a
-    /// fired deadline returns the exact partial top-k proven so far
-    /// (flagged [`degraded`](DegradedSearch::degraded), with the shards
-    /// that answered completely recorded) instead of blocking past the
-    /// SLO.  With a never-firing token the result equals
+    /// Deadline-bound search: like [`ShardedCorpus::search`], but the scan
+    /// polls `cancel` between candidates, so a fired deadline returns the
+    /// exact partial top-k proven so far (flagged
+    /// [`degraded`](DegradedSearch::degraded), with the shards that
+    /// answered completely recorded) instead of blocking past the SLO.
+    /// With a never-firing token the result equals
     /// [`ShardedCorpus::search`] and is not degraded.
     pub fn search_deadline(
         &self,
@@ -574,29 +530,8 @@ impl ShardedCorpus {
         k: usize,
         cancel: &CancelToken,
     ) -> Option<DegradedSearch> {
-        let wf = self.get(query)?;
-        let features = self.query_features(wf);
-        Some(match self.parallelism {
-            SearchParallelism::Sequential => scatter_gather_deadline(
-                self.shards.len(),
-                |i| &self.shards[i],
-                &features,
-                query,
-                k,
-                cancel,
-                |_| true,
-            ),
-            SearchParallelism::Racing { max_workers } => scatter_gather_deadline_racing(
-                self.shards.len(),
-                |i| &self.shards[i],
-                &features,
-                query,
-                k,
-                cancel,
-                &|_| true,
-                max_workers,
-            ),
-        })
+        let features = self.query_features(self.get(query)?);
+        Some(self.scatter(&features, query, k, cancel))
     }
 
     /// Writes one snapshot file per shard plus a manifest into `dir`
@@ -901,7 +836,8 @@ fn shard_cursor(
     ShardCursor { query, candidates }
 }
 
-/// The outcome of a deadline-bound scatter-gather search.
+/// The outcome of every sharded search: hits, stats, per-shard answered
+/// bits and the degraded flag.
 ///
 /// The hits are always *true* scores in the canonical order; what a fired
 /// deadline (or an injected shard fault) costs is **coverage**, never
@@ -912,9 +848,12 @@ fn shard_cursor(
 pub struct DegradedSearch {
     /// The merged top-k over every candidate that was actually scored.
     pub hits: Vec<SearchHit>,
-    /// Per shard: true when that shard's scan ran to completion.  A shard
-    /// cut short mid-scan still contributes the exact hits it had proven,
-    /// but is reported unanswered.
+    /// Per shard: true when the scan unit covering that shard passed its
+    /// gate and ran to completion.  A unit cut short mid-scan still
+    /// contributes the exact hits it had proven, but every shard it covers
+    /// is reported unanswered — so a deadline that cuts the global
+    /// frontier (one unit spanning all shards) leaves every shard
+    /// unanswered while the hits stay an exact partial.
     pub answered: Vec<bool>,
     /// True when any shard did not answer completely — the signal a
     /// serving layer forwards so clients can tell a full top-k from a
@@ -991,11 +930,11 @@ fn frontier_scan(
 /// prune-and-score loop over it, publishing every new worst-of-k into
 /// `threshold` and pruning strictly below its floor.
 ///
-/// This is the per-worker unit of the racing scatter-gather
-/// ([`SearchParallelism::Racing`]): each worker owns one shard's drain,
-/// all workers share one [`SearchThreshold`] and one [`CancelToken`]
-/// (polled between candidates, so a fired deadline abandons the drain
-/// mid-stream with exact partial hits).  It is public so the `wf-analyze`
+/// This is exactly what a one-shard unit of the scatter runs (gated or
+/// racing searches): each unit owns one shard's drain, and all units
+/// share one [`SearchThreshold`] and one [`CancelToken`] (polled between
+/// candidates, so a fired deadline abandons the drain mid-stream with
+/// exact partial hits).  It is public so the `wf-analyze`
 /// model-check suite can race real shard drains under the deterministic
 /// scheduler; hits come back in heap order — gather them with
 /// [`merge_top_k`].
@@ -1011,298 +950,159 @@ pub fn drain_shard(
     frontier_scan(&[corpus], features, exclude, k, threshold, cancel, stats)
 }
 
-/// The deadline-aware scatter-gather loop behind the serving layer's
-/// cancellable search entry points.
+/// A gate run on a shard before its scan: `false` vetoes the visit, and
+/// the gate may also stall (the serving layer's fault-injection hook).
+type ShardGate<'g> = &'g (dyn Fn(usize) -> bool + Sync);
+
+/// Everything that varies between the sharded search entry points.
+struct ScatterPlan<'p> {
+    /// Polled before each unit and between candidates of every scan.
+    cancel: &'p CancelToken,
+    /// Run on each shard of a unit before the unit's scan.
+    gate: Option<ShardGate<'p>>,
+    /// From [`SearchParallelism::workers_for`].
+    workers: usize,
+}
+
+/// The one scatter-gather behind every sharded search entry point.
 ///
-/// Shards are *admitted* one at a time in ascending order — gate, read
-/// guard, then an immediate [`frontier_scan`] drain of that shard's
-/// cursor against the shared threshold — rather than waiting to merge
-/// every cursor first.  The eager drain is deliberate: the `shard_gate`
-/// (the serving layer's fault-injection hook) may stall for the rest of
-/// the deadline, and work completed *before* a stall must survive it.  A
-/// shard that stalls or vetoes therefore costs only its own coverage;
-/// every previously admitted shard still reports answered with its exact
-/// hits.  The throughput path ([`scatter_gather`]), which has no gates
-/// and no deadline, merges all cursors into one global frontier instead.
+/// Every shard guard is taken up front, in ascending order (the lock
+/// order of [`CorpusService`]), and held to the gather, so the search
+/// sees one consistent cut of a live corpus.  The shards are then split
+/// into *units*, each scanned by one [`frontier_scan`] against one shared
+/// [`SearchThreshold`]:
 ///
-/// Guards accumulate (ascending — the lock-order contract of
-/// [`CorpusService`]: readers ascend, writers hold routes then a single
-/// shard) and are held until the gather, so the search sees each shard
-/// as of its admission instant and the set stays consistent to the end.
-fn scatter_gather_deadline<R: std::ops::Deref<Target = Corpus>>(
+/// * with no gate and one worker, all shards form one unit: one global
+///   best-bound-first frontier, the least scoring work at any shard
+///   count;
+/// * otherwise each shard is its own unit.  A gate may stall, and work
+///   finished before a stall must survive it; racing workers need one
+///   unit per shard to claim.
+///
+/// Each unit checks the token (a fired deadline leaves it unanswered),
+/// runs its gates (a veto skips it — one bad shard degrades coverage, not
+/// availability), then scans.  A unit is answered only if its gates
+/// passed and its scan was not cut.  Units run through [`claim_units`]:
+/// inline for one worker, off one ticket for more.
+///
+/// Bit-identical to the single-corpus engine under every plan and
+/// interleaving: pruning is *strictly below* a floor that is always a
+/// true worst-of-k of `k` distinct exactly-scored candidates, so no pruned
+/// candidate can enter the merged top-k, and the gather
+/// ([`merge_top_k`]) canonicalizes order.  The plan changes only the work
+/// split and which shards a fired deadline leaves unanswered.
+fn scatter<R: std::ops::Deref<Target = Corpus>>(
     shard_count: usize,
-    mut shard_at: impl FnMut(usize) -> R,
+    shard_at: impl FnMut(usize) -> R,
     features: &QueryFeatures,
     exclude: &WorkflowId,
     k: usize,
-    cancel: &CancelToken,
-    mut shard_gate: impl FnMut(usize) -> bool,
+    plan: &ScatterPlan<'_>,
 ) -> DegradedSearch {
+    let guards: Vec<R> = (0..shard_count).map(shard_at).collect();
+    let fronts: Vec<&Corpus> = guards.iter().map(|guard| &**guard).collect();
+    let unit_len = if plan.gate.is_none() && plan.workers == 1 {
+        shard_count
+    } else {
+        1
+    };
+    let units: Vec<&[&Corpus]> = fronts.chunks(unit_len).collect();
     let threshold = SearchThreshold::new();
-    let mut stats = SearchStats::default();
-    let mut answered = vec![false; shard_count];
-    let mut guards: Vec<R> = Vec::with_capacity(shard_count);
-    let mut parts = Vec::with_capacity(shard_count);
-    for (shard, answered_slot) in answered.iter_mut().enumerate() {
-        // A fired deadline skips every remaining shard outright; they are
-        // reported unanswered.
-        if cancel.is_cancelled() {
+    let outcomes = claim_units(units.len(), plan.workers, |unit| {
+        let mut stats = SearchStats::default();
+        if plan.cancel.is_cancelled() {
             stats.cancelled = true;
-            break;
+            return (Vec::new(), false, stats);
         }
-        // A vetoed shard (injected fault) is skipped but the scatter
-        // continues: one bad shard degrades coverage, not availability.
-        if !shard_gate(shard) {
-            continue;
+        let first = unit * unit_len;
+        if let Some(gate) = plan.gate {
+            if !(first..first + units[unit].len()).all(gate) {
+                return (Vec::new(), false, stats);
+            }
         }
-        guards.push(shard_at(shard));
-        let corpus: &Corpus = guards.last().expect("guard just pushed");
-        let mut drain_stats = SearchStats::default();
         let hits = frontier_scan(
-            &[corpus],
+            units[unit],
             features,
             exclude,
             k,
             &threshold,
-            cancel,
-            &mut drain_stats,
+            plan.cancel,
+            &mut stats,
         );
-        *answered_slot = !drain_stats.cancelled;
-        stats.merge(&drain_stats);
+        (hits, !stats.cancelled, stats)
+    });
+    let mut answered = vec![false; shard_count];
+    let mut stats = SearchStats::default();
+    let mut parts = Vec::with_capacity(outcomes.len());
+    for (unit, (hits, unit_answered, unit_stats)) in outcomes.into_iter().enumerate() {
+        answered[unit * unit_len..][..units[unit].len()].fill(unit_answered);
+        stats.merge(&unit_stats);
         parts.push(hits);
     }
-    let degraded = answered.iter().any(|&a| !a);
     DegradedSearch {
         hits: merge_top_k(parts, k),
+        degraded: answered.contains(&false),
         answered,
-        degraded,
         stats,
     }
 }
 
-/// The scatter-gather loop behind every non-deadline search entry point:
-/// acquire **all** shards (however the caller materializes them — owned
-/// slice or per-shard read lock, always in ascending order), merge their
-/// ranked cursors into one global best-bound-first frontier, and run a
-/// single shared-threshold scan over it ([`frontier_scan`]).  Scoring
-/// order — hence pruning power — is exactly the single-corpus engine's,
-/// independent of shard count, and holding every guard for the whole scan
-/// gives the search one consistent cut of a live corpus.
-fn scatter_gather<R: std::ops::Deref<Target = Corpus>>(
-    shard_count: usize,
-    mut shard_at: impl FnMut(usize) -> R,
-    features: &QueryFeatures,
-    exclude: &WorkflowId,
-    k: usize,
-) -> (Vec<SearchHit>, SearchStats) {
-    let mut stats = SearchStats::default();
-    let guards: Vec<R> = (0..shard_count).map(&mut shard_at).collect();
-    let fronts: Vec<&Corpus> = guards.iter().map(|guard| &**guard).collect();
-    let hits = frontier_scan(
-        &fronts,
-        features,
-        exclude,
-        k,
-        &SearchThreshold::new(),
-        &CancelToken::never(),
-        &mut stats,
-    );
-    debug_assert!(!stats.cancelled, "never-token scatter cannot cancel");
-    (merge_top_k(vec![hits], k), stats)
-}
-
-/// The racing scatter-gather behind [`SearchParallelism::Racing`]: all
-/// shard guards are acquired up front (ascending, the same consistent cut
-/// and lock order as [`scatter_gather`]), then `max_workers` threads race
-/// — each claims shards off a work-stealing ticket and drains them
-/// ([`drain_shard`]) against the one shared lock-free [`SearchThreshold`],
-/// so every worker prunes against the globally tightening k-th-best floor.
-///
-/// Bit-identical to the sequential frontier — ids, scores, tie order —
-/// under every interleaving: pruning is *strictly below* a floor that is
-/// always a true worst-of-k of `k` distinct exactly-scored candidates, so
-/// the final k-th best is at least any floor a worker raced against and
-/// no pruned candidate could have entered the merged top-k; the gather
-/// ([`merge_top_k`]) canonicalizes order.  What the race *does* change is
-/// the work split (`stats.scored` may exceed the sequential frontier's,
-/// because a worker can score a candidate the global frontier would have
-/// pruned a moment later) and the wall clock: with idle cores the scan
-/// time drops toward the largest single shard's drain.
-///
-/// Worker threads are plain `std` scoped threads, **not** shuttle-mini
-/// instrumented: racing searches must not run inside a model-check
-/// schedule (the wf-analyze suite races [`drain_shard`] directly with
-/// scheduler-controlled threads instead).
-fn scatter_gather_racing<R: std::ops::Deref<Target = Corpus>>(
-    shard_count: usize,
-    mut shard_at: impl FnMut(usize) -> R,
-    features: &QueryFeatures,
-    exclude: &WorkflowId,
-    k: usize,
-    max_workers: usize,
-) -> (Vec<SearchHit>, SearchStats) {
-    let guards: Vec<R> = (0..shard_count).map(&mut shard_at).collect();
-    let fronts: Vec<&Corpus> = guards.iter().map(|guard| &**guard).collect();
-    let workers = max_workers.max(1).min(shard_count);
-    let mut stats = SearchStats::default();
-    if workers <= 1 {
-        // One worker degenerates to the sequential global frontier, which
-        // scores strictly less: same result, best pruning power.
-        let hits = frontier_scan(
-            &fronts,
-            features,
-            exclude,
-            k,
-            &SearchThreshold::new(),
-            &CancelToken::never(),
-            &mut stats,
-        );
-        return (merge_top_k(vec![hits], k), stats);
+/// Runs `job` once for every index in `0..units`, returning the results in
+/// index order.  One worker runs the jobs inline on the calling thread and
+/// spawns nothing, which keeps shuttle-mini model runs legal; more workers
+/// are plain `std` scoped threads that claim indices off one shared
+/// ticket, so a slow job pins only the worker that claimed it.
+fn claim_units<T: Send>(units: usize, workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = clamp_workers(workers, units);
+    if workers == 1 {
+        return (0..units).map(job).collect();
     }
-    let threshold = SearchThreshold::new();
-    let cancel = CancelToken::never();
     let ticket = AtomicUsize::new(0);
-    let (parts, worker_stats) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (fronts, threshold, cancel, ticket) = (&fronts, &threshold, &cancel, &ticket);
-                scope.spawn(move || {
-                    let mut parts: Vec<Vec<SearchHit>> = Vec::new();
-                    let mut worker_stats = SearchStats::default();
-                    loop {
-                        // ordering: Relaxed — a pure work-stealing shard
-                        // ticket: fetch_add's atomicity hands each shard
-                        // to exactly one worker, and the scope join below
-                        // is the synchronization edge for the results.
-                        let shard = ticket.fetch_add(1, Ordering::Relaxed);
-                        if shard >= fronts.len() {
-                            return (parts, worker_stats);
-                        }
-                        parts.push(drain_shard(
-                            fronts[shard],
-                            features,
-                            exclude,
-                            k,
-                            threshold,
-                            cancel,
-                            &mut worker_stats,
-                        ));
-                    }
-                })
-            })
-            .collect();
-        let mut parts = Vec::with_capacity(shard_count);
-        let mut merged = SearchStats::default();
-        for handle in handles {
-            let (worker_parts, s) = handle.join().expect("racing scatter worker panicked");
-            parts.extend(worker_parts);
-            merged.merge(&s);
-        }
-        (parts, merged)
-    });
-    stats.merge(&worker_stats);
-    debug_assert!(!stats.cancelled, "never-token scatter cannot cancel");
-    (merge_top_k(parts, k), stats)
-}
-
-/// [`scatter_gather_racing`] with a deadline and a per-shard gate — the
-/// racing counterpart of [`scatter_gather_deadline`].
-///
-/// All shard guards are acquired up front (ascending — one consistent
-/// cut, like the non-deadline path), then workers claim shards off the
-/// ticket: each claim polls `cancel` (a fired deadline stops the worker;
-/// unclaimed shards stay unanswered), runs the gate (a veto skips the
-/// shard but the worker continues — one bad shard degrades coverage, not
-/// availability), and drains the shard against the shared threshold.  A
-/// gate that *stalls* (an injected delay fault) stalls only its own
-/// worker; the other workers keep draining their shards — under the
-/// sequential path the same stall would block every shard behind it, so
-/// racing is exactly what turns "a delayed shard costs the whole tail of
-/// the scatter" into "a delayed shard costs only its own coverage".
-///
-/// A shard is `answered` iff its gate passed and its drain ran to
-/// completion; hits proven before a deadline fires are exact, so the
-/// merged result is an honest partial, never a wrong one.
-#[allow(clippy::too_many_arguments)] // deadline + gate + worker bound: the full racing contract
-fn scatter_gather_deadline_racing<R: std::ops::Deref<Target = Corpus>>(
-    shard_count: usize,
-    mut shard_at: impl FnMut(usize) -> R,
-    features: &QueryFeatures,
-    exclude: &WorkflowId,
-    k: usize,
-    cancel: &CancelToken,
-    shard_gate: &(impl Fn(usize) -> bool + Sync),
-    max_workers: usize,
-) -> DegradedSearch {
-    let guards: Vec<R> = (0..shard_count).map(&mut shard_at).collect();
-    let fronts: Vec<&Corpus> = guards.iter().map(|guard| &**guard).collect();
-    let workers = max_workers.max(1).min(shard_count.max(1));
-    let threshold = SearchThreshold::new();
-    let ticket = AtomicUsize::new(0);
-    let mut stats = SearchStats::default();
-    let mut answered = vec![false; shard_count];
-    let mut parts: Vec<Vec<SearchHit>> = Vec::with_capacity(shard_count);
+    let mut slots: Vec<Option<T>> = (0..units).map(|_| None).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let (fronts, threshold, ticket) = (&fronts, &threshold, &ticket);
+                let (ticket, job) = (&ticket, &job);
                 scope.spawn(move || {
-                    let mut drained: Vec<(usize, bool, Vec<SearchHit>)> = Vec::new();
-                    let mut worker_stats = SearchStats::default();
+                    let mut done = Vec::new();
                     loop {
-                        // ordering: Relaxed — work-stealing shard ticket,
-                        // as in `scatter_gather_racing`; the scope join
-                        // publishes the results.
-                        let shard = ticket.fetch_add(1, Ordering::Relaxed);
-                        if shard >= fronts.len() {
-                            break;
+                        // ordering: Relaxed — a pure work-stealing ticket:
+                        // fetch_add's atomicity hands each index to exactly
+                        // one worker, and the scope join below is the
+                        // synchronization edge for the results.
+                        let unit = ticket.fetch_add(1, Ordering::Relaxed);
+                        if unit >= units {
+                            return done;
                         }
-                        // A fired deadline stops this worker; shards it
-                        // would have claimed stay unanswered.
-                        if cancel.is_cancelled() {
-                            worker_stats.cancelled = true;
-                            break;
-                        }
-                        // A vetoed shard (injected fault) is skipped but
-                        // the worker keeps claiming.
-                        if !shard_gate(shard) {
-                            continue;
-                        }
-                        let mut drain_stats = SearchStats::default();
-                        let hits = drain_shard(
-                            fronts[shard],
-                            features,
-                            exclude,
-                            k,
-                            threshold,
-                            cancel,
-                            &mut drain_stats,
-                        );
-                        // A drain cut short still contributes the exact
-                        // hits it proved; it just stays unanswered.
-                        let completed = !drain_stats.cancelled;
-                        worker_stats.merge(&drain_stats);
-                        drained.push((shard, completed, hits));
+                        done.push((unit, job(unit)));
                     }
-                    (drained, worker_stats)
                 })
             })
             .collect();
         for handle in handles {
-            let (drained, worker_stats) = handle.join().expect("racing deadline worker panicked");
-            stats.merge(&worker_stats);
-            for (shard, completed, hits) in drained {
-                answered[shard] = completed;
-                parts.push(hits);
+            for (unit, result) in handle.join().expect("search worker panicked") {
+                slots[unit] = Some(result);
             }
         }
     });
-    let degraded = answered.iter().any(|&a| !a);
-    DegradedSearch {
-        hits: merge_top_k(parts, k),
-        answered,
-        degraded,
-        stats,
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every unit is claimed exactly once"))
+        .collect()
+}
+
+impl fmt::Display for SearchParallelism {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SearchParallelism::Sequential => f.write_str("sequential"),
+            SearchParallelism::Racing { max_workers } => {
+                if *max_workers == usize::MAX {
+                    f.write_str("racing")
+                } else {
+                    write!(f, "racing({max_workers})")
+                }
+            }
+        }
     }
 }
 
@@ -1315,14 +1115,15 @@ fn scatter_gather_deadline_racing<R: std::ops::Deref<Target = Corpus>>(
 /// * Routing is fixed at construction (partition + shard count); churn
 ///   never migrates a workflow between shards, so an id has exactly one
 ///   owner lock.
-/// * A search read-locks the owner shard to extract query features, then
-///   acquires shard read locks in ascending index order and holds them to
-///   the end: a plain search takes **all** of them up front (one
-///   consistent cut, scanned as a single global frontier), a deadline
-///   search accumulates them as shards are admitted (each shard seen as
-///   of its admission instant).  Either way a workflow removed (or added)
-///   *before* the search started is guaranteed excluded (or visible) —
-///   the churn invariant the stress tests assert.  Deadlock freedom:
+/// * A search read-locks the owner shard to extract query features and
+///   releases it; then it takes **all** shard read locks up front, in
+///   ascending index order, and only then runs any shard gate.  The locks
+///   are held to the gather, so every search — plain, deadline, gated or
+///   racing — sees one consistent cut of the corpus, and a workflow
+///   removed (or added) *before* the search started is guaranteed
+///   excluded (or visible): the churn invariant the stress tests assert.
+///   A gate that stalls therefore stalls with every read lock held:
+///   writers to any shard wait for it.  Deadlock freedom:
 ///   every multi-lock path takes the routes mutex first (and releases it
 ///   before shard locks) and orders shard locks ascending; writers hold
 ///   routes, then exactly one shard write lock.
@@ -1362,10 +1163,11 @@ impl CorpusService {
         self
     }
 
-    /// Sets the intra-query scan strategy.  Racing searches spawn plain
-    /// `std` scoped threads, so a racing service must not be driven from
-    /// inside a shuttle-mini model run (the model-check suite races
-    /// [`drain_shard`] directly instead).
+    /// Sets the intra-query scan strategy.  Racing searches with two or
+    /// more workers spawn plain `std` scoped threads, so such a service
+    /// must not be driven from inside a shuttle-mini model run (the
+    /// model-check suite races [`drain_shard`] directly instead);
+    /// sequential searches run inline and spawn nothing.
     pub fn with_parallelism(mut self, parallelism: SearchParallelism) -> Self {
         self.parallelism = parallelism;
         self
@@ -1512,53 +1314,34 @@ impl CorpusService {
     /// concurrently with searches on every shard and with churn on other
     /// shards.
     pub fn search(&self, query: &WorkflowId, k: usize) -> Option<Vec<SearchHit>> {
-        let owner = self.owner_of(query)?;
-        let features = {
-            let shard = self.read(&self.shards[owner]);
-            let wf = shard.get(query)?;
-            shard.measure().query_features(wf)
-        };
-        let (hits, _) = match self.parallelism {
-            SearchParallelism::Sequential => scatter_gather(
-                self.shards.len(),
-                |i| self.read(&self.shards[i]),
-                &features,
-                query,
-                k,
-            ),
-            SearchParallelism::Racing { max_workers } => scatter_gather_racing(
-                self.shards.len(),
-                |i| self.read(&self.shards[i]),
-                &features,
-                query,
-                k,
-                max_workers,
-            ),
-        };
-        Some(hits)
+        Some(self.search_deadline(query, k, &CancelToken::never())?.hits)
     }
 
-    /// Deadline-bound scatter-gather over the live corpus: polls `cancel`
-    /// between shard lock acquisitions and between candidates of the
-    /// global frontier scan, returning the exact partial top-k
-    /// flagged [`degraded`](DegradedSearch::degraded) when the deadline
-    /// fires mid-search.  `None` when the query id is not resident at the
-    /// time the owning shard is read.
+    /// Deadline-bound scatter-gather over the live corpus: the same
+    /// ungated scatter as [`CorpusService::search`] (with the default
+    /// sequential parallelism, one global frontier), polling `cancel`
+    /// between candidates.  A fired deadline returns the exact partial
+    /// top-k flagged [`degraded`](DegradedSearch::degraded); when it cuts
+    /// the global frontier, every shard is reported unanswered.  `None`
+    /// when the query id is not resident at the time the owning shard is
+    /// read.
     pub fn search_deadline(
         &self,
         query: &WorkflowId,
         k: usize,
         cancel: &CancelToken,
     ) -> Option<DegradedSearch> {
-        self.search_deadline_with(query, k, cancel, |_| true)
+        let features = self.resident_features(query)?;
+        Some(self.scatter(&features, query, k, cancel, None))
     }
 
-    /// [`CorpusService::search_deadline`] with a per-shard gate: the gate
-    /// runs *before* each shard's read lock is taken and may veto the
-    /// visit (returning `false` marks the shard unanswered and the result
-    /// degraded) or stall inside it — the hook the serving layer's
-    /// fault-injection plan uses to delay or fail individual shards
-    /// deterministically.
+    /// [`CorpusService::search_deadline`] with a per-shard gate — the hook
+    /// the serving layer's fault-injection plan uses to delay or fail
+    /// individual shards deterministically.  Every shard read lock is
+    /// taken first; the gate then runs before each shard's scan and may
+    /// veto it (returning `false` marks the shard unanswered and the
+    /// result degraded) or stall inside it.  A gated search scans each
+    /// shard as its own unit, so work finished before a stall survives it.
     pub fn search_deadline_with(
         &self,
         query: &WorkflowId,
@@ -1566,98 +1349,58 @@ impl CorpusService {
         cancel: &CancelToken,
         shard_gate: impl Fn(usize) -> bool + Sync,
     ) -> Option<DegradedSearch> {
-        let owner = self.owner_of(query)?;
-        let features = {
-            let shard = self.read(&self.shards[owner]);
-            let wf = shard.get(query)?;
-            shard.measure().query_features(wf)
-        };
-        Some(match self.parallelism {
-            SearchParallelism::Sequential => scatter_gather_deadline(
-                self.shards.len(),
-                |i| self.read(&self.shards[i]),
-                &features,
-                query,
-                k,
-                cancel,
-                shard_gate,
-            ),
-            SearchParallelism::Racing { max_workers } => scatter_gather_deadline_racing(
-                self.shards.len(),
-                |i| self.read(&self.shards[i]),
-                &features,
-                query,
-                k,
-                cancel,
-                &shard_gate,
-                max_workers,
-            ),
-        })
+        let features = self.resident_features(query)?;
+        Some(self.scatter(&features, query, k, cancel, Some(&shard_gate)))
     }
 
     /// Query by example over the live corpus (residents sharing the
     /// query's id are excluded).
     pub fn search_workflow(&self, wf: &Workflow, k: usize) -> Vec<SearchHit> {
         let features = self.read(&self.shards[0]).measure().query_features(wf);
-        match self.parallelism {
-            SearchParallelism::Sequential => scatter_gather(
-                self.shards.len(),
-                |i| self.read(&self.shards[i]),
-                &features,
-                &wf.id,
-                k,
-            ),
-            SearchParallelism::Racing { max_workers } => scatter_gather_racing(
-                self.shards.len(),
-                |i| self.read(&self.shards[i]),
-                &features,
-                &wf.id,
-                k,
-                max_workers,
-            ),
-        }
-        .0
+        self.scatter(&features, &wf.id, k, &CancelToken::never(), None)
+            .hits
     }
 
     /// Answers a batch of queries on the service's worker threads, each
     /// query running a full scatter-gather concurrently with the others
     /// (and with any churn).  Results align with `queries`.
     pub fn search_batch(&self, queries: &[WorkflowId], k: usize) -> Vec<Option<Vec<SearchHit>>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.threads.min(queries.len());
-        let cursor = AtomicUsize::new(0);
-        let mut results: Vec<Option<Vec<SearchHit>>> = vec![None; queries.len()];
-        let gathered = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            // ordering: Relaxed — work-stealing ticket, as
-                            // in `ShardedCorpus::search_batch`: uniqueness
-                            // comes from fetch_add's atomicity, publication
-                            // of results from the scope join.
-                            let qi = cursor.fetch_add(1, Ordering::Relaxed);
-                            if qi >= queries.len() {
-                                return out;
-                            }
-                            out.push((qi, self.search(&queries[qi], k)));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("batch search worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (qi, hits) in gathered {
-            results[qi] = hits;
-        }
-        results
+        claim_units(queries.len(), self.threads, |qi| {
+            self.search(&queries[qi], k)
+        })
+    }
+
+    /// The query features of a resident workflow, extracted under the
+    /// owning shard's read lock (released before the scatter).
+    fn resident_features(&self, query: &WorkflowId) -> Option<QueryFeatures> {
+        let shard = self.read(&self.shards[self.owner_of(query)?]);
+        let wf = shard.get(query)?;
+        Some(shard.measure().query_features(wf))
+    }
+
+    /// One [`scatter`] over the live shards, planned with the service's
+    /// [`SearchParallelism`].
+    fn scatter(
+        &self,
+        features: &QueryFeatures,
+        exclude: &WorkflowId,
+        k: usize,
+        cancel: &CancelToken,
+        gate: Option<ShardGate<'_>>,
+    ) -> DegradedSearch {
+        let plan = ScatterPlan {
+            cancel,
+            gate,
+            workers: self.parallelism.workers_for(self.shards.len()),
+        };
+        scatter(
+            self.shards.len(),
+            |i| self.read(&self.shards[i]),
+            features,
+            exclude,
+            k,
+            &plan,
+        )
     }
 
     /// Persists the live corpus as a sharded snapshot: the manifest plus
@@ -2197,6 +1940,15 @@ mod tests {
     }
 
     #[test]
+    fn claim_units_returns_every_result_in_index_order() {
+        for workers in [0, 1, 2, 5, 64] {
+            let squares = claim_units(7, workers, |i| i * i);
+            assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36], "{workers} workers");
+            assert!(claim_units(0, workers, |i| i).is_empty());
+        }
+    }
+
+    #[test]
     fn service_deadline_search_with_open_gate_is_not_degraded() {
         let service = CorpusService::new(ShardedCorpus::build_with(
             config(),
@@ -2211,6 +1963,16 @@ mod tests {
             .expect("resident");
         assert!(!result.degraded);
         assert_eq!(result.hits, full);
+        // Ungated, the deadline search is the sharded corpus's global
+        // frontier, down to the scoring counters.
+        let sharded = ShardedCorpus::build_with(config(), 2, ShardPartition::HashId, sample());
+        let (_, frontier_stats) = sharded.search_with_stats(&query, 4).expect("resident");
+        assert_eq!(result.stats, frontier_stats);
+        let gated = service
+            .search_deadline_with(&query, 4, &CancelToken::never(), |_| true)
+            .expect("resident");
+        assert_eq!(gated.answered, vec![true, true]);
+        assert_eq!(gated.hits, full);
         assert!(service
             .search_deadline(&"nope".into(), 4, &CancelToken::never())
             .is_none());
