@@ -18,8 +18,8 @@
 //! degrade gracefully to an exhaustive — but still corpus-resident — scan.
 
 use std::borrow::Cow;
-use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use serde::{Deserialize, Serialize};
 use wf_model::WorkflowId;
@@ -245,6 +245,7 @@ impl SearchStats {
 /// A candidate of a bound-pruned top-k scan: its corpus index, an
 /// *admissible* upper bound on its score (`f64::INFINITY` when the measure
 /// cannot bound the pair) and its query-token overlap.
+#[derive(Debug, Clone, Copy)]
 pub struct RankedCandidate {
     /// Corpus index of the candidate workflow.
     pub index: usize,
@@ -254,17 +255,23 @@ pub struct RankedCandidate {
     pub overlap: u32,
 }
 
+/// The canonical scan order every bound-pruned search uses: bound
+/// descending, then overlap descending, then index ascending (`Less` means
+/// `a` is scanned first).  A total order for non-NaN bounds — and bounds
+/// are never NaN — because corpus indices are distinct.
+fn scan_order(a: &RankedCandidate, b: &RankedCandidate) -> Ordering {
+    b.bound
+        .partial_cmp(&a.bound)
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| b.overlap.cmp(&a.overlap))
+        .then_with(|| a.index.cmp(&b.index))
+}
+
 /// Sorts candidates into the canonical scan order every bound-pruned
 /// search uses: bound descending, then overlap descending, then index
 /// ascending.
 pub fn sort_best_bound_first(candidates: &mut [RankedCandidate]) {
-    candidates.sort_unstable_by(|a, b| {
-        b.bound
-            .partial_cmp(&a.bound)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| b.overlap.cmp(&a.overlap))
-            .then_with(|| a.index.cmp(&b.index))
-    });
+    candidates.sort_unstable_by(scan_order);
 }
 
 /// The one prune-and-score loop behind every bound-pruned top-k scan — the
@@ -272,9 +279,10 @@ pub fn sort_best_bound_first(candidates: &mut [RankedCandidate]) {
 /// their candidates through here, so the zero-bound short-circuit, the strict-below-floor pruning
 /// and the stats accounting can never drift apart between engines.
 ///
-/// `candidates` must arrive in [`sort_best_bound_first`] order (`total` is
-/// its length, needed for prune accounting); `score` computes the exact
-/// score of a candidate index and `id_of` resolves its workflow id.  Each
+/// `candidates` must arrive in [`sort_best_bound_first`] order, or as a
+/// [`RankedFrontier`] (`total` is its length, needed for prune
+/// accounting); `score` computes the exact score of a candidate index and
+/// `id_of` resolves its workflow id.  Each
 /// new worst-of-k is published to `threshold`, and the loop stops as soon
 /// as the best remaining bound falls *strictly* below the threshold floor
 /// — admissible, so the kept hits (returned in heap order; gather them
@@ -290,7 +298,7 @@ pub fn sort_best_bound_first(candidates: &mut [RankedCandidate]) {
 // lint:hot this loop runs once per candidate of every indexed search;
 // wfsim_lint forbids lock acquisition and heap allocation inside it.
 #[allow(clippy::too_many_arguments)] // the scan's full contract: stream + budget + cancellation
-pub fn scan_ranked_candidates<'a, I, F, G>(
+pub fn scan_ranked_candidates<I, F, G>(
     candidates: I,
     total: usize,
     k: usize,
@@ -301,7 +309,7 @@ pub fn scan_ranked_candidates<'a, I, F, G>(
     mut id_of: G,
 ) -> Vec<SearchHit>
 where
-    I: IntoIterator<Item = &'a RankedCandidate>,
+    I: IntoIterator<Item = RankedCandidate>,
     F: FnMut(usize) -> f64,
     G: FnMut(usize) -> WorkflowId,
 {
@@ -348,77 +356,87 @@ where
     top.into_hits()
 }
 
-/// A pull-based merge of several [`sort_best_bound_first`]-ordered
-/// candidate lists into one global best-bound-first stream.
+/// A pull-based merge of several candidate lists into one global
+/// best-bound-first stream.
 ///
 /// This is the scheduling core of the sharded scatter-gather search: each
-/// shard contributes its ranked candidate list as a *cursor*, and the
-/// frontier always yields the globally best-bound head across all cursors
-/// — so a single [`scan_ranked_candidates`] over the frontier prunes with
-/// the same power as one engine over the whole corpus, independent of how
-/// the candidates are partitioned.
+/// shard contributes its candidate list as a *cursor*, and the frontier
+/// always yields the globally best-bound head across all cursors — so a
+/// single [`scan_ranked_candidates`] over the frontier prunes with the same
+/// power as one engine over the whole corpus, independent of how the
+/// candidates are partitioned.
 ///
-/// Cursor positions live in [`Cell`]s: the iterator advances them through
-/// a shared reference.  They are not a coverage report:
-/// [`scan_ranked_candidates`] pops a candidate before it checks its
-/// cancel token, so after a cancelled scan a cursor whose last candidate
-/// was never scored would still read as drained.  Callers report coverage
-/// from the scan's `stats.cancelled` instead.
+/// Each cursor is a binary heap in the canonical [`sort_best_bound_first`]
+/// order, built in O(n) and popped in O(log n): a scan that prunes after a
+/// few dozen candidates never pays for sorting the thousands it skips, and
+/// every cursor still yields exactly its sorted sequence (the order is
+/// total, so the heap has no tie of its own to break).
 ///
-/// Ties (equal bound and overlap) resolve to the earliest cursor — a
-/// deterministic order; the final top-k content is insertion-order
-/// independent anyway (every non-pruned candidate is scored exactly, and
-/// [`TopK`] keeps the k best under the canonical score-then-id order).
-pub struct RankedFrontier<'a> {
-    lists: Vec<&'a [RankedCandidate]>,
-    positions: Vec<Cell<usize>>,
+/// Ties across cursors (equal bound and overlap) resolve to the earliest
+/// cursor — a deterministic order; the final top-k content is
+/// insertion-order independent anyway (every non-pruned candidate is
+/// scored exactly, and [`TopK`] keeps the k best under the canonical
+/// score-then-id order).  What the frontier has yielded is not a coverage
+/// report: [`scan_ranked_candidates`] pops a candidate before it checks
+/// its cancel token, so callers report coverage from the scan's
+/// `stats.cancelled`.
+pub struct RankedFrontier {
+    cursors: Vec<BinaryHeap<ScanFirst>>,
+    total: usize,
 }
 
-impl<'a> RankedFrontier<'a> {
-    /// A frontier over per-cursor candidate lists, each already in
-    /// [`sort_best_bound_first`] order.
-    pub fn new(lists: Vec<&'a [RankedCandidate]>) -> Self {
-        let positions = lists.iter().map(|_| Cell::new(0)).collect();
-        RankedFrontier { lists, positions }
+/// A [`RankedCandidate`] ordered so that the max-heap pops the candidate
+/// [`scan_order`] scans first.
+struct ScanFirst(RankedCandidate);
+
+impl Ord for ScanFirst {
+    fn cmp(&self, other: &Self) -> Ordering {
+        scan_order(&other.0, &self.0)
+    }
+}
+
+impl PartialOrd for ScanFirst {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for ScanFirst {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for ScanFirst {}
+
+impl RankedFrontier {
+    /// A frontier over per-cursor candidate lists, in any order.
+    pub fn new(lists: Vec<Vec<RankedCandidate>>) -> Self {
+        let total = lists.iter().map(Vec::len).sum();
+        let cursors = lists
+            .into_iter()
+            .map(|list| list.into_iter().map(ScanFirst).collect())
+            .collect();
+        RankedFrontier { cursors, total }
     }
 
-    /// Total candidates across all cursors.
+    /// Total candidates across all cursors, popped or not.
     pub fn total(&self) -> usize {
-        self.lists.iter().map(|l| l.len()).sum()
-    }
-
-    /// The merged best-bound-first stream (advances cursor positions as
-    /// it is consumed).
-    pub fn iter(&self) -> RankedFrontierIter<'_, 'a> {
-        RankedFrontierIter { frontier: self }
+        self.total
     }
 }
 
-impl<'f, 'a> IntoIterator for &'f RankedFrontier<'a> {
-    type Item = &'a RankedCandidate;
-    type IntoIter = RankedFrontierIter<'f, 'a>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-/// Iterator of [`RankedFrontier::iter`].
-pub struct RankedFrontierIter<'f, 'a> {
-    frontier: &'f RankedFrontier<'a>,
-}
-
-impl<'f, 'a> Iterator for RankedFrontierIter<'f, 'a> {
-    type Item = &'a RankedCandidate;
+impl Iterator for RankedFrontier {
+    type Item = RankedCandidate;
 
     /// Pops the globally best-bound candidate across all cursor heads
     /// (bound descending, then overlap descending, then earliest cursor).
     // lint:hot runs once per candidate of every sharded search; wfsim_lint
     // forbids lock acquisition and heap allocation here.
-    fn next(&mut self) -> Option<&'a RankedCandidate> {
-        let mut best: Option<(usize, &'a RankedCandidate)> = None;
-        for (list, slice) in self.frontier.lists.iter().enumerate() {
-            let pos = self.frontier.positions[list].get();
-            let Some(head) = slice.get(pos) else {
+    fn next(&mut self) -> Option<RankedCandidate> {
+        let mut best: Option<(usize, &RankedCandidate)> = None;
+        for (cursor, heap) in self.cursors.iter().enumerate() {
+            let Some(ScanFirst(head)) = heap.peek() else {
                 continue;
             };
             let better = match best {
@@ -429,12 +447,11 @@ impl<'f, 'a> Iterator for RankedFrontierIter<'f, 'a> {
                 }
             };
             if better {
-                best = Some((list, head));
+                best = Some((cursor, head));
             }
         }
-        let (list, head) = best?;
-        self.frontier.positions[list].set(self.frontier.positions[list].get() + 1);
-        Some(head)
+        let (cursor, _) = best?;
+        self.cursors[cursor].pop().map(|ScanFirst(head)| head)
     }
 }
 
@@ -487,9 +504,10 @@ impl<'s, S: CorpusScorer + ?Sized> IndexedSearchEngine<'s, S> {
         let (candidates, mut stats) = self.ranked_candidates(query);
         // A fresh threshold makes the shared scan prune exactly on the
         // running worst-of-k, as a dedicated sequential loop would.
+        let total = candidates.len();
         let hits = scan_ranked_candidates(
-            candidates.iter(),
-            candidates.len(),
+            candidates,
+            total,
             k,
             &SearchThreshold::new(),
             &crate::search::CancelToken::never(),
@@ -781,9 +799,10 @@ mod tests {
         let token = crate::search::CancelToken::never();
         token.cancel();
         let mut stats = SearchStats::default();
+        let total = candidates.len();
         let hits = scan_ranked_candidates(
-            candidates.iter(),
-            candidates.len(),
+            candidates,
+            total,
             3,
             &SearchThreshold::new(),
             &token,
@@ -793,7 +812,7 @@ mod tests {
         );
         assert!(hits.is_empty(), "nothing was scored before the token fired");
         assert!(stats.cancelled);
-        assert_eq!(stats.abandoned, candidates.len());
+        assert_eq!(stats.abandoned, total);
         assert_eq!(stats.scored, 0);
     }
 
@@ -821,14 +840,15 @@ mod tests {
         };
         let a = vec![rc(0, 0.9), rc(2, 0.5)];
         let b = vec![rc(1, 0.8), rc(3, 0.4)];
-        let frontier = RankedFrontier::new(vec![&a, &b]);
+        let frontier = RankedFrontier::new(vec![a, b]);
         let bounds = [0.9, 0.8, 0.5, 0.4];
         let token = crate::search::CancelToken::never();
         let scored = std::cell::Cell::new(0usize);
         let mut stats = SearchStats::default();
+        let total = frontier.total();
         let hits = scan_ranked_candidates(
-            &frontier,
-            frontier.total(),
+            frontier,
+            total,
             4,
             &SearchThreshold::new(),
             &token,
@@ -867,19 +887,26 @@ mod tests {
             bound,
             overlap,
         };
-        // Two sorted cursors with interleaved bounds, plus an empty one.
-        let a = vec![rc(0, 0.9, 2), rc(1, 0.5, 1), rc(2, 0.1, 0)];
-        let b = vec![rc(3, 0.7, 3), rc(4, 0.5, 4), rc(5, 0.5, 1)];
-        let frontier = RankedFrontier::new(vec![&a, &[], &b]);
+        // Two unsorted cursors with interleaved bounds, plus an empty one.
+        let a = vec![rc(2, 0.1, 0), rc(0, 0.9, 2), rc(1, 0.5, 1)];
+        let b = vec![rc(5, 0.5, 1), rc(3, 0.7, 3), rc(4, 0.5, 4)];
+        let mut frontier = RankedFrontier::new(vec![a, Vec::new(), b]);
         assert_eq!(frontier.total(), 6);
 
-        let order: Vec<usize> = frontier.iter().map(|c| c.index).collect();
+        let order: Vec<usize> = frontier.by_ref().map(|c| c.index).collect();
         // 0.9 → 0.7 → the 0.5 tie resolves by overlap desc (4), then the
         // overlap-1 tie by earliest cursor (cursor 0's index 1 before
         // cursor 2's index 5) → 0.1.
         assert_eq!(order, vec![0, 3, 4, 1, 5, 2]);
-        let bounds: Vec<f64> = frontier.iter().map(|c| c.bound).collect();
-        assert!(bounds.is_empty(), "a drained frontier yields nothing more");
+        assert!(
+            frontier.next().is_none(),
+            "a drained frontier yields nothing more"
+        );
+        assert_eq!(
+            frontier.total(),
+            6,
+            "the total counts popped candidates too"
+        );
     }
 
     #[test]

@@ -34,12 +34,16 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 use wf_model::{CorpusStats, Workflow, WorkflowId};
-use wf_repo::{CorpusScorer, IndexedSearchEngine, SearchHit, SearchStats, TokenIndex};
+use wf_repo::{
+    merge_top_k, CancelToken, CorpusScorer, IndexedSearchEngine, SearchHit, SearchStats,
+    SearchThreshold, TokenIndex,
+};
 use wf_text::StringPool;
 
 use crate::config::SimilarityConfig;
 use crate::pipeline::WorkflowSimilarity;
 use crate::profile::{ClassPairTable, ProfiledMeasure, WorkflowProfile};
+use crate::shard::drain_shard;
 
 /// First token of a snapshot header line; anything else is not a snapshot.
 pub const SNAPSHOT_MAGIC: &str = "wfsim-corpus-snapshot";
@@ -207,9 +211,10 @@ impl Corpus {
         }
     }
 
-    /// An index-accelerated search engine over this corpus.  Construction
-    /// is free: the engine borrows the corpus-resident index instead of
-    /// rebuilding one.
+    /// The generic [`CorpusScorer`] engine over this corpus, bounding
+    /// every pair afresh — the reference the equivalence suites hold
+    /// [`Corpus::top_k`] to.  Construction is free: the engine borrows the
+    /// corpus-resident index instead of rebuilding one.
     pub fn search_engine(&self) -> IndexedSearchEngine<'_, ProfiledMeasure> {
         IndexedSearchEngine::with_index(&self.measure, &self.index)
     }
@@ -222,12 +227,25 @@ impl Corpus {
 
     /// [`Corpus::top_k`] addressed by corpus index.
     pub fn top_k_index(&self, query: usize, k: usize) -> Vec<SearchHit> {
-        self.search_engine().top_k(query, k)
+        self.top_k_with_stats(query, k).0
     }
 
-    /// [`Corpus::top_k_index`] plus pruning instrumentation.
+    /// [`Corpus::top_k_index`] plus pruning instrumentation.  Runs the
+    /// one-shard frontier every sharded search runs ([`drain_shard`]), so
+    /// it bounds candidates from the class table too.
     pub fn top_k_with_stats(&self, query: usize, k: usize) -> (Vec<SearchHit>, SearchStats) {
-        self.search_engine().top_k_with_stats(query, k)
+        let features = self.measure.query_features(&self.originals[query]);
+        let mut stats = SearchStats::default();
+        let hits = drain_shard(
+            self,
+            &features,
+            &self.ids()[query],
+            k,
+            &SearchThreshold::new(),
+            &CancelToken::never(),
+            &mut stats,
+        );
+        (merge_top_k([hits], k), stats)
     }
 
     /// Serializes the built corpus — workflows, pool, profiles, index —
@@ -537,9 +555,11 @@ mod tests {
         let fresh = IndexedSearchEngine::new(corpus.measure());
         for query in 0..corpus.len() {
             assert_eq!(corpus.top_k_index(query, 3), fresh.top_k(query, 3));
+            // The class-table bound and the lazy heap order must walk the
+            // candidates exactly as the per-pair, fully sorted engine does.
             assert_eq!(
-                corpus.top_k_with_stats(query, 3).0,
-                fresh.top_k(query, 3),
+                corpus.top_k_with_stats(query, 3),
+                fresh.top_k_with_stats(query, 3),
                 "with stats, query {query}"
             );
         }

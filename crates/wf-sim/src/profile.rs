@@ -28,6 +28,15 @@
 //! relaxed to a one-to-one assignment cap and pushed through the monotone
 //! Jaccard normalization), which lets the inverted-index search engine in
 //! [`wf_repo::index`] prune most candidates without scoring them.
+//!
+//! Modules whose compared attributes are all identical form one *module
+//! class*, and every module-pair value (similarity, bound, preselection
+//! verdict) is a function of the two classes.  Corpora repeat modules
+//! heavily (each shard of a 10k-workflow corpus split 8 ways holds ~5,900
+//! module slots in ~1,100 live classes), so the corpus keeps one
+//! representative per class plus a flat per-slot class column, and the
+//! searches bound a query against each live class once (`ClassBounds`)
+//! instead of against every module slot.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -80,18 +89,11 @@ pub struct ModuleProfile {
 }
 
 impl ModuleProfile {
+    /// True iff the module carries `key` (its presence bit is set).
     #[inline]
     fn has(&self, key: AttributeKey) -> bool {
-        presence_has(self.presence, key)
+        self.presence & (1 << key as u8) != 0
     }
-}
-
-/// The one presence-bitmask predicate shared by the profile (AoS) and the
-/// bound-column (SoA) candidate paths — bit `i` set iff the module carries
-/// `AttributeKey::ALL[i]`.
-#[inline]
-fn presence_has(presence: u8, key: AttributeKey) -> bool {
-    presence & (1 << key as u8) != 0
 }
 
 /// The pool-independent derived features of one module: everything a
@@ -334,82 +336,107 @@ impl WorkflowProfile {
     pub fn label_tokens(&self) -> &TokenIdSet {
         &self.label_tokens
     }
+
+    /// Module `i` of the preprocessed workflow with its profile.
+    #[inline]
+    fn side(&self, i: usize) -> (&Module, &ModuleProfile) {
+        (&self.workflow.modules[i], &self.modules[i])
+    }
 }
 
-/// Structure-of-arrays candidate-side bound features.
+/// The module comparison classes of a corpus: two modules share a class
+/// iff every compared attribute is identical ([`module_class_key`]), so
+/// their similarity, bound and preselection verdict against any third
+/// module are identical under every scheme.
 ///
-/// The best-bound-first scan evaluates [`pair_upper_bound`] against every
-/// module of every candidate; with the per-module features boxed inside
-/// each [`WorkflowProfile`] those reads hop through a `Workflow` and a
-/// `Vec<ModuleProfile>` per candidate.  `BoundColumns` flattens exactly
-/// the fields the bound computation touches into corpus-order columns
-/// (CSR-style: workflow `w`'s modules occupy slots
-/// `starts[w]..starts[w + 1]`), so a candidate scan walks contiguous
-/// memory.  Derived state: rebuilt from the profiles on snapshot load,
-/// never serialized, and byte-for-byte copies of the profile fields — so
-/// every column read is bit-identical to the AoS read it replaces.
-///
-/// Symbol-equality rules (`Exact*`) and strict-type preselection still
-/// read the candidate [`Module`] itself; everything on the hot bound path
-/// (presence masks, type classes, char signatures, token-id sets) comes
-/// from the columns.
-#[derive(Debug, Clone, Default)]
-struct BoundColumns {
-    /// Module-slot ranges: workflow `w` owns slots `starts[w]..starts[w+1]`.
+/// Each class keeps one representative module with its profile and the
+/// number of live module slots holding it; a class whose count falls to
+/// zero frees its id for the next new class, so ids, representatives and
+/// every table over them stay bounded by the live corpus under churn.  The
+/// per-slot column is CSR-style: workflow `w`'s modules (aligned with its
+/// preprocessed module list) occupy slots `starts[w]..starts[w + 1]`.
+/// Derived state: rebuilt from the profiles on snapshot load, never
+/// serialized.  Adding or removing a workflow touches only its own
+/// modules' classes.
+struct ModuleClasses {
+    /// Exact class key → class id, for live classes only.
+    interner: BTreeMap<String, u32>,
+    /// Indexed by class id; `live == 0` marks a free id.
+    reps: Vec<ClassRep>,
+    /// Free class ids, reused before new ones are minted.
+    free: Vec<u32>,
     starts: Vec<u32>,
-    presence: Vec<u8>,
-    type_class: Vec<TypeClass>,
-    label_sig: Vec<CharSignature>,
-    label_lower_sig: Vec<CharSignature>,
-    desc_sig: Vec<CharSignature>,
-    script_sig: Vec<CharSignature>,
-    /// All token ids of all modules, flattened; the `*_tokens` ranges
-    /// below are `(start, len)` windows into this buffer.
-    token_ids: Vec<u32>,
-    label_tokens: Vec<(u32, u32)>,
-    desc_tokens: Vec<(u32, u32)>,
-    script_tokens: Vec<(u32, u32)>,
+    slot_class: Vec<u32>,
 }
 
-impl BoundColumns {
+/// One module class: a representative module (as preprocessed) with its
+/// profile, and how many live module slots belong to the class.
+struct ClassRep {
+    module: Module,
+    profile: ModuleProfile,
+    live: u32,
+}
+
+impl ModuleClasses {
     fn new() -> Self {
-        BoundColumns {
+        ModuleClasses {
+            interner: BTreeMap::new(),
+            reps: Vec::new(),
+            free: Vec::new(),
             starts: vec![0],
-            ..BoundColumns::default()
+            slot_class: Vec::new(),
         }
     }
 
-    /// Appends one workflow's modules (column values copied verbatim from
-    /// the already-built profile, so no re-derivation can diverge).
+    /// Appends one workflow's module slots, interning each module's class.
     fn push_workflow(&mut self, profile: &WorkflowProfile) {
-        for m in &profile.modules {
-            self.presence.push(m.presence);
-            self.type_class.push(m.type_class);
-            self.label_sig.push(m.label_sig.clone());
-            self.label_lower_sig.push(m.label_lower_sig.clone());
-            self.desc_sig.push(m.desc_sig.clone());
-            self.script_sig.push(m.script_sig.clone());
-            for (range, set) in [
-                (&mut self.label_tokens, &m.label_tokens),
-                (&mut self.desc_tokens, &m.desc_tokens),
-                (&mut self.script_tokens, &m.script_tokens),
-            ] {
-                range.push((self.token_ids.len() as u32, set.len() as u32));
-                self.token_ids.extend_from_slice(set.ids());
+        for (module, features) in profile.workflow.modules.iter().zip(&profile.modules) {
+            let key = module_class_key(module);
+            let class = match self.interner.get(&key) {
+                Some(&class) => class,
+                None => {
+                    let rep = ClassRep {
+                        module: module.clone(),
+                        profile: features.clone(),
+                        live: 0,
+                    };
+                    let class = match self.free.pop() {
+                        Some(class) => {
+                            self.reps[class as usize] = rep;
+                            class
+                        }
+                        None => {
+                            self.reps.push(rep);
+                            (self.reps.len() - 1) as u32
+                        }
+                    };
+                    self.interner.insert(key, class);
+                    class
+                }
+            };
+            self.reps[class as usize].live += 1;
+            self.slot_class.push(class);
+        }
+        self.starts.push(self.slot_class.len() as u32);
+    }
+
+    /// Drops one workflow's module slots; later workflows shift down one
+    /// position (mirroring `Vec::remove`).
+    fn remove_workflow(&mut self, workflow: usize) {
+        let slots = self.slots(workflow);
+        let removed = slots.len() as u32;
+        for class in self.slot_class.drain(slots) {
+            let rep = &mut self.reps[class as usize];
+            rep.live -= 1;
+            if rep.live == 0 {
+                self.interner.remove(&module_class_key(&rep.module));
+                self.free.push(class);
             }
         }
-        self.starts.push(self.presence.len() as u32);
-    }
-
-    /// Rebuilds the columns from scratch — the snapshot-load and
-    /// workflow-removal path (removal shifts every later slot, so a
-    /// rebuild is as cheap as compaction and has only one code path).
-    fn rebuild(profiles: &[WorkflowProfile]) -> Self {
-        let mut columns = BoundColumns::new();
-        for profile in profiles {
-            columns.push_workflow(profile);
+        self.starts.remove(workflow + 1);
+        for start in &mut self.starts[workflow + 1..] {
+            *start -= removed;
         }
-        columns
     }
 
     /// The module-slot range of a workflow.
@@ -418,10 +445,24 @@ impl BoundColumns {
         self.starts[workflow] as usize..self.starts[workflow + 1] as usize
     }
 
-    /// The sorted token ids behind a `(start, len)` window.
+    /// The class id of every module of a workflow, in module order.
     #[inline]
-    fn ids(&self, range: (u32, u32)) -> &[u32] {
-        &self.token_ids[range.0 as usize..(range.0 + range.1) as usize]
+    fn of(&self, workflow: usize) -> &[u32] {
+        &self.slot_class[self.slots(workflow)]
+    }
+
+    /// Every live class with its id.
+    fn live(&self) -> impl Iterator<Item = (usize, &ClassRep)> {
+        self.reps.iter().enumerate().filter(|(_, rep)| rep.live > 0)
+    }
+
+    /// The most module slots any one workflow holds.
+    fn widest(&self) -> usize {
+        self.starts
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -436,16 +477,9 @@ pub struct ProfiledMeasure {
     ids: Vec<WorkflowId>,
     id_index: BTreeMap<WorkflowId, usize>,
     profiles: Vec<WorkflowProfile>,
-    /// Module comparison classes: two modules share a class iff every
-    /// compared attribute is identical, so their pair similarity against
-    /// any third module is identical under every scheme.  `module_classes`
-    /// is aligned with each profile's (preprocessed) module list; the
-    /// interner maps the exact attribute key to its dense class id.
-    class_interner: BTreeMap<String, u32>,
-    module_classes: Vec<Vec<u32>>,
-    /// Candidate-side bound features in structure-of-arrays layout
-    /// (derived from `profiles`, kept in sync by every mutation).
-    bounds: BoundColumns,
+    /// The module classes of every profiled module (derived from
+    /// `profiles`, kept in sync by every mutation).
+    classes: ModuleClasses,
 }
 
 impl ProfiledMeasure {
@@ -461,16 +495,10 @@ impl ProfiledMeasure {
         let mut profiles = Vec::with_capacity(workflows.len());
         let mut ids = Vec::with_capacity(workflows.len());
         let mut id_index = BTreeMap::new();
-        let mut class_interner = BTreeMap::new();
-        let mut module_classes = Vec::with_capacity(workflows.len());
-        let mut bounds = BoundColumns::new();
+        let mut classes = ModuleClasses::new();
         for (i, wf) in workflows.iter().enumerate() {
             let profile = profile_workflow(&inner, &mut pool, wf);
-            module_classes.push(intern_module_classes(
-                &mut class_interner,
-                &profile.workflow,
-            ));
-            bounds.push_workflow(&profile);
+            classes.push_workflow(&profile);
             profiles.push(profile);
             ids.push(wf.id.clone());
             id_index.insert(wf.id.clone(), i);
@@ -481,9 +509,7 @@ impl ProfiledMeasure {
             ids,
             id_index,
             profiles,
-            class_interner,
-            module_classes,
-            bounds,
+            classes,
         }
     }
 
@@ -512,21 +538,17 @@ impl ProfiledMeasure {
             .collect();
         // The class assignment is derived state: rebuild it from the
         // (preprocessed) profile workflows instead of serializing it.
-        let mut class_interner = BTreeMap::new();
-        let module_classes = profiles
-            .iter()
-            .map(|p| intern_module_classes(&mut class_interner, &p.workflow))
-            .collect();
-        let bounds = BoundColumns::rebuild(&profiles);
+        let mut classes = ModuleClasses::new();
+        for profile in &profiles {
+            classes.push_workflow(profile);
+        }
         ProfiledMeasure {
             inner,
             pool,
             ids,
             id_index,
             profiles,
-            class_interner,
-            module_classes,
-            bounds,
+            classes,
         }
     }
 
@@ -541,11 +563,7 @@ impl ProfiledMeasure {
     pub fn add_workflow(&mut self, wf: &Workflow) -> usize {
         let index = self.profiles.len();
         let profile = profile_workflow(&self.inner, &mut self.pool, wf);
-        self.module_classes.push(intern_module_classes(
-            &mut self.class_interner,
-            &profile.workflow,
-        ));
-        self.bounds.push_workflow(&profile);
+        self.classes.push_workflow(&profile);
         self.profiles.push(profile);
         self.ids.push(wf.id.clone());
         self.id_index.insert(wf.id.clone(), index);
@@ -562,16 +580,13 @@ impl ProfiledMeasure {
     pub fn remove_workflow(&mut self, index: usize) {
         let id = self.ids.remove(index);
         self.profiles.remove(index);
-        self.module_classes.remove(index);
+        self.classes.remove_workflow(index);
         self.id_index.remove(&id);
         for pos in self.id_index.values_mut() {
             if *pos > index {
                 *pos -= 1;
             }
         }
-        // Every later slot shifts, so compacting in place costs the same
-        // as rebuilding — keep the one construction code path.
-        self.bounds = BoundColumns::rebuild(&self.profiles);
     }
 
     /// The wrapped pipeline measure.
@@ -678,7 +693,9 @@ impl ProfiledMeasure {
             }
             MeasureKind::ModuleSets | MeasureKind::PathSets | MeasureKind::GraphEdit => {
                 let (pa, pb) = self.canonical_order(pa, pb);
-                Some(self.structural_score_pair(pa, pb, |i, j| self.pair_similarity(pa, i, pb, j)))
+                Some(self.structural_score_pair(pa, pb, |i, j| {
+                    self.pair_similarity(pa.side(i), pb.side(j))
+                }))
             }
         }
     }
@@ -745,7 +762,7 @@ impl ProfiledMeasure {
             pa.workflow.module_count(),
             pb.workflow.module_count(),
             |i, j| {
-                if self.allows(pa, i, pb, j) {
+                if preselects(config.preselection, pa.side(i), pb.side(j)) {
                     pair(i, j)
                 } else {
                     0.0
@@ -779,33 +796,15 @@ impl ProfiledMeasure {
         }
     }
 
-    /// `PreselectionStrategy::allows`, answered from cached features.
-    #[inline]
-    fn allows(&self, pa: &WorkflowProfile, i: usize, pb: &WorkflowProfile, j: usize) -> bool {
-        match self.inner.config().preselection {
-            PreselectionStrategy::AllPairs => true,
-            PreselectionStrategy::StrictType => {
-                pa.workflow.modules[i].module_type == pb.workflow.modules[j].module_type
-            }
-            PreselectionStrategy::TypeEquivalence => {
-                pa.modules[i].type_class == pb.modules[j].type_class
-            }
-        }
-    }
-
     /// `ModuleComparisonScheme::module_similarity`, scored from profiles:
     /// identical rule walk, identical accumulation order, identical
     /// floating-point results — just without re-deriving any text.
     fn pair_similarity(
         &self,
-        pa: &WorkflowProfile,
-        i: usize,
-        pb: &WorkflowProfile,
-        j: usize,
+        (ma, fa): (&Module, &ModuleProfile),
+        (mb, fb): (&Module, &ModuleProfile),
     ) -> f64 {
         let scheme = &self.inner.config().module_scheme;
-        let (ma, fa) = (&pa.workflow.modules[i], &pa.modules[i]);
-        let (mb, fb) = (&pb.workflow.modules[j], &pb.modules[j]);
         let mut weight_sum = 0.0;
         let mut score_sum = 0.0;
         for rule in scheme.rules() {
@@ -843,13 +842,14 @@ impl ProfiledMeasure {
         if self.swaps_canonically(&self.profiles[ia], &self.profiles[ib]) {
             std::mem::swap(&mut ia, &mut ib);
         }
+        let (ca, cb) = (self.classes.of(ia), self.classes.of(ib));
         self.structural_score_pair(&self.profiles[ia], &self.profiles[ib], |i, j| {
-            table.score(self.module_classes[ia][i], self.module_classes[ib][j])
+            table.score(ca[i], cb[j])
         })
     }
 
-    /// Precomputes the similarity of every pair of module comparison
-    /// classes, from one representative module per class.
+    /// Precomputes the similarity of every pair of live module classes,
+    /// from each class's representative module.
     ///
     /// The corpus-resident observation behind it: real repositories are
     /// full of re-uploaded variants, so the same (label, script, service)
@@ -858,31 +858,20 @@ impl ProfiledMeasure {
     /// table therefore replaces the O(Σ |A|·|B|) per-cell text comparisons
     /// of a full clustering matrix.  Both orientations are computed
     /// explicitly, so no symmetry assumption enters the bit-exactness
-    /// argument.
-    ///
-    /// The interner assigns ids monotonically (stale ids of removed
-    /// workflows are never reused), so the table first compacts the *live*
-    /// classes into dense slots: under long add/remove churn the O(live²)
-    /// score matrix stays bounded by the current corpus, not by everything
-    /// the corpus has ever seen.
+    /// argument.  Free class ids get no slot, so the table is O(live²).
     pub fn class_pair_table(&self) -> ClassPairTable {
-        let mut remap = vec![u32::MAX; self.class_interner.len()];
-        let mut representatives: Vec<(usize, usize)> = Vec::new();
-        for (wf, classes) in self.module_classes.iter().enumerate() {
-            for (module, &class) in classes.iter().enumerate() {
-                let slot = &mut remap[class as usize];
-                if *slot == u32::MAX {
-                    *slot = representatives.len() as u32;
-                    representatives.push((wf, module));
-                }
-            }
+        let mut remap = vec![u32::MAX; self.classes.reps.len()];
+        let mut representatives: Vec<&ClassRep> = Vec::new();
+        for (class, rep) in self.classes.live() {
+            remap[class] = representatives.len() as u32;
+            representatives.push(rep);
         }
         let live = representatives.len();
         let mut scores = vec![0.0; live * live];
-        for (a, &(wa, ma)) in representatives.iter().enumerate() {
-            for (b, &(wb, mb)) in representatives.iter().enumerate() {
+        for (a, ra) in representatives.iter().enumerate() {
+            for (b, rb) in representatives.iter().enumerate() {
                 scores[a * live + b] =
-                    self.pair_similarity(&self.profiles[wa], ma, &self.profiles[wb], mb);
+                    self.pair_similarity((&ra.module, &ra.profile), (&rb.module, &rb.profile));
             }
         }
         ClassPairTable {
@@ -892,22 +881,12 @@ impl ProfiledMeasure {
         }
     }
 
-    /// The Module Sets upper bound: per query module, the best cheap pair
-    /// bound over the candidate's (preselection-allowed) modules, summed,
-    /// capped at the one-to-one assignment limit `min(|A|, |B|)`, and
-    /// pushed through the (monotone) normalization.
-    ///
-    /// The candidate side reads the structure-of-arrays [`BoundColumns`]
-    /// (contiguous per-module features in corpus order); the per-side
-    /// maxima live in stack buffers up to [`STACK_MODULES`] modules, so
-    /// the common case is allocation-free.  The returned bound carries an
-    /// m²·ε admissibility slack so it dominates the exact score *in
-    /// floating point*, not just mathematically — the best-bound-first
-    /// scans prune on the raw bound, and a 1-ulp shortfall (different
-    /// summation order than the mapping's) would silently drop an exact
-    /// top-k member.
-    // lint:hot evaluated once per (query, candidate) pair in every
-    // best-bound-first scan; stack buffers keep the common case
+    /// The Module Sets upper bound of one (query, candidate) pair, every
+    /// module pair bounded afresh — the reference the class-table bound
+    /// ([`ClassBounds::bound`]) must equal bit for bit, and what
+    /// [`CorpusScorer::upper_bound`] answers.
+    // lint:hot evaluated once per (query, candidate) pair by the generic
+    // CorpusScorer engine; stack buffers keep the common case
     // allocation-free (the >STACK_MODULES fallback may allocate).
     fn module_sets_upper_bound(
         &self,
@@ -915,93 +894,178 @@ impl ProfiledMeasure {
         candidate: usize,
         normalization: Normalization,
     ) -> f64 {
-        let slots = self.bounds.slots(candidate);
-        let candidate_modules = &self.profiles[candidate].workflow.modules;
-        let (na, nb) = (pa.workflow.module_count(), slots.len());
-        if na == 0 || nb == 0 {
-            // Exact: an empty side forces an empty mapping.
-            return match normalization {
-                Normalization::None => 0.0,
-                Normalization::SizeNormalized => jaccard_normalize(0.0, na, nb),
-            };
+        let pb = &self.profiles[candidate];
+        let (na, nb) = (pa.modules.len(), pb.modules.len());
+        let config = self.inner.config();
+        let rules = config.module_scheme.rules();
+        let mut stack = [0.0f64; 2 * STACK_MODULES];
+        let mut heap = Vec::new();
+        let sides: &mut [f64] = if na + nb <= stack.len() {
+            &mut stack[..na + nb]
+        } else {
+            heap.resize(na + nb, 0.0);
+            &mut heap
+        };
+        module_sets_bound(sides, na, normalization, |i, j| {
+            let a = pa.side(i);
+            let b = pb.side(j);
+            if preselects(config.preselection, a, b) {
+                pair_upper_bound(rules, a, b)
+            } else {
+                0.0
+            }
+        })
+    }
+
+    /// Bounds every (query module, live class) pair once — the per-query
+    /// table behind [`ClassBounds::bound`]; `None` for measures without a
+    /// cheap bound (everything but Module Sets).
+    ///
+    /// A pair the preselection vetoes holds `0.0`, as in the per-pair
+    /// reference: the row and column maxima start at `0.0`, so a vetoed
+    /// pair raises none of them.  The rows are keyed by the *candidate's*
+    /// class, so an external query's unseen modules need nothing special.
+    pub(crate) fn class_bounds(&self, query: &WorkflowProfile) -> Option<ClassBounds<'_>> {
+        let config = self.inner.config();
+        if config.measure != MeasureKind::ModuleSets {
+            return None;
         }
-        // Relax the one-to-one mapping two ways: each mapped pair's weight
-        // is at most its row's best pair bound *and* its column's best pair
-        // bound, and at most min(na, nb) pairs are mapped — so nnsim is at
-        // most the smaller of the two "sum of the top min(na, nb) per-side
-        // maxima" estimates.
-        let rules = self.inner.config().module_scheme.rules();
-        let preselection = self.inner.config().preselection;
-        let mut row_stack = [0.0f64; STACK_MODULES];
-        let mut col_stack = [0.0f64; STACK_MODULES];
-        let mut row_heap = Vec::new();
-        let mut col_heap = Vec::new();
-        let row_best: &mut [f64] = if na <= STACK_MODULES {
-            &mut row_stack[..na]
-        } else {
-            row_heap.resize(na, 0.0);
-            &mut row_heap
-        };
-        let col_best: &mut [f64] = if nb <= STACK_MODULES {
-            &mut col_stack[..nb]
-        } else {
-            col_heap.resize(nb, 0.0);
-            &mut col_heap
-        };
-        for (i, row) in row_best.iter_mut().enumerate() {
-            let (ma, fa) = (&pa.workflow.modules[i], &pa.modules[i]);
-            for (j, col) in col_best.iter_mut().enumerate() {
-                let slot = slots.start + j;
-                let mb = &candidate_modules[j];
-                let allowed = match preselection {
-                    PreselectionStrategy::AllPairs => true,
-                    PreselectionStrategy::StrictType => ma.module_type == mb.module_type,
-                    PreselectionStrategy::TypeEquivalence => {
-                        fa.type_class == self.bounds.type_class[slot]
-                    }
-                };
-                if !allowed {
-                    continue;
-                }
-                let ub = pair_upper_bound(rules, ma, fa, mb, &self.bounds, slot);
-                if ub > *row {
-                    *row = ub;
-                }
-                if ub > *col {
-                    *col = ub;
+        let rules = config.module_scheme.rules();
+        let na = query.modules.len();
+        let mut rows = vec![0.0; self.classes.reps.len() * na];
+        for (class, rep) in self.classes.live() {
+            let b = (&rep.module, &rep.profile);
+            let row = &mut rows[class * na..][..na];
+            for (i, ub) in row.iter_mut().enumerate() {
+                let a = query.side(i);
+                if preselects(config.preselection, a, b) {
+                    *ub = pair_upper_bound(rules, a, b);
                 }
             }
         }
-        let mapped = na.min(nb);
-        // Admissibility slack: the bound and the exact score sum the same
-        // per-pair values in different orders (top-m of per-side maxima vs
-        // the mapping's pair order), so when they are mathematically equal
-        // the bound can round up to m·m ulps below the score and an exact
-        // top-k member would be pruned.  m²·ε of absolute slack on a sum of
-        // m unit-bounded terms dominates both the reordering error and
-        // per-pair rounding noise; `jaccard_normalize` is monotone in
-        // `nnsim` under IEEE rounding, so pre-normalization slack suffices.
-        let slack = (mapped * mapped) as f64 * f64::EPSILON;
-        let nnsim_bound = (top_m_sum(row_best, mapped).min(top_m_sum(col_best, mapped)) + slack)
-            .min(mapped as f64 + slack);
-        match normalization {
-            Normalization::None => nnsim_bound,
-            Normalization::SizeNormalized => jaccard_normalize(nnsim_bound, na, nb),
-        }
+        Some(ClassBounds {
+            classes: &self.classes,
+            normalization: config.normalization,
+            na,
+            rows,
+            sides: vec![0.0; na + self.classes.widest()],
+        })
     }
 }
 
-/// Per-side maxima of [`ProfiledMeasure::module_sets_upper_bound`] stay
-/// on the stack up to this many modules (the demo corpora top out well
-/// below it; larger workflows fall back to a heap buffer).
+/// One query's Module Sets bound against every workflow of one corpus,
+/// read from a (query module × live class) table of pair bounds built
+/// once per query by [`ProfiledMeasure::class_bounds`].
+///
+/// [`ClassBounds::bound`] reads the table through the candidate's class
+/// ids and runs the same [`module_sets_bound`] as the per-pair reference
+/// ([`ProfiledMeasure::upper_bound_profile`]) over the same per-pair
+/// values, so the two bounds are equal bit for bit.
+pub(crate) struct ClassBounds<'m> {
+    classes: &'m ModuleClasses,
+    normalization: Normalization,
+    /// Query module count: the row stride of `rows`.
+    na: usize,
+    /// `rows[class * na + i]`: query module `i`'s pair bound against
+    /// `class` (`0.0` when vetoed, never read for free ids).
+    rows: Vec<f64>,
+    /// Per-side maxima scratch, sized for the widest workflow.
+    sides: Vec<f64>,
+}
+
+impl ClassBounds<'_> {
+    /// The Module Sets upper bound of the query against the workflow at
+    /// `candidate`.
+    // lint:hot evaluated once per candidate of every bounded search:
+    // table reads over the candidate's class ids, no allocation.
+    pub(crate) fn bound(&mut self, candidate: usize) -> f64 {
+        let classes = self.classes.of(candidate);
+        let (na, rows) = (self.na, &self.rows);
+        module_sets_bound(
+            &mut self.sides[..na + classes.len()],
+            na,
+            self.normalization,
+            |i, j| rows[classes[j] as usize * na + i],
+        )
+    }
+}
+
+/// The Module Sets bound from per-pair bounds `pair(i, j)` (query module
+/// `i`, candidate module `j`): per query module, the best pair bound over
+/// the candidate's modules, summed, capped at the one-to-one assignment
+/// limit `min(|A|, |B|)`, and pushed through the (monotone) normalization.
+/// `sides` holds the `|A|` row maxima then the `|B|` column maxima
+/// (`na` is `|A|`); it is scratch, overwritten here.
+///
+/// The returned bound carries an m²·ε admissibility slack so it dominates
+/// the exact score *in floating point*, not just mathematically — the
+/// best-bound-first scans prune on the raw bound, and a 1-ulp shortfall
+/// (different summation order than the mapping's) would silently drop an
+/// exact top-k member.
+// lint:hot shared by the per-pair reference and the class-table bound,
+// once per bounded candidate; caller-provided scratch keeps it
+// allocation-free.
+fn module_sets_bound(
+    sides: &mut [f64],
+    na: usize,
+    normalization: Normalization,
+    pair: impl Fn(usize, usize) -> f64,
+) -> f64 {
+    let nb = sides.len() - na;
+    if na == 0 || nb == 0 {
+        // Exact: an empty side forces an empty mapping.
+        return match normalization {
+            Normalization::None => 0.0,
+            Normalization::SizeNormalized => jaccard_normalize(0.0, na, nb),
+        };
+    }
+    // Relax the one-to-one mapping two ways: each mapped pair's weight is
+    // at most its row's best pair bound *and* its column's best pair bound,
+    // and at most min(na, nb) pairs are mapped — so nnsim is at most the
+    // smaller of the two "sum of the top min(na, nb) per-side maxima"
+    // estimates.
+    sides.fill(0.0);
+    let (row_best, col_best) = sides.split_at_mut(na);
+    for (i, row) in row_best.iter_mut().enumerate() {
+        for (j, col) in col_best.iter_mut().enumerate() {
+            let ub = pair(i, j);
+            if ub > *row {
+                *row = ub;
+            }
+            if ub > *col {
+                *col = ub;
+            }
+        }
+    }
+    let mapped = na.min(nb);
+    // Admissibility slack: the bound and the exact score sum the same
+    // per-pair values in different orders (top-m of per-side maxima vs the
+    // mapping's pair order), so when they are mathematically equal the
+    // bound can round up to m·m ulps below the score and an exact top-k
+    // member would be pruned.  m²·ε of absolute slack on a sum of m
+    // unit-bounded terms dominates both the reordering error and per-pair
+    // rounding noise; `jaccard_normalize` is monotone in `nnsim` under IEEE
+    // rounding, so pre-normalization slack suffices.
+    let slack = (mapped * mapped) as f64 * f64::EPSILON;
+    let nnsim_bound = (top_m_sum(row_best, mapped).min(top_m_sum(col_best, mapped)) + slack)
+        .min(mapped as f64 + slack);
+    match normalization {
+        Normalization::None => nnsim_bound,
+        Normalization::SizeNormalized => jaccard_normalize(nnsim_bound, na, nb),
+    }
+}
+
+/// The per-pair reference bound keeps its per-side maxima on the stack up
+/// to this many modules per side (the demo corpora top out well below it;
+/// larger pairs fall back to a heap buffer).
 const STACK_MODULES: usize = 64;
 
 /// The dense class-pair similarity table of [`ProfiledMeasure::
 /// class_pair_table`]: `score(a, b)` is exactly the module-pair scheme
 /// similarity of any module of class `a` against any module of class `b`.
 pub struct ClassPairTable {
-    /// Interner class id → dense live slot (`u32::MAX` for stale classes
-    /// no surviving module carries — never looked up).
+    /// Class id → dense live slot (`u32::MAX` for free ids no surviving
+    /// module carries — never looked up).
     remap: Vec<u32>,
     /// Number of live classes (the side length of `scores`).
     count: usize,
@@ -1042,24 +1106,6 @@ fn module_class_key(module: &Module) -> String {
         }
     }
     key
-}
-
-/// Interns the class of every module of a (preprocessed) workflow.
-fn intern_module_classes(interner: &mut BTreeMap<String, u32>, workflow: &Workflow) -> Vec<u32> {
-    workflow
-        .modules
-        .iter()
-        .map(|module| {
-            let key = module_class_key(module);
-            if let Some(&id) = interner.get(&key) {
-                id
-            } else {
-                let id = interner.len() as u32;
-                interner.insert(key, id);
-                id
-            }
-        })
-        .collect()
 }
 
 /// Builds the full profile of one workflow against a measure and a shared
@@ -1172,31 +1218,41 @@ fn exact_rule(rule: &AttributeRule, ma: &Module, mb: &Module) -> f64 {
     }
 }
 
+/// `PreselectionStrategy::allows`, answered from cached features of two
+/// (module, profile) sides — the one predicate behind exact scoring, the
+/// per-pair bound and the class table.
+#[inline]
+fn preselects(
+    preselection: PreselectionStrategy,
+    (ma, fa): (&Module, &ModuleProfile),
+    (mb, fb): (&Module, &ModuleProfile),
+) -> bool {
+    match preselection {
+        PreselectionStrategy::AllPairs => true,
+        PreselectionStrategy::StrictType => ma.module_type == mb.module_type,
+        PreselectionStrategy::TypeEquivalence => fa.type_class == fb.type_class,
+    }
+}
+
 /// A cheap admissible upper bound on one module pair's scheme similarity:
 /// the same presence-weighted average, with each rule's comparison replaced
-/// by a dominating constant-time estimate.  The candidate side reads the
-/// structure-of-arrays [`BoundColumns`] at `slot` (its corpus-order module
-/// slot); the raw [`Module`] is only touched for `Exact*` rules.
-// lint:hot inner loop of module_sets_upper_bound; wfsim_lint forbids lock
-// acquisition and heap allocation here.
+/// by a dominating constant-time estimate.
+// lint:hot inner loop of the per-pair reference bound (and of the class
+// table build); wfsim_lint forbids lock acquisition and heap allocation.
 fn pair_upper_bound(
     rules: &[AttributeRule],
-    ma: &Module,
-    fa: &ModuleProfile,
-    mb: &Module,
-    cols: &BoundColumns,
-    slot: usize,
+    a: (&Module, &ModuleProfile),
+    b: (&Module, &ModuleProfile),
 ) -> f64 {
-    let presence_b = cols.presence[slot];
     let mut weight_sum = 0.0;
     let mut score_sum = 0.0;
     for rule in rules {
-        match (fa.has(rule.key), presence_has(presence_b, rule.key)) {
+        match (a.1.has(rule.key), b.1.has(rule.key)) {
             (false, false) => continue,
             (true, false) | (false, true) => weight_sum += rule.weight,
             (true, true) => {
                 weight_sum += rule.weight;
-                score_sum += rule.weight * rule_upper_bound(rule, ma, fa, mb, cols, slot);
+                score_sum += rule.weight * rule_upper_bound(rule, a, b);
             }
         }
     }
@@ -1207,17 +1263,12 @@ fn pair_upper_bound(
     }
 }
 
-/// One rule's dominating estimate, candidate side answered from the bound
-/// columns.  Each arm reads exactly the values the profile (AoS) variant
-/// read — the columns are verbatim copies — so the bound is bit-identical.
+/// One rule's dominating estimate.
 // lint:hot per-rule body of pair_upper_bound; alloc/lock-free.
 fn rule_upper_bound(
     rule: &AttributeRule,
-    ma: &Module,
-    fa: &ModuleProfile,
-    mb: &Module,
-    cols: &BoundColumns,
-    slot: usize,
+    (ma, fa): (&Module, &ModuleProfile),
+    (mb, fb): (&Module, &ModuleProfile),
 ) -> f64 {
     match rule.method {
         // Exact comparisons *are* cheap: the bound is the exact value.
@@ -1225,29 +1276,23 @@ fn rule_upper_bound(
         // Normalized edit distance is bounded through the character
         // signatures: `d >= max(|la - lb|, L1(histograms) / 2)`.
         ComparisonMethod::Levenshtein => match rule.key {
-            AttributeKey::Label => fa.label_sig.similarity_upper_bound(&cols.label_sig[slot]),
-            AttributeKey::Description => fa.desc_sig.similarity_upper_bound(&cols.desc_sig[slot]),
-            AttributeKey::Script => fa.script_sig.similarity_upper_bound(&cols.script_sig[slot]),
+            AttributeKey::Label => fa.label_sig.similarity_upper_bound(&fb.label_sig),
+            AttributeKey::Description => fa.desc_sig.similarity_upper_bound(&fb.desc_sig),
+            AttributeKey::Script => fa.script_sig.similarity_upper_bound(&fb.script_sig),
             _ => 1.0,
         },
         ComparisonMethod::LevenshteinIgnoreCase => match rule.key {
             AttributeKey::Label => fa
                 .label_lower_sig
-                .similarity_upper_bound(&cols.label_lower_sig[slot]),
+                .similarity_upper_bound(&fb.label_lower_sig),
             _ => 1.0,
         },
         // The merge over interned id sets is already cheap: the "bound" is
         // the exact token Jaccard (same kernel TokenIdSet::jaccard uses).
         ComparisonMethod::TokenJaccard => match rule.key {
-            AttributeKey::Label => {
-                jaccard_sorted(fa.label_tokens.ids(), cols.ids(cols.label_tokens[slot]))
-            }
-            AttributeKey::Description => {
-                jaccard_sorted(fa.desc_tokens.ids(), cols.ids(cols.desc_tokens[slot]))
-            }
-            AttributeKey::Script => {
-                jaccard_sorted(fa.script_tokens.ids(), cols.ids(cols.script_tokens[slot]))
-            }
+            AttributeKey::Label => jaccard_sorted(fa.label_tokens.ids(), fb.label_tokens.ids()),
+            AttributeKey::Description => jaccard_sorted(fa.desc_tokens.ids(), fb.desc_tokens.ids()),
+            AttributeKey::Script => jaccard_sorted(fa.script_tokens.ids(), fb.script_tokens.ids()),
             _ => 1.0,
         },
     }
@@ -1542,6 +1587,184 @@ mod tests {
         // Token ids are sorted and distinct.
         let tokens = profiled.label_token_ids(0);
         assert!(tokens.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// Every Module Sets configuration the bound must cover: the six
+    /// schemes × the three preselection strategies × both normalizations.
+    fn bound_configs() -> Vec<SimilarityConfig> {
+        let mut configs = Vec::new();
+        for config in all_scheme_configs() {
+            if config.preselection != PreselectionStrategy::AllPairs {
+                continue;
+            }
+            for preselection in [
+                PreselectionStrategy::AllPairs,
+                PreselectionStrategy::StrictType,
+                PreselectionStrategy::TypeEquivalence,
+            ] {
+                for normalization in [Normalization::None, Normalization::SizeNormalized] {
+                    let mut config = config.clone();
+                    config.preselection = preselection;
+                    config.normalization = normalization;
+                    configs.push(config);
+                }
+            }
+        }
+        configs
+    }
+
+    /// A query whose modules no resident carries: unseen labels, types,
+    /// scripts, descriptions and services, next to one familiar module.
+    fn unseen_query() -> Workflow {
+        WorkflowBuilder::new("unseen")
+            .module("zq unseen xylophone", ModuleType::RShell, |m| {
+                m.script("plot(zz); zq(1)").description("never described")
+            })
+            .module("kw lookup", ModuleType::RestService, |m| {
+                m.service("unseen.example", "kw_lookup", "http://unseen.example/kw")
+            })
+            .module("run_blast", ModuleType::WsdlService, |m| {
+                m.service("ebi.ac.uk", "blastp", "http://ebi.ac.uk/blast")
+            })
+            .link("zq unseen xylophone", "kw lookup")
+            .link("kw lookup", "run_blast")
+            .build()
+            .unwrap()
+    }
+
+    /// The class-table bound of `query` against every workflow of
+    /// `measure`, each compared by bits with the per-pair reference.
+    fn assert_table_bound_matches(measure: &ProfiledMeasure, query: &Workflow, what: &str) {
+        let query = measure.bind_query(&measure.query_features(query));
+        let mut table = measure
+            .class_bounds(&query)
+            .expect("module sets is bounded");
+        for candidate in 0..measure.len() {
+            let want = measure
+                .upper_bound_profile(&query, candidate)
+                .expect("module sets is bounded");
+            assert_eq!(
+                table.bound(candidate).to_bits(),
+                want.to_bits(),
+                "{what}: {} vs {}",
+                query.workflow().id,
+                measure.ids()[candidate]
+            );
+        }
+    }
+
+    #[test]
+    fn class_table_bound_is_bit_identical_to_the_pair_bound() {
+        let (workflows, _) =
+            wf_corpus::generate_taverna_corpus(&wf_corpus::TavernaCorpusConfig::small(32, 11));
+        let (residents, strangers) = workflows.split_at(26);
+        let mut externals = strangers.to_vec();
+        externals.push(unseen_query());
+        externals.extend(corpus());
+        for config in bound_configs() {
+            let name = format!("{} {:?}", config.name(), config.normalization);
+            let mut measure = ProfiledMeasure::new(config, residents);
+            for query in residents {
+                assert_table_bound_matches(&measure, query, &format!("{name} resident"));
+            }
+            for query in &externals {
+                assert_table_bound_matches(&measure, query, &format!("{name} external"));
+            }
+            // Churn: removals free the classes only they held, and the
+            // additions that follow reuse those ids.
+            for at in [20, 7, 0] {
+                measure.remove_workflow(at);
+            }
+            assert!(!measure.classes.free.is_empty(), "{name}: no class died");
+            for query in residents.iter().step_by(5) {
+                assert_table_bound_matches(&measure, query, &format!("{name} churned"));
+            }
+            for wf in &externals {
+                measure.add_workflow(wf);
+            }
+            for query in residents.iter().step_by(5).chain(&externals) {
+                assert_table_bound_matches(&measure, query, &format!("{name} re-added"));
+            }
+        }
+    }
+
+    #[test]
+    fn churned_classes_match_a_rebuild_and_free_their_ids() {
+        let (workflows, _) =
+            wf_corpus::generate_taverna_corpus(&wf_corpus::TavernaCorpusConfig::small(30, 5));
+        let config = SimilarityConfig::best_module_sets();
+        let mut measure = ProfiledMeasure::new(config.clone(), &workflows[..24]);
+        for at in [23, 11, 2, 2] {
+            measure.remove_workflow(at);
+        }
+        for wf in &workflows[24..] {
+            measure.add_workflow(wf);
+        }
+        let survivors: Vec<Workflow> = measure
+            .profiles()
+            .iter()
+            .map(|p| {
+                workflows
+                    .iter()
+                    .find(|wf| wf.id == p.workflow().id)
+                    .expect("every resident came from the corpus")
+                    .clone()
+            })
+            .collect();
+        let rebuilt = ProfiledMeasure::new(config, &survivors);
+        let classes = &measure.classes;
+        assert_eq!(classes.live().count(), rebuilt.classes.live().count());
+        assert_eq!(classes.interner.len(), classes.live().count());
+        assert_eq!(
+            classes.reps.len(),
+            classes.live().count() + classes.free.len(),
+            "every class id is live or free"
+        );
+        assert_eq!(classes.starts, rebuilt.classes.starts);
+        // Same partition of module slots into classes, up to relabeling.
+        let mut relabel = BTreeMap::new();
+        for (&a, &b) in classes.slot_class.iter().zip(&rebuilt.classes.slot_class) {
+            assert_eq!(*relabel.entry(a).or_insert(b), b, "class {a} split");
+        }
+        let live: usize = classes.live().map(|(_, rep)| rep.live as usize).sum();
+        assert_eq!(live, classes.slot_class.len());
+    }
+
+    #[test]
+    fn class_pair_table_from_representatives_matches_every_module_pair() {
+        let (workflows, _) =
+            wf_corpus::generate_taverna_corpus(&wf_corpus::TavernaCorpusConfig::small(18, 3));
+        for config in all_scheme_configs() {
+            let name = config.name();
+            let mut measure = ProfiledMeasure::new(config, &workflows[..15]);
+            measure.remove_workflow(4);
+            measure.remove_workflow(0);
+            for wf in &workflows[15..] {
+                measure.add_workflow(wf);
+            }
+            let table = measure.class_pair_table();
+            assert_eq!(table.class_count(), measure.classes.live().count());
+            for a in 0..measure.len() {
+                for b in 0..measure.len() {
+                    let (pa, pb) = (measure.profile(a), measure.profile(b));
+                    let (ca, cb) = (measure.classes.of(a), measure.classes.of(b));
+                    for (i, &class_a) in ca.iter().enumerate() {
+                        for (j, &class_b) in cb.iter().enumerate() {
+                            assert_eq!(
+                                table.score(class_a, class_b).to_bits(),
+                                measure.pair_similarity(pa.side(i), pb.side(j)).to_bits(),
+                                "{name}: ({a}, {i}) vs ({b}, {j})"
+                            );
+                        }
+                    }
+                    assert_eq!(
+                        measure.score_indexed_cached(&table, a, b).to_bits(),
+                        measure.score_indexed(a, b).to_bits(),
+                        "{name}: {a} vs {b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * [`ShardedCorpus`] — N shards, each a complete [`Corpus`] owning its
 //!   own pool, profiles and token index; workflows are routed to shards by
 //!   id ([`ShardPartition`]).  A top-k query **scatters** by building one
-//!   ranked candidate *cursor* per shard (the shard's candidates in the
-//!   engine's canonical best-bound-first order, nothing scored yet), then
+//!   candidate *cursor* per shard (the shard's candidates with their
+//!   bounds, read from a per-query class table; nothing scored yet), then
 //!   runs **one global best-bound-first scan** over the cursors merged by
 //!   a [`RankedFrontier`](wf_repo::RankedFrontier): the scan always scores
 //!   the globally best-bound candidate and tightens a single shared
@@ -57,8 +57,8 @@ use shuttle_mini::sync::{Mutex, RwLock, RwLockReadGuard};
 
 use wf_model::{Workflow, WorkflowId};
 use wf_repo::{
-    merge_top_k, scan_ranked_candidates, sort_best_bound_first, CancelToken, RankedCandidate,
-    RankedFrontier, SearchHit, SearchStats, SearchThreshold,
+    merge_top_k, scan_ranked_candidates, CancelToken, RankedCandidate, RankedFrontier, SearchHit,
+    SearchStats, SearchThreshold,
 };
 
 use crate::config::SimilarityConfig;
@@ -778,29 +778,22 @@ impl Error for ShardSnapshotError {
     }
 }
 
-/// One shard's *cursor* of a global best-bound-first search: the query
-/// bound to this shard's pool plus the shard's candidates ranked exactly
-/// as [`wf_repo::IndexedSearchEngine`] would rank them — but *not* yet
-/// scored.  The scatter loop merges these cursors through a
-/// [`RankedFrontier`] and runs one global scan over the merged stream.
+/// Builds one shard's *cursor* of a global best-bound-first search: binds
+/// the query to the shard's pool, counts label-token overlaps through the
+/// inverted index and bounds every candidate (admissible, `INFINITY` when
+/// unboundable) from the shard's per-query class table
+/// ([`ProfiledMeasure::class_bounds`]) — bit-identical to the per-pair
+/// bound of [`wf_repo::IndexedSearchEngine`].  Returns the bound query and
+/// the candidates in corpus order, neither sorted nor scored; the scatter
+/// loop merges the cursors through a [`RankedFrontier`].
 ///
 /// Candidate indices are pre-encoded for the frontier: a local corpus
 /// index `local` of cursor `front` (of `num_fronts` total) is stored as
 /// `local * num_fronts + front`, which keeps the encoding monotone in
 /// `local` — so the per-cursor [`sort_best_bound_first`] tie order is the
 /// same order the un-encoded local indices would produce.
-struct ShardCursor {
-    /// The query profile bound against this shard's pool.
-    query: WorkflowProfile,
-    /// The shard's candidates in best-bound-first order, frontier-encoded.
-    candidates: Vec<RankedCandidate>,
-}
-
-/// Builds one shard's ranked cursor: bind the query, count label-token
-/// overlaps through the inverted index, bound every candidate (admissible,
-/// `INFINITY` when unboundable) and sort best-bound-first.  Enumeration
-/// and bounds are exactly those of the single-corpus engine's
-/// `ranked_candidates`.
+///
+/// [`sort_best_bound_first`]: wf_repo::sort_best_bound_first
 fn shard_cursor(
     corpus: &Corpus,
     features: &QueryFeatures,
@@ -808,23 +801,26 @@ fn shard_cursor(
     front: usize,
     num_fronts: usize,
     stats: &mut SearchStats,
-) -> ShardCursor {
+) -> (WorkflowProfile, Vec<RankedCandidate>) {
     let measure: &ProfiledMeasure = corpus.measure();
     let query: WorkflowProfile = measure.bind_query(features);
     let overlaps = corpus
         .token_index()
         .overlap_counts(query.label_tokens().ids());
+    // Corpus ids are unique, so the excluded id is at most one index.
+    let excluded = measure.index_of(exclude);
+    let mut bounds = measure.class_bounds(&query);
     let mut candidates: Vec<RankedCandidate> = Vec::with_capacity(measure.len());
     for (index, &overlap) in overlaps.iter().enumerate() {
-        if measure.ids()[index] == *exclude {
+        if Some(index) == excluded {
             continue;
         }
         if overlap > 0 {
             stats.shared_token_candidates += 1;
         }
-        let bound = measure
-            .upper_bound_profile(&query, index)
-            .unwrap_or(f64::INFINITY);
+        let bound = bounds
+            .as_mut()
+            .map_or(f64::INFINITY, |bounds| bounds.bound(index));
         candidates.push(RankedCandidate {
             index: index * num_fronts + front,
             bound,
@@ -832,8 +828,7 @@ fn shard_cursor(
         });
     }
     stats.candidates += candidates.len();
-    sort_best_bound_first(&mut candidates);
-    ShardCursor { query, candidates }
+    (query, candidates)
 }
 
 /// The outcome of every sharded search: hits, stats, per-shard answered
@@ -894,21 +889,22 @@ fn frontier_scan(
     stats: &mut SearchStats,
 ) -> Vec<SearchHit> {
     let num_fronts = fronts.len();
-    let mut cursors: Vec<ShardCursor> = Vec::with_capacity(num_fronts);
+    let mut queries: Vec<WorkflowProfile> = Vec::with_capacity(num_fronts);
+    let mut lists: Vec<Vec<RankedCandidate>> = Vec::with_capacity(num_fronts);
     let mut measures: Vec<&ProfiledMeasure> = Vec::with_capacity(num_fronts);
     for (front, corpus) in fronts.iter().enumerate() {
-        cursors.push(shard_cursor(
-            corpus, features, exclude, front, num_fronts, stats,
-        ));
+        let (query, candidates) = shard_cursor(corpus, features, exclude, front, num_fronts, stats);
+        queries.push(query);
+        lists.push(candidates);
         measures.push(corpus.measure());
     }
     // Every candidate index was encoded as `local * num_fronts + front`
     // by `shard_cursor`, monotone in `local` for a fixed front, so each
     // cursor's canonical tie order survives the merge.
-    let frontier = RankedFrontier::new(cursors.iter().map(|c| c.candidates.as_slice()).collect());
+    let frontier = RankedFrontier::new(lists);
     let total = frontier.total();
     scan_ranked_candidates(
-        &frontier,
+        frontier,
         total,
         k,
         threshold,
@@ -916,7 +912,7 @@ fn frontier_scan(
         stats,
         |encoded| {
             let (front, local) = (encoded % num_fronts, encoded / num_fronts);
-            measures[front].score_profile(&cursors[front].query, local)
+            measures[front].score_profile(&queries[front], local)
         },
         |encoded| {
             let (front, local) = (encoded % num_fronts, encoded / num_fronts);
