@@ -21,7 +21,6 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use serde::{Deserialize, Serialize};
 use wf_model::WorkflowId;
 
 use crate::search::{hit_ordering, merge_top_k, SearchHit, SearchThreshold, TopK};
@@ -153,44 +152,6 @@ impl TokenIndex {
         }
         self.postings.retain(|_, list| !list.is_empty());
         self.workflows -= 1;
-    }
-}
-
-// `BTreeMap<u32, _>` has no vendored-serde impl (JSON object keys are
-// strings), so the index serializes by hand as parallel token/posting-list
-// arrays plus the workflow count.
-impl Serialize for TokenIndex {
-    fn serialize_value(&self) -> serde::Value {
-        let tokens: Vec<u32> = self.postings.keys().copied().collect();
-        let lists: Vec<&[u32]> = self.postings.values().map(Vec::as_slice).collect();
-        serde::Value::Object(vec![
-            ("tokens".to_string(), tokens.serialize_value()),
-            ("postings".to_string(), lists.serialize_value()),
-            ("workflows".to_string(), self.workflows.serialize_value()),
-        ])
-    }
-}
-
-impl Deserialize for TokenIndex {
-    fn deserialize_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            value
-                .get_field(name)
-                .ok_or_else(|| serde::Error::missing_field("TokenIndex", name))
-        };
-        let tokens = Vec::<u32>::deserialize_value(field("tokens")?)?;
-        let lists = Vec::<Vec<u32>>::deserialize_value(field("postings")?)?;
-        if tokens.len() != lists.len() {
-            return Err(serde::Error(format!(
-                "token/posting arity mismatch: {} tokens, {} posting lists",
-                tokens.len(),
-                lists.len()
-            )));
-        }
-        Ok(TokenIndex {
-            postings: tokens.into_iter().zip(lists).collect(),
-            workflows: usize::deserialize_value(field("workflows")?)?,
-        })
     }
 }
 
@@ -758,15 +719,6 @@ mod tests {
         for query in 0..scorer.corpus_len() {
             assert_eq!(external.top_k(query, 3), built.top_k(query, 3));
         }
-    }
-
-    #[test]
-    fn token_index_serde_roundtrip() {
-        let scorer = corpus();
-        let index = TokenIndex::build(&scorer);
-        let value = serde::Serialize::serialize_value(&index);
-        let back: TokenIndex = serde::Deserialize::deserialize_value(&value).unwrap();
-        assert_eq!(back, index);
     }
 
     #[test]

@@ -9,11 +9,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wf_model::ModuleType;
 
 /// A coarse technical class of module types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TypeClass {
     /// Remote (web) service invocations of any flavour.
     WebService,

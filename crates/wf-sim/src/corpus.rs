@@ -19,17 +19,23 @@
 //!   profiles and inverted index in sync without a rebuild, and the mutated
 //!   corpus answers every query exactly like a from-scratch rebuild over
 //!   the surviving workflows;
-//! * **snapshot persistence** — [`Corpus::save`] / [`Corpus::load`]
-//!   serialize the *built* state (pool, profiles, index — not just the raw
-//!   workflows), so a serving process starts by deserializing instead of
-//!   re-profiling; a version + checksum + config-fingerprint header makes
-//!   [`Corpus::load_or_build`] fall back to a clean rebuild whenever the
-//!   snapshot does not match the binary or the requested measure.
+//! * **snapshot persistence** — [`Corpus::save`] / [`Corpus::load`] keep
+//!   only the original workflows, in corpus order, and a load runs
+//!   [`Corpus::build`] over them: profiling the workflows again is cheaper
+//!   than decoding a serialized pool, profiles and index.  A version +
+//!   checksum + config-fingerprint header makes [`Corpus::load_or_build`]
+//!   fall back to a clean rebuild whenever the snapshot does not match the
+//!   binary or the requested measure, and a save replaces the old file
+//!   atomically (temp file, fsync, rename), so a crash leaves the old
+//!   snapshot or the new one.
 
-use std::collections::BTreeMap;
+#[cfg(test)]
+use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
-use std::io;
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
@@ -38,21 +44,21 @@ use wf_repo::{
     merge_top_k, CancelToken, CorpusScorer, IndexedSearchEngine, SearchHit, SearchStats,
     SearchThreshold, TokenIndex,
 };
-use wf_text::StringPool;
 
 use crate::config::SimilarityConfig;
-use crate::pipeline::WorkflowSimilarity;
-use crate::profile::{ClassPairTable, ProfiledMeasure, WorkflowProfile};
+use crate::profile::{ClassPairTable, ProfiledMeasure};
 use crate::shard::drain_shard;
 
 /// First token of a snapshot header line; anything else is not a snapshot.
 pub const SNAPSHOT_MAGIC: &str = "wfsim-corpus-snapshot";
 
-/// Version of the snapshot layout.  Bumped whenever the serialized shape of
-/// the pool, the profiles or the index changes; older snapshots then fail
+/// Version of the snapshot layout.  Bumped whenever the header or the
+/// serialized body changes shape; older snapshots then fail
 /// [`Corpus::load`] with [`SnapshotError::VersionMismatch`] and
-/// [`Corpus::load_or_build`] rebuilds cleanly.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// [`Corpus::load_or_build`] rebuilds cleanly.  Version 1 serialized the
+/// pool, profiles and index; version 2 holds only the workflows and a
+/// generation number in the header.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A similarity-search corpus: workflows plus every derived, shared,
 /// corpus-resident structure of one configured measure.
@@ -248,27 +254,31 @@ impl Corpus {
         (merge_top_k([hits], k), stats)
     }
 
-    /// Serializes the built corpus — workflows, pool, profiles, index —
-    /// with a `magic version checksum config` header line in front of a
-    /// single-line JSON body.
+    /// Serializes the corpus's original workflows, in corpus order, with a
+    /// `magic version generation checksum config` header line in front of a
+    /// single-line JSON body.  The generation is 0; sharded saves stamp
+    /// theirs (see [`crate::ShardedCorpus::save`]).
     pub fn to_snapshot_string(&self) -> String {
+        self.snapshot_string(0)
+    }
+
+    /// [`Corpus::to_snapshot_string`] stamped with `generation`.
+    pub(crate) fn snapshot_string(&self, generation: u64) -> String {
         let snapshot = CorpusSnapshot {
             workflows: self.originals.clone(),
-            pool: self.measure.pool().strings().to_vec(),
-            profiles: self.measure.profiles().to_vec(),
-            index: self.index.clone(),
         };
         let body = serde_json::to_string(&snapshot).expect("snapshot serialization cannot fail");
         format!(
-            "{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION} fnv64={:016x} config={}\n{body}",
+            "{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION} gen={generation} fnv64={:016x} config={}\n{body}",
             fnv1a64(body.as_bytes()),
             config_fingerprint(self.config()),
         )
     }
 
-    /// Writes [`Corpus::to_snapshot_string`] to a file.
+    /// Writes [`Corpus::to_snapshot_string`] to a file atomically: a crash
+    /// leaves either the previous file or the new one at `path`.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.to_snapshot_string())
+        write_atomic(path.as_ref(), self.to_snapshot_string().as_bytes(), &mut 0)
     }
 
     /// Restores a corpus from a snapshot file.  The snapshot must carry the
@@ -283,10 +293,22 @@ impl Corpus {
 
     /// [`Corpus::load`] over an in-memory snapshot string.
     pub fn from_snapshot_str(text: &str, config: SimilarityConfig) -> Result<Self, SnapshotError> {
+        Corpus::decode_snapshot(text, config, None)
+    }
+
+    /// Checks a snapshot's header (and its generation, when one is
+    /// expected), then decodes its workflows and runs [`Corpus::build`]
+    /// over them.  A body holding one id twice is malformed: no saved
+    /// corpus does, and the build would drop one.
+    pub(crate) fn decode_snapshot(
+        text: &str,
+        config: SimilarityConfig,
+        generation: Option<u64>,
+    ) -> Result<Self, SnapshotError> {
         let (header, body) = text
             .split_once('\n')
             .ok_or_else(|| SnapshotError::Format("missing header line".to_string()))?;
-        let mut parts = header.splitn(4, ' ');
+        let mut parts = header.splitn(5, ' ');
         let magic = parts.next().unwrap_or_default();
         if magic != SNAPSHOT_MAGIC {
             return Err(SnapshotError::Format(format!(
@@ -298,6 +320,14 @@ impl Corpus {
             return Err(SnapshotError::VersionMismatch {
                 found: version.to_string(),
             });
+        }
+        let found = parts
+            .next()
+            .and_then(|f| f.strip_prefix("gen="))
+            .and_then(|n| n.parse().ok())
+            .ok_or_else(|| SnapshotError::Format("malformed generation field".to_string()))?;
+        if let Some(expected) = generation.filter(|&expected| expected != found) {
+            return Err(SnapshotError::GenerationMismatch { expected, found });
         }
         let checksum = parts
             .next()
@@ -320,28 +350,14 @@ impl Corpus {
         }
         let snapshot: CorpusSnapshot =
             serde_json::from_str(body).map_err(|e| SnapshotError::Parse(e.to_string()))?;
-        if snapshot.workflows.len() != snapshot.profiles.len()
-            || snapshot.index.workflow_count() != snapshot.workflows.len()
-        {
+        let mut ids = BTreeSet::new();
+        if let Some(wf) = snapshot.workflows.iter().find(|wf| !ids.insert(&wf.id)) {
             return Err(SnapshotError::Format(format!(
-                "inconsistent snapshot: {} workflows, {} profiles, {} indexed",
-                snapshot.workflows.len(),
-                snapshot.profiles.len(),
-                snapshot.index.workflow_count()
+                "workflow id {} appears twice",
+                wf.id
             )));
         }
-        let ids = snapshot.workflows.iter().map(|wf| wf.id.clone()).collect();
-        let measure = ProfiledMeasure::from_parts(
-            WorkflowSimilarity::new(config),
-            StringPool::from_strings(snapshot.pool),
-            ids,
-            snapshot.profiles,
-        );
-        Ok(Corpus {
-            originals: snapshot.workflows,
-            measure,
-            index: snapshot.index,
-        })
+        Ok(Corpus::build(config, snapshot.workflows))
     }
 
     /// Loads the snapshot at `path` if it is present, intact and was built
@@ -417,6 +433,14 @@ pub enum SnapshotError {
         /// The version token found in the header.
         found: String,
     },
+    /// The snapshot was written by another save than the one expected (a
+    /// shard file whose sharded save never committed its manifest).
+    GenerationMismatch {
+        /// The generation expected.
+        expected: u64,
+        /// The generation in the header.
+        found: u64,
+    },
     /// The body does not hash to the checksum in the header.
     ChecksumMismatch,
     /// The snapshot was built for a different similarity configuration.
@@ -439,6 +463,9 @@ impl fmt::Display for SnapshotError {
                 f,
                 "snapshot version {found} != supported v{SNAPSHOT_VERSION}"
             ),
+            SnapshotError::GenerationMismatch { expected, found } => {
+                write!(f, "snapshot generation {found}, expected {expected}")
+            }
             SnapshotError::ChecksumMismatch => f.write_str("snapshot checksum mismatch"),
             SnapshotError::ConfigMismatch { expected, found } => {
                 write!(f, "snapshot built for {found}, requested {expected}")
@@ -450,13 +477,53 @@ impl fmt::Display for SnapshotError {
 
 impl Error for SnapshotError {}
 
-/// The serialized body of a snapshot.
+/// The serialized body of a snapshot: the original workflows, in corpus
+/// order.  Everything else is rebuilt on load.
 #[derive(Serialize, Deserialize)]
 struct CorpusSnapshot {
     workflows: Vec<Workflow>,
-    pool: Vec<String>,
-    profiles: Vec<WorkflowProfile>,
-    index: TokenIndex,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The write step this thread's saves fail at, counted from 1 (`None`:
+    /// no failure) — the seam of the crash-safety tests.
+    pub(crate) static FAIL_AT_STEP: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Starts the next write step of a save — a temp-file write, fsync or
+/// rename, or a directory sync — counting it in `taken`.  Under test,
+/// fails the step [`FAIL_AT_STEP`] names before it touches the disk.
+fn write_step(taken: &mut usize) -> io::Result<()> {
+    *taken += 1;
+    #[cfg(test)]
+    if FAIL_AT_STEP.with(Cell::get) == Some(*taken) {
+        return Err(io::Error::other("injected save failure"));
+    }
+    Ok(())
+}
+
+/// Replaces `path` with `bytes` atomically: writes a temp file next to it,
+/// fsyncs it, then renames it over `path`, so a crash leaves the old file
+/// or the new one, never a torn one.  `steps` counts the write steps.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8], steps: &mut usize) -> io::Result<()> {
+    let mut temp = path.as_os_str().to_owned();
+    temp.push(".tmp");
+    let mut file = File::create(&temp)?;
+    // A cut here leaves an empty temp file, as a crash before the write.
+    write_step(steps)?;
+    file.write_all(bytes)?;
+    write_step(steps)?;
+    file.sync_all()?;
+    write_step(steps)?;
+    std::fs::rename(&temp, path)
+}
+
+/// Makes the renames done so far in `dir` durable, so a crash cannot keep
+/// a later rename and lose an earlier one.
+pub(crate) fn sync_dir(dir: &Path, steps: &mut usize) -> io::Result<()> {
+    write_step(steps)?;
+    File::open(dir)?.sync_all()
 }
 
 /// A space-free, human-readable identity of every configuration knob that
@@ -632,7 +699,10 @@ mod tests {
             Err(SnapshotError::ChecksumMismatch)
         ));
 
-        let old = text.replacen("v1 ", "v0 ", 1);
+        let current = format!("{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION} ");
+        let older = format!("{SNAPSHOT_MAGIC} v{} ", SNAPSHOT_VERSION - 1);
+        assert!(text.starts_with(&current));
+        let old = text.replacen(&current, &older, 1);
         assert!(matches!(
             Corpus::from_snapshot_str(&old, config()),
             Err(SnapshotError::VersionMismatch { .. })
@@ -647,6 +717,94 @@ mod tests {
             Corpus::from_snapshot_str("junk", config()),
             Err(SnapshotError::Format(_))
         ));
+    }
+
+    #[test]
+    fn snapshot_with_a_duplicate_id_is_malformed() {
+        let corpus = Corpus::build(config(), sample());
+        let text = corpus.to_snapshot_string();
+        let (header, body) = text.split_once('\n').unwrap();
+        let body = body.replacen("\"id\":\"b\"", "\"id\":\"a\"", 1);
+        assert_ne!(
+            body,
+            text.split_once('\n').unwrap().1,
+            "fixture edits an id"
+        );
+        let checksum = header.split(' ').find(|f| f.starts_with("fnv64=")).unwrap();
+        let header = header.replace(
+            checksum,
+            &format!("fnv64={:016x}", fnv1a64(body.as_bytes())),
+        );
+        match Corpus::from_snapshot_str(&format!("{header}\n{body}"), config()) {
+            Err(SnapshotError::Format(why)) => assert!(why.contains("twice"), "{why}"),
+            other => panic!(
+                "expected a duplicate-id format error, got {:?}",
+                other.err()
+            ),
+        }
+    }
+
+    /// A snapshot holds the originals only, so a loaded corpus is the one
+    /// `Corpus::build` makes over them.  After churn, its token ids may
+    /// differ from the churned corpus's, but no hit may: ids, score bits
+    /// and tie order stay identical for every scheme.
+    #[test]
+    fn loaded_churned_corpus_equals_a_build_and_searches_bit_identically() {
+        for config in [
+            SimilarityConfig::best_module_sets(),
+            SimilarityConfig::module_sets_default(),
+            SimilarityConfig::best_path_sets(),
+            SimilarityConfig::graph_edit_default(),
+            SimilarityConfig::bag_of_words(),
+            SimilarityConfig::bag_of_tags(),
+        ] {
+            let name = config.name();
+            let mut churned = Corpus::build(config.clone(), sample());
+            churned.remove(&"b".into());
+            churned.add(wf("f", &["run blast", "plot hits"]));
+            churned.add(wf("a", &["fetch sequence", "cluster genes"]));
+            churned.remove(&"e".into());
+            churned.add(wf("g", &["render report"]));
+            let loaded =
+                Corpus::from_snapshot_str(&churned.to_snapshot_string(), config.clone()).unwrap();
+            let built = Corpus::build(config, churned.workflows().to_vec());
+            assert_eq!(loaded.workflows(), built.workflows(), "{name}");
+            assert_eq!(loaded.ids(), built.ids(), "{name}");
+            assert_eq!(loaded.ids(), churned.ids(), "{name}");
+            for query in 0..churned.len() {
+                let expected = churned.top_k_index(query, churned.len());
+                let got = loaded.top_k_index(query, loaded.len());
+                assert_eq!(got.len(), expected.len(), "{name}, query {query}");
+                for (g, e) in got.iter().zip(&expected) {
+                    assert_eq!(g.id, e.id, "{name}, query {query}");
+                    assert_eq!(g.score.to_bits(), e.score.to_bits(), "{name}, {}", g.id);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn save_replaces_the_file_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join("wfsim-corpus-atomic-save-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("corpus.snap");
+        Corpus::build(config(), sample()).save(&path).unwrap();
+        let smaller = Corpus::build(config(), sample().into_iter().take(2));
+        smaller.save(&path).unwrap();
+        assert_eq!(Corpus::load(&path, config()).unwrap().ids(), smaller.ids());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["corpus.snap"]);
+        // A save that fails before its rename keeps the previous file.
+        FAIL_AT_STEP.with(|step| step.set(Some(3)));
+        let failed = Corpus::build(config(), sample()).save(&path);
+        FAIL_AT_STEP.with(|step| step.set(None));
+        assert!(failed.is_err());
+        assert_eq!(Corpus::load(&path, config()).unwrap().ids(), smaller.ids());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

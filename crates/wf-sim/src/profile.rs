@@ -41,7 +41,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use wf_matching::{map_with, SimilarityMatrix};
 use wf_model::{AttributeKey, Module, ModuleId, Workflow, WorkflowId};
 use wf_repo::{CorpusScorer, PreselectionStrategy, TypeClass};
@@ -63,7 +62,7 @@ use crate::normalize::jaccard_normalize;
 use crate::pipeline::WorkflowSimilarity;
 
 /// Derived, comparison-ready features of one module.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModuleProfile {
     /// The label lowercased once (Unicode `to_lowercase`, exactly as the
     /// case-insensitive comparison methods do per call).
@@ -299,7 +298,7 @@ fn text_chars(text: Option<&str>) -> u32 {
 }
 
 /// All precomputed state of one corpus workflow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkflowProfile {
     /// The workflow *after* the configured preprocessing (Importance
     /// Projection applied once, not once per comparison).  Shared, not
@@ -355,9 +354,8 @@ impl WorkflowProfile {
 /// every table over them stay bounded by the live corpus under churn.  The
 /// per-slot column is CSR-style: workflow `w`'s modules (aligned with its
 /// preprocessed module list) occupy slots `starts[w]..starts[w + 1]`.
-/// Derived state: rebuilt from the profiles on snapshot load, never
-/// serialized.  Adding or removing a workflow touches only its own
-/// modules' classes.
+/// Derived state, built with the profiles.  Adding or removing a
+/// workflow touches only its own modules' classes.
 struct ModuleClasses {
     /// Exact class key → class id, for live classes only.
     interner: BTreeMap<String, u32>,
@@ -502,45 +500,6 @@ impl ProfiledMeasure {
             profiles.push(profile);
             ids.push(wf.id.clone());
             id_index.insert(wf.id.clone(), i);
-        }
-        ProfiledMeasure {
-            inner,
-            pool,
-            ids,
-            id_index,
-            profiles,
-            classes,
-        }
-    }
-
-    /// Reassembles a measure from precomputed parts — the snapshot-loading
-    /// path: `pool` must be the pool every token id in `profiles` was
-    /// interned into, and `profiles[i]` must be the profile of the workflow
-    /// with id `ids[i]`.
-    ///
-    /// # Panics
-    /// Panics when `ids` and `profiles` disagree in length.
-    pub fn from_parts(
-        inner: WorkflowSimilarity,
-        pool: StringPool,
-        ids: Vec<WorkflowId>,
-        profiles: Vec<WorkflowProfile>,
-    ) -> Self {
-        assert_eq!(
-            ids.len(),
-            profiles.len(),
-            "every profiled workflow needs exactly one id"
-        );
-        let id_index = ids
-            .iter()
-            .enumerate()
-            .map(|(i, id)| (id.clone(), i))
-            .collect();
-        // The class assignment is derived state: rebuild it from the
-        // (preprocessed) profile workflows instead of serializing it.
-        let mut classes = ModuleClasses::new();
-        for profile in &profiles {
-            classes.push_workflow(profile);
         }
         ProfiledMeasure {
             inner,

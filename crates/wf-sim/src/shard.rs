@@ -46,7 +46,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 // Model-checkable lock shims: plain `std::sync` locks outside a model run,
@@ -62,14 +62,15 @@ use wf_repo::{
 };
 
 use crate::config::SimilarityConfig;
-use crate::corpus::{config_fingerprint, fnv1a64, Corpus, SnapshotError};
+use crate::corpus::{config_fingerprint, fnv1a64, sync_dir, write_atomic, Corpus, SnapshotError};
 use crate::profile::{ProfiledMeasure, QueryFeatures, WorkflowProfile};
 
 /// First token of a shard-manifest header line.
 pub const SHARD_MANIFEST_MAGIC: &str = "wfsim-shard-manifest";
 
-/// Version of the shard-manifest layout.
-pub const SHARD_MANIFEST_VERSION: u32 = 1;
+/// Version of the shard-manifest layout.  Version 2 added the generation
+/// number that ties the manifest to its shard files.
+pub const SHARD_MANIFEST_VERSION: u32 = 2;
 
 /// The file a [`ShardedCorpus::save`] directory's manifest is written to.
 pub const SHARD_MANIFEST_FILE: &str = "manifest";
@@ -180,19 +181,64 @@ fn shard_file_name(shard: usize) -> String {
     format!("shard-{shard:03}.snap")
 }
 
-/// The one manifest header both save paths write and
-/// [`ShardedCorpus::load`] parses — any new field must be added here and
-/// in the parser, never in a per-caller copy.
+/// The one manifest header the sharded writer ([`save_shards`]) writes
+/// and [`ShardedCorpus::load`] parses — any new field must be added here
+/// and in the parser, never in a per-caller copy.
 fn manifest_line(
+    generation: u64,
     shards: usize,
     partition: ShardPartition,
     next_rr: usize,
     config: &SimilarityConfig,
 ) -> String {
     format!(
-        "{SHARD_MANIFEST_MAGIC} v{SHARD_MANIFEST_VERSION} shards={shards} partition={partition} next={next_rr} config={}\n",
+        "{SHARD_MANIFEST_MAGIC} v{SHARD_MANIFEST_VERSION} gen={generation} shards={shards} partition={partition} next={next_rr} config={}\n",
         config_fingerprint(config),
     )
+}
+
+/// The one sharded snapshot writer, behind both [`ShardedCorpus::save`]
+/// and [`CorpusService::save`].  Every file is replaced atomically (temp
+/// file, fsync, rename), the shard files first and the manifest last, all
+/// stamped with one new generation: the manifest's rename commits the
+/// save.  A crash before it leaves the previous manifest, which either
+/// still matches every shard file or finds one stamped with the new
+/// generation and fails the load with [`SnapshotError::GenerationMismatch`].
+/// A load therefore sees the old save, the new one, or a typed error that
+/// [`ShardedCorpus::load_or_build`] rebuilds from — never a mix.
+fn save_shards<R: std::ops::Deref<Target = Corpus>>(
+    dir: &Path,
+    partition: ShardPartition,
+    next_rr: usize,
+    config: &SimilarityConfig,
+    shard_count: usize,
+    mut shard_at: impl FnMut(usize) -> R,
+) -> io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    // A previous manifest without a readable generation cannot load, so
+    // any generation is new to it.
+    let generation = std::fs::read_to_string(dir.join(SHARD_MANIFEST_FILE))
+        .ok()
+        .and_then(|text| {
+            text.split(' ')
+                .find_map(|f| f.strip_prefix("gen=")?.parse().ok())
+        })
+        .map_or(1, |previous: u64| previous.wrapping_add(1));
+    let mut steps = 0;
+    for i in 0..shard_count {
+        // The shard (and its read lock) is released before the write.
+        let text = shard_at(i).snapshot_string(generation);
+        write_atomic(&dir.join(shard_file_name(i)), text.as_bytes(), &mut steps)?;
+    }
+    // The shard renames must be durable before the manifest's.
+    sync_dir(dir, &mut steps)?;
+    let manifest = manifest_line(generation, shard_count, partition, next_rr, config);
+    write_atomic(
+        &dir.join(SHARD_MANIFEST_FILE),
+        manifest.as_bytes(),
+        &mut steps,
+    )?;
+    sync_dir(dir, &mut steps)
 }
 
 /// A corpus partitioned across N independent shards with scatter-gather
@@ -534,32 +580,30 @@ impl ShardedCorpus {
         Some(self.scatter(&features, query, k, cancel))
     }
 
-    /// Writes one snapshot file per shard plus a manifest into `dir`
+    /// Writes one snapshot file per shard, then a manifest, into `dir`
     /// (created if absent).  Shard snapshots are the versioned, checksummed
-    /// [`Corpus::save`] format; the manifest records shard count, partition
-    /// and config fingerprint.
+    /// [`Corpus::save`] format; the manifest records the save's generation,
+    /// shard count, partition and config fingerprint, and its atomic
+    /// rename commits the save.
     pub fn save(&self, dir: impl AsRef<Path>) -> io::Result<()> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let manifest = manifest_line(
-            self.shards.len(),
+        save_shards(
+            dir.as_ref(),
             self.partition,
             self.next_rr,
             &self.config,
-        );
-        std::fs::write(dir.join(SHARD_MANIFEST_FILE), manifest)?;
-        for (i, shard) in self.shards.iter().enumerate() {
-            shard.save(dir.join(shard_file_name(i)))?;
-        }
-        Ok(())
+            self.shards.len(),
+            |i| &self.shards[i],
+        )
     }
 
-    /// Restores a sharded corpus saved by [`ShardedCorpus::save`].  The
+    /// Restores a sharded corpus saved by [`ShardedCorpus::save`],
+    /// rebuilding each shard from its workflows one after another.  The
     /// manifest must carry the current layout version and the fingerprint
     /// of exactly `config`; every shard snapshot must load intact (each is
-    /// version- and checksum-validated individually), and every restored
-    /// workflow must route to the shard it was found in.  Any violation is
-    /// a typed [`ShardSnapshotError`].
+    /// version- and checksum-validated individually) and carry the
+    /// manifest's generation, and every restored workflow must route to
+    /// the shard it was found in.  Any violation is a typed
+    /// [`ShardSnapshotError`].
     pub fn load(
         dir: impl AsRef<Path>,
         config: SimilarityConfig,
@@ -586,6 +630,9 @@ impl ShardedCorpus {
                 .and_then(|f| f.strip_prefix(name).map(str::to_string))
                 .ok_or_else(|| ShardSnapshotError::Manifest(format!("missing {name}<value>")))
         };
+        let generation: u64 = field("gen=")?
+            .parse()
+            .map_err(|_| ShardSnapshotError::Manifest("malformed generation".to_string()))?;
         let shard_count: usize = field("shards=")?
             .parse()
             .map_err(|_| ShardSnapshotError::Manifest("malformed shard count".to_string()))?;
@@ -610,10 +657,10 @@ impl ShardedCorpus {
         }
         let mut shards = Vec::with_capacity(shard_count);
         for i in 0..shard_count {
-            shards.push(
-                Corpus::load(dir.join(shard_file_name(i)), config.clone())
-                    .map_err(|error| ShardSnapshotError::Shard { shard: i, error })?,
-            );
+            let shard = std::fs::read_to_string(dir.join(shard_file_name(i)))
+                .map_err(SnapshotError::Io)
+                .and_then(|text| Corpus::decode_snapshot(&text, config.clone(), Some(generation)));
+            shards.push(shard.map_err(|error| ShardSnapshotError::Shard { shard: i, error })?);
         }
         let mut routes = BTreeMap::new();
         for (i, shard) in shards.iter().enumerate() {
@@ -1399,25 +1446,26 @@ impl CorpusService {
         )
     }
 
-    /// Persists the live corpus as a sharded snapshot: the manifest plus
-    /// one snapshot per shard, each shard serialized under its read lock
-    /// (a save concurrent with churn is per-shard consistent).
+    /// Persists the live corpus as [`ShardedCorpus::save`] does, each shard
+    /// serialized under its read lock (a save concurrent with churn is
+    /// per-shard consistent).
     pub fn save(&self, dir: impl AsRef<Path>) -> io::Result<()> {
-        let dir: PathBuf = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
         let next_rr = self.routes.lock().expect("route state poisoned").1;
-        let manifest = manifest_line(self.shards.len(), self.partition, next_rr, &self.config);
-        std::fs::write(dir.join(SHARD_MANIFEST_FILE), manifest)?;
-        for (i, lock) in self.shards.iter().enumerate() {
-            self.read(lock).save(dir.join(shard_file_name(i)))?;
-        }
-        Ok(())
+        save_shards(
+            dir.as_ref(),
+            self.partition,
+            next_rr,
+            &self.config,
+            self.shards.len(),
+            |i| self.read(&self.shards[i]),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::SNAPSHOT_MAGIC;
     use wf_model::{builder::WorkflowBuilder, ModuleType};
 
     fn wf(id: &str, labels: &[&str]) -> Workflow {
@@ -1657,6 +1705,165 @@ mod tests {
             ShardedCorpus::load(&dir, config()),
             Err(ShardSnapshotError::Io(_))
         ));
+    }
+
+    /// Every shard's workflows, in shard order: what a load must restore.
+    fn contents(sharded: &ShardedCorpus) -> Vec<Vec<Workflow>> {
+        sharded
+            .shards()
+            .iter()
+            .map(|shard| shard.workflows().to_vec())
+            .collect()
+    }
+
+    /// A save is cut at each of its write steps in turn (each temp-file
+    /// write, fsync and rename, the directory syncs, and the manifest's
+    /// steps), over a directory holding a previous save.  Every cut must
+    /// load as exactly the previous save, exactly the new one, or a typed
+    /// error that `load_or_build` rebuilds from — never a mix, which the
+    /// fixture would show because the new save changes every shard.
+    #[test]
+    fn a_save_cut_at_any_write_step_loads_old_new_or_a_typed_error() {
+        fn old_corpus() -> ShardedCorpus {
+            ShardedCorpus::build_with(config(), 3, ShardPartition::RoundRobin, sample())
+        }
+        fn new_corpus() -> ShardedCorpus {
+            let mut new = old_corpus();
+            for id in new.ids() {
+                new.add(wf(id.as_str(), &["replaced", id.as_str()]));
+            }
+            new
+        }
+        let saves: [fn(&Path) -> io::Result<()>; 2] = [
+            |dir| new_corpus().save(dir),
+            |dir| CorpusService::new(new_corpus()).save(dir),
+        ];
+        let dir = std::env::temp_dir().join("wfsim-shard-crash-safety-test");
+        let (old, new) = (old_corpus(), new_corpus());
+        let (old_state, new_state) = (contents(&old), contents(&new));
+        assert!(old_state.iter().zip(&new_state).all(|(o, n)| o != n));
+        for save in saves {
+            let (mut saw_old, mut saw_new, mut saw_error) = (false, false, false);
+            let mut step = 1;
+            loop {
+                let _ = std::fs::remove_dir_all(&dir);
+                old.save(&dir).unwrap();
+                crate::corpus::FAIL_AT_STEP.with(|at| at.set(Some(step)));
+                let saved = save(&dir);
+                crate::corpus::FAIL_AT_STEP.with(|at| at.set(None));
+                match ShardedCorpus::load(&dir, config()) {
+                    Ok(loaded) if contents(&loaded) == old_state => saw_old = true,
+                    Ok(loaded) if contents(&loaded) == new_state => saw_new = true,
+                    Ok(loaded) => panic!("step {step}: mixed state {:?}", loaded.ids()),
+                    Err(error) => {
+                        saw_error = true;
+                        assert!(
+                            matches!(
+                                error,
+                                ShardSnapshotError::Shard {
+                                    error: SnapshotError::GenerationMismatch { .. },
+                                    ..
+                                }
+                            ),
+                            "step {step}: {error}"
+                        );
+                        let (rebuilt, origin) = ShardedCorpus::load_or_build(
+                            &dir,
+                            config(),
+                            3,
+                            ShardPartition::RoundRobin,
+                            sharded_workflows(&new),
+                        );
+                        assert!(!origin.is_snapshot(), "step {step}");
+                        assert_eq!(rebuilt.len(), new.len(), "step {step}");
+                        for id in new.ids() {
+                            assert_eq!(rebuilt.get(&id), new.get(&id), "step {step}");
+                        }
+                    }
+                }
+                if saved.is_ok() {
+                    break;
+                }
+                step += 1;
+            }
+            // Three steps per file (three shards and the manifest) and two
+            // directory syncs, every one of them cut once.
+            assert_eq!(step, 3 * 4 + 2 + 1);
+            assert!(saw_old && saw_new && saw_error);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_shard_file_from_another_save_is_a_typed_generation_mismatch() {
+        let dir = std::env::temp_dir().join("wfsim-shard-stale-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let sharded = ShardedCorpus::build(config(), 3, sample());
+        sharded.save(&dir).unwrap();
+        let first = std::fs::read(dir.join(shard_file_name(1))).unwrap();
+        sharded.save(&dir).unwrap();
+        std::fs::write(dir.join(shard_file_name(1)), first).unwrap();
+        assert!(matches!(
+            ShardedCorpus::load(&dir, config()),
+            Err(ShardSnapshotError::Shard {
+                shard: 1,
+                error: SnapshotError::GenerationMismatch {
+                    expected: 2,
+                    found: 1
+                }
+            })
+        ));
+        let (_, origin) =
+            ShardedCorpus::load_or_build(&dir, config(), 3, ShardPartition::HashId, sample());
+        assert_eq!(origin.failed_shard(), Some(1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Snapshots from before the workflow-only layout take the typed
+    /// version-mismatch path and are rebuilt, naming the shard.
+    #[test]
+    fn a_v1_shard_file_makes_load_or_build_rebuild() {
+        let dir = std::env::temp_dir().join("wfsim-shard-v1-test");
+        for victim in 0..3 {
+            let _ = std::fs::remove_dir_all(&dir);
+            let sharded = ShardedCorpus::build(config(), 3, sample());
+            sharded.save(&dir).unwrap();
+            // A version-1 header: no generation field.
+            let path = dir.join(shard_file_name(victim));
+            let text = std::fs::read_to_string(&path).unwrap();
+            let (header, body) = text.split_once('\n').unwrap();
+            let fields: Vec<&str> = header.split(' ').collect();
+            let v1 = format!(
+                "{SNAPSHOT_MAGIC} v1 {} {}\n{body}",
+                fields[fields.len() - 2],
+                fields[fields.len() - 1]
+            );
+            std::fs::write(&path, v1).unwrap();
+            assert!(matches!(
+                ShardedCorpus::load(&dir, config()),
+                Err(ShardSnapshotError::Shard {
+                    shard,
+                    error: SnapshotError::VersionMismatch { .. },
+                }) if shard == victim
+            ));
+            let (rebuilt, origin) =
+                ShardedCorpus::load_or_build(&dir, config(), 3, ShardPartition::HashId, sample());
+            assert!(!origin.is_snapshot());
+            assert_eq!(origin.failed_shard(), Some(victim));
+            assert_eq!(contents(&rebuilt), contents(&sharded));
+        }
+        // A manifest of the previous layout is rejected before any shard.
+        let manifest = dir.join(SHARD_MANIFEST_FILE);
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let current = format!("{SHARD_MANIFEST_MAGIC} v{SHARD_MANIFEST_VERSION} ");
+        let older = format!("{SHARD_MANIFEST_MAGIC} v{} ", SHARD_MANIFEST_VERSION - 1);
+        assert!(text.starts_with(&current));
+        std::fs::write(&manifest, text.replacen(&current, &older, 1)).unwrap();
+        assert!(matches!(
+            ShardedCorpus::load(&dir, config()),
+            Err(ShardSnapshotError::Manifest(_))
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -7,13 +7,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::jaccard::{jaccard_index, multiset_jaccard};
 use crate::tokenize::{tokenize, tokenize_filtered};
 
 /// A bag (multiset) of lowercase tokens.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TokenBag {
     counts: BTreeMap<String, usize>,
     total: usize,

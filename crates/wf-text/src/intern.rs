@@ -10,8 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// A corpus-wide string interner: every distinct token string maps to a
 /// dense `u32` id.
 #[derive(Debug, Clone, Default)]
@@ -26,21 +24,8 @@ impl StringPool {
         StringPool::default()
     }
 
-    /// Reconstructs a pool from its strings in id order (the inverse of
-    /// [`StringPool::strings`]) — the snapshot-loading path: token `i` of
-    /// `strings` is assigned id `i`, so every id recorded before the
-    /// snapshot resolves to the same token afterwards.
-    pub fn from_strings(strings: Vec<String>) -> Self {
-        let ids = strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), i as u32))
-            .collect();
-        StringPool { ids, strings }
-    }
-
     /// The interned strings in id order (`strings()[id]` is the token of
-    /// `id`) — the serializable representation of the pool.
+    /// `id`).
     pub fn strings(&self) -> &[String] {
         &self.strings
     }
@@ -156,25 +141,9 @@ impl<'p> FrozenInterner<'p> {
 }
 
 /// A set of interned token ids, stored sorted and deduplicated.
-///
-/// The serde representation is the sorted id vector itself; deserialization
-/// re-normalises (sorts and dedups), so hand-edited snapshots cannot break
-/// the ordering invariant the merge algorithms rely on.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TokenIdSet {
     ids: Vec<u32>,
-}
-
-impl Serialize for TokenIdSet {
-    fn serialize_value(&self) -> serde::Value {
-        self.ids.serialize_value()
-    }
-}
-
-impl Deserialize for TokenIdSet {
-    fn deserialize_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(TokenIdSet::from_ids(Vec::<u32>::deserialize_value(value)?))
-    }
 }
 
 impl TokenIdSet {

@@ -14,8 +14,6 @@
 //! giving the upper-bound pruning search a far tighter estimate of label
 //! similarity than lengths alone.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of histogram bins (characters are folded by code point).
 const BINS: usize = 64;
 
@@ -32,34 +30,6 @@ impl Default for CharSignature {
             bins: [0; BINS],
             chars: 0,
         }
-    }
-}
-
-// Fixed-size arrays have no vendored-serde impl, so the signature
-// serializes by hand as `{"bins": [..64 counters..], "chars": n}`.
-impl Serialize for CharSignature {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("bins".to_string(), self.bins.as_slice().serialize_value()),
-            ("chars".to_string(), self.chars.serialize_value()),
-        ])
-    }
-}
-
-impl Deserialize for CharSignature {
-    fn deserialize_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let bins_value = value
-            .get_field("bins")
-            .ok_or_else(|| serde::Error::missing_field("CharSignature", "bins"))?;
-        let bins_vec = Vec::<u8>::deserialize_value(bins_value)?;
-        let bins: [u8; BINS] = bins_vec
-            .try_into()
-            .map_err(|v: Vec<u8>| serde::Error(format!("expected {BINS} bins, got {}", v.len())))?;
-        let chars = value
-            .get_field("chars")
-            .ok_or_else(|| serde::Error::missing_field("CharSignature", "chars"))
-            .and_then(u32::deserialize_value)?;
-        Ok(CharSignature { bins, chars })
     }
 }
 

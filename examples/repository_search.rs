@@ -4,7 +4,7 @@
 //!
 //! The single-measure engines run on a shared [`wfsim::sim::Corpus`]: the
 //! workflows are profiled and indexed once, queries are answered through
-//! upper-bound pruning, and the built corpus round-trips through a snapshot
+//! upper-bound pruning, and the corpus round-trips through a snapshot
 //! (the serving-process startup path).  The ensemble, which has no profiled
 //! form, uses the exhaustive scan engine.
 //!
@@ -68,8 +68,8 @@ fn main() {
         print_hits(&corpus.measure_name(), &hits, &query_id, &meta);
     }
 
-    // Snapshot round-trip: a serving process would save the built corpus
-    // once and start by deserializing it instead of re-profiling.
+    // Snapshot round-trip: a serving process saves the corpus's workflows
+    // once and starts by rebuilding from that one checked file.
     let snapshot_path = std::env::temp_dir().join("wfsim-example-corpus.snap");
     let corpus = Corpus::build(SimilarityConfig::best_module_sets(), workflows.clone());
     corpus.save(&snapshot_path).expect("snapshot written");
@@ -84,6 +84,7 @@ fn main() {
         snapshot_path.display(),
         origin.is_snapshot()
     );
+    assert!(origin.is_snapshot(), "fresh snapshot was rejected");
     let _ = std::fs::remove_file(&snapshot_path);
 
     // The ensemble has no profiled form: exhaustive parallel scan.

@@ -34,7 +34,8 @@ fn main() {
     }
 
     // Per-shard snapshots behind one manifest: a serving fleet restores
-    // each shard independently and falls back to a rebuild on corruption.
+    // each shard from its workflows and falls back to a rebuild on
+    // corruption.
     let dir = std::env::temp_dir().join("wfsim-example-shards");
     sharded.save(&dir).expect("sharded snapshot written");
     let (restored, origin) = ShardedCorpus::load_or_build(
@@ -50,6 +51,7 @@ fn main() {
         dir.display(),
         origin.is_snapshot()
     );
+    assert!(origin.is_snapshot(), "fresh sharded snapshot was rejected");
     let _ = std::fs::remove_dir_all(&dir);
 
     // The concurrent service: queries proceed while churn write-locks only
