@@ -1,14 +1,15 @@
-//! `wfsim_serve` — the serving benchmark: scatter-gather batch-query
-//! throughput vs shard count, query latency quantiles under live churn,
-//! and end-to-end throughput over real loopback sockets through the
-//! `wf-serve` network front end.
+//! `wfsim_serve` — the shard-count benchmark: scatter-gather batch-query
+//! throughput vs shard count, and per-query latency of the sequential
+//! frontier vs racing shard workers.  Serving under churn and over the
+//! network is measured by the `wfsim-bench` loopback benchmark (its
+//! `churn` workload) and tested by the `wf-serve` integration suite.
 //!
 //! Usage:
 //! ```text
 //! wfsim_serve [corpus.json | --demo] [--bench-json BENCH_serving.json]
 //!             [--smoke | --quick] [--demo-size N] [--queries N] [--k N]
-//!             [--threads N] [--shards a,b,c] [--churn-ops N] [--clients N]
-//!             [--corpus-size 250,2k,10k] [--reps N] [--assert-scaling]
+//!             [--threads N] [--shards a,b,c] [--corpus-size 250,2k,10k]
+//!             [--reps N] [--assert-scaling] [--assert-latency FACTOR]
 //! ```
 //!
 //! * Builds the demo corpus (250 workflows by default, 60 with
@@ -24,25 +25,20 @@
 //!   lowest — a regression guard pinning down the global-frontier
 //!   scheduling guarantee (the old per-shard-heap design lost >4× here;
 //!   the allowance absorbs scheduler/allocator noise on one-core runners).
-//! * Then wraps the largest shard count in a `CorpusService` and measures
-//!   per-query latency quantiles (p50/p95/p99) while a churn thread
-//!   removes and re-adds workflows through the per-shard write locks.
-//! * Finally starts a `wf-serve` TCP server on loopback and drives it with
-//!   `--clients` concurrent retrying clients (default 32) — most querying,
-//!   a few churning over the wire — reporting client-observed quantiles
-//!   and saturation queries/s for the `network_serving` report section.
+//! * Then times every query individually on the largest corpus at each
+//!   shard count, sequential frontier against racing shard workers, and
+//!   checks the racing hits bit-identical.  `--assert-latency FACTOR`
+//!   fails the run if, at the highest shard count, the racing p50 exceeds
+//!   `FACTOR` times the sequential p50.
 //! * `--bench-json PATH` writes the machine-readable report CI uploads
 //!   next to the retrieval and clustering benches.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use wf_bench::table::TextTable;
 use wf_model::{Workflow, WorkflowId};
-use wf_serve::{Client, ClientConfig, LatencyHistogram, Server, ServerConfig, StatsSnapshot};
-use wf_sim::{Corpus, CorpusService, SearchParallelism, ShardedCorpus, SimilarityConfig};
+use wf_sim::{Corpus, SearchParallelism, ShardedCorpus, SimilarityConfig};
 
 struct Options {
     source: String,
@@ -51,8 +47,6 @@ struct Options {
     k: usize,
     threads: usize,
     shard_counts: Vec<usize>,
-    churn_ops: usize,
-    clients: usize,
     bench_json: Option<String>,
     smoke: bool,
     corpus_sizes: Vec<usize>,
@@ -63,9 +57,8 @@ struct Options {
 
 const USAGE: &str = "usage: wfsim_serve [corpus.json | --demo] [--bench-json PATH] \
                      [--smoke | --quick] [--demo-size N] [--queries N] [--k N] \
-                     [--threads N] [--shards a,b,c] [--churn-ops N] [--clients N] \
-                     [--corpus-size 250,2k,10k] [--reps N] [--assert-scaling] \
-                     [--assert-latency FACTOR]";
+                     [--threads N] [--shards a,b,c] [--corpus-size 250,2k,10k] \
+                     [--reps N] [--assert-scaling] [--assert-latency FACTOR]";
 
 /// Parses a corpus size that may carry a `k`/`K` thousands suffix.
 fn parse_size(raw: &str) -> Result<usize, String> {
@@ -96,8 +89,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut k = 10usize;
     let mut threads = 8usize;
     let mut shard_counts = vec![1, 2, 4, 8];
-    let mut churn_ops = 0usize;
-    let mut clients = 32usize;
     let mut bench_json = None;
     let mut smoke = false;
     let mut corpus_sizes = Vec::new();
@@ -129,16 +120,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 threads = flag_value(args, &mut i, "--threads")?
                     .parse()
                     .map_err(|_| "invalid --threads value".to_string())?
-            }
-            "--churn-ops" => {
-                churn_ops = flag_value(args, &mut i, "--churn-ops")?
-                    .parse()
-                    .map_err(|_| "invalid --churn-ops value".to_string())?
-            }
-            "--clients" => {
-                clients = flag_value(args, &mut i, "--clients")?
-                    .parse()
-                    .map_err(|_| "invalid --clients value".to_string())?
             }
             "--corpus-size" | "--corpus-sizes" => {
                 corpus_sizes = flag_value(args, &mut i, "--corpus-size")?
@@ -190,9 +171,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     if queries == 0 {
         queries = if smoke { 12 } else { 48 };
     }
-    if churn_ops == 0 {
-        churn_ops = if smoke { 20 } else { 80 };
-    }
     if !corpus_sizes.is_empty() && source != "--demo" {
         return Err("--corpus-size sweeps the seeded demo corpus; it cannot resize a file".into());
     }
@@ -203,8 +181,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         k,
         threads: threads.max(1),
         shard_counts,
-        churn_ops,
-        clients: clients.max(2),
         bench_json,
         smoke,
         corpus_sizes,
@@ -216,7 +192,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
 
 struct ShardRun {
     shards: usize,
-    build_ms: f64,
     batch_ms: f64,
     queries_per_s: f64,
     identical: bool,
@@ -269,19 +244,20 @@ fn sweep_shard_counts(workflows: &[Workflow], options: &Options) -> SizeCurve {
     // an ordering artifact the round-robin spreads evenly.  The median
     // (not best-of) keeps one lucky scheduler slice from minting a ~5%
     // outlier on a curve whose truth is flat.
-    let built: Vec<(usize, f64, ShardedCorpus)> = options
+    let built: Vec<(usize, ShardedCorpus)> = options
         .shard_counts
         .iter()
         .map(|&shards| {
-            let build_started = Instant::now();
-            let sharded = ShardedCorpus::build(config.clone(), shards, workflows.to_vec());
-            (shards, build_started.elapsed().as_secs_f64() * 1e3, sharded)
+            (
+                shards,
+                ShardedCorpus::build(config.clone(), shards, workflows.to_vec()),
+            )
         })
         .collect();
     let mut rep_ms: Vec<Vec<f64>> = vec![Vec::with_capacity(options.reps); built.len()];
     let mut outcomes = Vec::new();
     for rep in 0..options.reps {
-        for (slot, (_, _, sharded)) in built.iter().enumerate() {
+        for (slot, (_, sharded)) in built.iter().enumerate() {
             let batch_started = Instant::now();
             let (batch, stats) =
                 sharded.search_batch_with_stats(&query_ids, options.k, options.threads);
@@ -292,7 +268,7 @@ fn sweep_shard_counts(workflows: &[Workflow], options: &Options) -> SizeCurve {
         }
     }
     let mut runs: Vec<ShardRun> = Vec::new();
-    for (slot, (shards, build_ms, _)) in built.iter().enumerate() {
+    for (slot, (shards, _)) in built.iter().enumerate() {
         let times = &mut rep_ms[slot];
         times.sort_by(|a, b| a.partial_cmp(b).expect("batch timings are finite"));
         let median_ms = times[times.len() / 2];
@@ -303,7 +279,6 @@ fn sweep_shard_counts(workflows: &[Workflow], options: &Options) -> SizeCurve {
             .all(|(got, expected)| got.as_deref() == Some(expected.as_slice()));
         runs.push(ShardRun {
             shards: *shards,
-            build_ms: *build_ms,
             batch_ms: median_ms,
             queries_per_s: query_ids.len() as f64 / (median_ms / 1e3).max(1e-9),
             identical,
@@ -321,11 +296,10 @@ fn sweep_shard_counts(workflows: &[Workflow], options: &Options) -> SizeCurve {
 }
 
 /// Per-query latency at one shard count, sequential global frontier vs
-/// racing per-shard workers, exact percentiles over every individually
-/// timed query.
+/// racing per-shard workers (one per shard), exact percentiles over every
+/// individually timed query.
 struct LatencyRun {
     shards: usize,
-    workers: usize,
     seq_p50_us: u64,
     seq_p95_us: u64,
     par_p50_us: u64,
@@ -354,9 +328,10 @@ fn exact_percentile_us(samples: &mut [u64], q: f64) -> u64 {
 
 /// The per-query latency-vs-shard-count curve: every query individually
 /// timed under the sequential frontier and under racing shard workers on
-/// the *same* `ShardedCorpus`, interleaved query-by-query so allocator
-/// and cache drift hit both strategies evenly.  Racing hits are checked
-/// bit-identical to sequential on every query.
+/// the *same* `ShardedCorpus` (its strategy swapped by value before each
+/// query), interleaved query-by-query so allocator and cache drift hit
+/// both strategies evenly.  Racing hits are checked bit-identical to
+/// sequential on every query.
 fn sweep_query_latency(workflows: &[Workflow], options: &Options) -> Vec<LatencyRun> {
     let config = SimilarityConfig::best_module_sets();
     let n = workflows.len();
@@ -371,17 +346,16 @@ fn sweep_query_latency(workflows: &[Workflow], options: &Options) -> Vec<Latency
         .iter()
         .map(|&shards| {
             let mut sharded = ShardedCorpus::build(config.clone(), shards, workflows.to_vec());
-            let workers = SearchParallelism::racing_per_shard().workers_for(shards);
             let mut seq_us: Vec<u64> = Vec::with_capacity(query_ids.len() * options.reps);
             let mut par_us: Vec<u64> = Vec::with_capacity(query_ids.len() * options.reps);
             let mut identical = true;
             for _ in 0..options.reps {
                 for id in &query_ids {
-                    sharded.set_parallelism(SearchParallelism::Sequential);
+                    sharded = sharded.with_parallelism(SearchParallelism::Sequential);
                     let started = Instant::now();
                     let seq_hits = sharded.search(id, options.k).expect("query resident");
                     seq_us.push(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-                    sharded.set_parallelism(SearchParallelism::racing_per_shard());
+                    sharded = sharded.with_parallelism(SearchParallelism::Racing);
                     let started = Instant::now();
                     let par_hits = sharded.search(id, options.k).expect("query resident");
                     par_us.push(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
@@ -390,7 +364,6 @@ fn sweep_query_latency(workflows: &[Workflow], options: &Options) -> Vec<Latency
             }
             LatencyRun {
                 shards,
-                workers,
                 seq_p50_us: exact_percentile_us(&mut seq_us, 0.50),
                 seq_p95_us: exact_percentile_us(&mut seq_us, 0.95),
                 par_p50_us: exact_percentile_us(&mut par_us, 0.50),
@@ -437,7 +410,6 @@ fn latency_statement(runs: &[LatencyRun]) -> String {
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_options(&args)?;
-    let config = SimilarityConfig::best_module_sets();
     let workflows = wf_bench::load_workflows(&options.source, options.demo_size)?;
     let n = workflows.len();
     if n < 2 {
@@ -476,192 +448,6 @@ fn run() -> Result<(), String> {
     let latency_runs = sweep_query_latency(&latency_workflows, &options);
     let latency_summary = latency_statement(&latency_runs);
 
-    let query_ids: Vec<WorkflowId> = workflows
-        .iter()
-        .map(|w| w.id.clone())
-        .step_by((n / options.queries.min(n)).max(1))
-        .take(options.queries)
-        .collect();
-
-    // Churn-while-query: the largest shard count behind RwLocks, one churn
-    // thread cycling removals and re-additions while query workers run.
-    let max_shards = options.shard_counts.iter().copied().max().unwrap_or(1);
-    let service = Arc::new(
-        CorpusService::new(ShardedCorpus::build(
-            config.clone(),
-            max_shards,
-            workflows.clone(),
-        ))
-        .with_threads(options.threads),
-    );
-    let churn_pool: Vec<WorkflowId> = workflows
-        .iter()
-        .map(|w| w.id.clone())
-        .filter(|id| !query_ids.contains(id))
-        .collect();
-    // The query side answers a fixed number of individually-timed queries
-    // (so the phase can report true per-query p50/p95/p99, not per-batch
-    // walls); the churn thread keeps removing and re-adding workflows
-    // (through the per-shard write locks) and stops the moment the query
-    // workers finish, so every counted churn op genuinely overlapped the
-    // counted queries (`--churn-ops` only paces how many queries run).
-    let total_churn_queries = options.churn_ops.div_ceil(10).max(3) * query_ids.len();
-    let churn_latency = LatencyHistogram::new();
-    let queries_done = AtomicBool::new(false);
-    let query_cursor = AtomicUsize::new(0);
-    let churn_started = Instant::now();
-    let (queries_under_churn, churn_ops_done) = std::thread::scope(|scope| {
-        let service = &service;
-        let queries_done = &queries_done;
-        let query_cursor = &query_cursor;
-        let churn_latency = &churn_latency;
-        let query_ids = &query_ids;
-        let churner = scope.spawn(|| {
-            let mut done = 0usize;
-            for id in churn_pool.iter().cycle() {
-                // ordering: Acquire — pairs with the Release store below
-                // so the churner's final op count happens-after every
-                // counted query; Relaxed could let the loop observe the
-                // flag late and overshoot the measured window.
-                if queries_done.load(Ordering::Acquire) {
-                    break;
-                }
-                // Remove and re-add so the corpus size stays stable.
-                if let Some(wf) = service.remove(id) {
-                    done += 1;
-                    service.add(wf);
-                    done += 1;
-                }
-            }
-            done
-        });
-        let workers: Vec<_> = (0..options.threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut served = 0usize;
-                    loop {
-                        // ordering: Relaxed — the cursor is a work ticket
-                        // dispenser; fetch_add is already atomic and no
-                        // other memory is published through it.
-                        let i = query_cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= total_churn_queries {
-                            break;
-                        }
-                        let id = &query_ids[i % query_ids.len()];
-                        let started = Instant::now();
-                        if service.search(id, options.k).is_some() {
-                            churn_latency.record(started.elapsed());
-                            served += 1;
-                        }
-                    }
-                    served
-                })
-            })
-            .collect();
-        let served: usize = workers
-            .into_iter()
-            .map(|w| w.join().expect("query worker panicked"))
-            .sum();
-        // ordering: Release — publishes "all counted queries issued" to
-        // the churner's Acquire load above, closing the measured window.
-        queries_done.store(true, Ordering::Release);
-        (served, churner.join().expect("churn thread panicked"))
-    });
-    let churn_ms = churn_started.elapsed().as_secs_f64() * 1e3;
-    let churn_qps = queries_under_churn as f64 / (churn_ms / 1e3).max(1e-9);
-    let churn_lat = churn_latency.snapshot();
-
-    // Network serving: the same service behind the wf-serve TCP front end,
-    // hammered by concurrent retrying clients over real loopback sockets.
-    // Most clients query; every eighth churns over the wire, so the
-    // measured quantiles include add/remove write-lock interference plus
-    // framing, syscalls and client retries.
-    let server = Server::start(
-        Arc::clone(&service),
-        ServerConfig {
-            workers: options.threads,
-            ..ServerConfig::default()
-        },
-        None,
-    )
-    .map_err(|e| format!("cannot start loopback server: {e}"))?;
-    let addr = server.addr();
-    let workflow_by_id: std::collections::BTreeMap<WorkflowId, Workflow> = workflows
-        .iter()
-        .map(|w| (w.id.clone(), w.clone()))
-        .collect();
-    let net_queries_per_client = if options.smoke { 6 } else { 40 };
-    let net_started = Instant::now();
-    let (net_ok, net_degraded, net_errors, net_churn_ops, net_retries, net_latency) =
-        std::thread::scope(|scope| {
-            let query_ids = &query_ids;
-            let churn_pool = &churn_pool;
-            let workflow_by_id = &workflow_by_id;
-            let net_latency = Arc::new(LatencyHistogram::new());
-            let handles: Vec<_> = (0..options.clients)
-                .map(|c| {
-                    let latency = Arc::clone(&net_latency);
-                    scope.spawn(move || {
-                        let mut client = Client::new(
-                            addr,
-                            ClientConfig {
-                                seed: 0xC0FFEE + c as u64,
-                                ..ClientConfig::default()
-                            },
-                        );
-                        let (mut ok, mut degraded, mut errors, mut churned) =
-                            (0u64, 0u64, 0u64, 0u64);
-                        if c % 8 == 7 && !churn_pool.is_empty() {
-                            // Wire churner: remove and re-add its slice of
-                            // the pool through the framed protocol.
-                            for step in 0..net_queries_per_client {
-                                let id =
-                                    &churn_pool[(c + step * options.clients) % churn_pool.len()];
-                                let wf = &workflow_by_id[id];
-                                match (client.remove(id.as_str()), client.add(wf)) {
-                                    (Ok(true), Ok(_)) => churned += 2,
-                                    (Ok(false), Ok(_)) => churned += 1,
-                                    _ => errors += 1,
-                                }
-                            }
-                        } else {
-                            for step in 0..net_queries_per_client {
-                                let id = &query_ids[(c + step * options.clients) % query_ids.len()];
-                                let started = Instant::now();
-                                match client.search(id.as_str(), options.k as u32, 0) {
-                                    Ok(outcome) => {
-                                        latency.record(started.elapsed());
-                                        ok += 1;
-                                        if outcome.degraded {
-                                            degraded += 1;
-                                        }
-                                    }
-                                    Err(_) => errors += 1,
-                                }
-                            }
-                        }
-                        (ok, degraded, errors, churned, client.retries())
-                    })
-                })
-                .collect();
-            let mut totals = (0u64, 0u64, 0u64, 0u64, 0u64);
-            for handle in handles {
-                let (ok, degraded, errors, churned, retries) =
-                    handle.join().expect("network client panicked");
-                totals.0 += ok;
-                totals.1 += degraded;
-                totals.2 += errors;
-                totals.3 += churned;
-                totals.4 += retries;
-            }
-            let lat = net_latency.snapshot();
-            (totals.0, totals.1, totals.2, totals.3, totals.4, lat)
-        });
-    let net_ms = net_started.elapsed().as_secs_f64() * 1e3;
-    let net_qps = net_ok as f64 / (net_ms / 1e3).max(1e-9);
-    let server_stats: StatsSnapshot = server.metrics();
-    server.shutdown();
-
     // Human-readable summary.
     println!(
         "serving benchmark ({}, top-{}, {} threads, median of {} reps):",
@@ -670,7 +456,6 @@ fn run() -> Result<(), String> {
     let mut table = TextTable::new(vec![
         "corpus",
         "shards",
-        "build ms",
         "batch ms",
         "queries/s",
         "identical",
@@ -686,7 +471,6 @@ fn run() -> Result<(), String> {
             table.row(vec![
                 curve.corpus_size.to_string(),
                 run.shards.to_string(),
-                format!("{:.1}", run.build_ms),
                 format!("{:.1}", run.batch_ms),
                 format!("{:.0}", run.queries_per_s),
                 run.identical.to_string(),
@@ -698,7 +482,6 @@ fn run() -> Result<(), String> {
     println!("{}", table.render());
     let mut latency_table = TextTable::new(vec![
         "shards",
-        "workers",
         "seq p50 us",
         "seq p95 us",
         "racing p50 us",
@@ -709,7 +492,6 @@ fn run() -> Result<(), String> {
     for run in &latency_runs {
         latency_table.row(vec![
             run.shards.to_string(),
-            run.workers.to_string(),
             run.seq_p50_us.to_string(),
             run.seq_p95_us.to_string(),
             run.par_p50_us.to_string(),
@@ -726,37 +508,16 @@ fn run() -> Result<(), String> {
     );
     println!("{}", latency_table.render());
     println!("  {latency_summary}");
-    println!(
-        "  churn: {churn_ops_done} ops on {max_shards} shards in {churn_ms:.1} ms, \
-         {queries_under_churn} queries answered concurrently ({churn_qps:.0} queries/s, \
-         p50 {} us, p95 {} us, p99 {} us)",
-        churn_lat.quantile_us(0.50),
-        churn_lat.quantile_us(0.95),
-        churn_lat.quantile_us(0.99),
-    );
-    println!(
-        "  network: {} clients on {addr} — {net_ok} queries ok ({net_degraded} degraded, \
-         {net_errors} errors, {net_churn_ops} wire churn ops, {net_retries} retries) in \
-         {net_ms:.1} ms = {net_qps:.0} queries/s; client p50 {} us, p95 {} us, p99 {} us; \
-         server shed {} of {} requests",
-        options.clients,
-        net_latency.quantile_us(0.50),
-        net_latency.quantile_us(0.95),
-        net_latency.quantile_us(0.99),
-        server_stats.shed,
-        server_stats.requests,
-    );
 
     if let Some(path) = &options.bench_json {
         let shard_reports = |runs: &[ShardRun], indent: &str| -> String {
             runs.iter()
                 .map(|run| {
                     format!(
-                        "{indent}{{\"shards\": {}, \"build_ms\": {:.3}, \"batch_wall_ms\": {:.3}, \
+                        "{indent}{{\"shards\": {}, \"batch_wall_ms\": {:.3}, \
                          \"queries_per_s\": {:.1}, \"identical_hits\": {}, \
                          \"comparisons_scored\": {}, \"comparisons_pruned\": {}}}",
                         run.shards,
-                        run.build_ms,
                         run.batch_ms,
                         run.queries_per_s,
                         run.identical,
@@ -771,11 +532,10 @@ fn run() -> Result<(), String> {
             .iter()
             .map(|run| {
                 format!(
-                    "    {{\"shards\": {}, \"workers\": {}, \"sequential_p50_us\": {}, \
+                    "    {{\"shards\": {}, \"sequential_p50_us\": {}, \
                      \"sequential_p95_us\": {}, \"racing_p50_us\": {}, \"racing_p95_us\": {}, \
                      \"p50_speedup\": {:.3}, \"identical_hits\": {}}}",
                     run.shards,
-                    run.workers,
                     run.seq_p50_us,
                     run.seq_p95_us,
                     run.par_p50_us,
@@ -806,17 +566,7 @@ fn run() -> Result<(), String> {
              \"single_engine_wall_ms\": {:.3},\n  \"shard_counts\": [\n{}\n  ],\n  \
              \"scale_curves\": [\n{}\n  ],\n  \
              \"query_latency\": {{\"corpus_size\": {}, \"queries\": {}, \"reps\": {}, \
-             \"runs\": [\n{}\n  ], \"statement\": \"{}\"}},\n  \
-             \"churn\": {{\"shards\": {}, \"ops\": {}, \"wall_ms\": {:.3}, \
-             \"queries_completed\": {}, \"queries_per_s\": {:.1}, \"final_size\": {}, \
-             \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}}},\n  \
-             \"network_serving\": {{\"clients\": {}, \"queries_per_client\": {}, \
-             \"queries_ok\": {}, \"degraded\": {}, \"errors\": {}, \
-             \"wire_churn_ops\": {}, \"client_retries\": {}, \"wall_ms\": {:.3}, \
-             \"queries_per_s\": {:.1}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \
-             \"server\": {{\"requests\": {}, \"responses_ok\": {}, \"shed\": {}, \
-             \"degraded\": {}, \"bad_frames\": {}, \"search_p50_us\": {}, \
-             \"search_p95_us\": {}, \"search_p99_us\": {}}}}}\n}}\n",
+             \"runs\": [\n{}\n  ], \"statement\": \"{}\"}}\n}}\n",
             wf_bench::json_escape(&options.source),
             headline.corpus_size,
             headline.queries,
@@ -833,35 +583,6 @@ fn run() -> Result<(), String> {
             options.reps,
             latency_reports.join(",\n"),
             wf_bench::json_escape(&latency_summary),
-            max_shards,
-            churn_ops_done,
-            churn_ms,
-            queries_under_churn,
-            churn_qps,
-            service.len(),
-            churn_lat.quantile_us(0.50),
-            churn_lat.quantile_us(0.95),
-            churn_lat.quantile_us(0.99),
-            options.clients,
-            net_queries_per_client,
-            net_ok,
-            net_degraded,
-            net_errors,
-            net_churn_ops,
-            net_retries,
-            net_ms,
-            net_qps,
-            net_latency.quantile_us(0.50),
-            net_latency.quantile_us(0.95),
-            net_latency.quantile_us(0.99),
-            server_stats.requests,
-            server_stats.responses_ok,
-            server_stats.shed,
-            server_stats.degraded,
-            server_stats.bad_frames,
-            server_stats.search_p50_us,
-            server_stats.search_p95_us,
-            server_stats.search_p99_us,
         );
         std::fs::write(path, &report).map_err(|e| format!("cannot write '{path}': {e}"))?;
         println!("  report -> {path}");

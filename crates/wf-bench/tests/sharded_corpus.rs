@@ -18,8 +18,8 @@ use wf_model::{Workflow, WorkflowId};
 use wf_repo::{CancelToken, PreselectionStrategy};
 use wf_sim::config::Preprocessing;
 use wf_sim::{
-    Corpus, CorpusService, MeasureKind, ModuleComparisonScheme, SearchParallelism, ShardPartition,
-    ShardedCorpus, SimilarityConfig,
+    Corpus, CorpusService, MeasureKind, ModuleComparisonScheme, SearchParallelism, ShardedCorpus,
+    SimilarityConfig,
 };
 
 fn six_schemes() -> Vec<ModuleComparisonScheme> {
@@ -83,7 +83,7 @@ fn racing_topk_is_bit_identical_for_all_schemes_and_shard_counts() {
         let engine = single.search_engine();
         for shards in [1usize, 2, 4, 8] {
             let racing = ShardedCorpus::build(config.clone(), shards, workflows.clone())
-                .with_parallelism(SearchParallelism::racing_per_shard());
+                .with_parallelism(SearchParallelism::Racing);
             for (qi, id) in single.ids().iter().enumerate().step_by(4) {
                 for k in [1usize, 10] {
                     let expected = engine.top_k(qi, k);
@@ -219,8 +219,7 @@ proptest! {
         let initial = demo_workflows(size, seed);
         let extra = demo_workflows(12, seed ^ 0xfeed);
         let config = SimilarityConfig::best_module_sets();
-        let partition = if seed % 2 == 0 { ShardPartition::HashId } else { ShardPartition::RoundRobin };
-        let mut sharded = ShardedCorpus::build_with(config.clone(), shards, partition, initial);
+        let mut sharded = ShardedCorpus::build(config.clone(), shards, initial);
         for (step, (op, pick)) in ops.into_iter().enumerate() {
             let searching = op == 3;
             if !searching {
@@ -290,7 +289,7 @@ proptest! {
         let trigger = trigger_pick % (shards + 1);
         let workflows = demo_workflows(24, seed);
         let config = SimilarityConfig::best_module_sets();
-        for parallelism in [SearchParallelism::Sequential, SearchParallelism::racing_per_shard()] {
+        for parallelism in [SearchParallelism::Sequential, SearchParallelism::Racing] {
             let service = CorpusService::new(
                 ShardedCorpus::build(config.clone(), shards, workflows.clone())
                     .with_parallelism(parallelism),
@@ -360,27 +359,10 @@ proptest! {
 ///   ordering.
 #[test]
 fn service_queries_racing_churn_never_surface_stale_workflows_hash() {
-    service_churn_race(ShardPartition::HashId);
-}
-
-/// Round-robin routing adds a shared route table to the picture: the
-/// remove/add interleaving must keep "id resident ⇔ id routed" at every
-/// observable instant, or residents become unreachable orphans.
-#[test]
-fn service_queries_racing_churn_never_surface_stale_workflows_round_robin() {
-    service_churn_race(ShardPartition::RoundRobin);
-}
-
-fn service_churn_race(partition: ShardPartition) {
     let workflows = demo_workflows(48, 23);
     let config = SimilarityConfig::best_module_sets();
-    let service = CorpusService::new(ShardedCorpus::build_with(
-        config,
-        4,
-        partition,
-        workflows.clone(),
-    ))
-    .with_threads(4);
+    let service =
+        CorpusService::new(ShardedCorpus::build(config, 4, workflows.clone())).with_threads(4);
 
     let survivors: Vec<WorkflowId> = workflows.iter().skip(12).map(|w| w.id.clone()).collect();
     let victims: Vec<WorkflowId> = workflows.iter().take(12).map(|w| w.id.clone()).collect();
@@ -451,15 +433,18 @@ fn service_churn_race(partition: ShardPartition) {
     });
 
     // After the dust settles: all victims gone, all additions resident
-    // *and routed* (an orphaned resident would be invisible to contains
-    // yet still pollute other queries), and the service still answers
-    // exactly like a from-scratch rebuild.
+    // and reachable through their owning shard, and the service still
+    // answers exactly like a from-scratch rebuild.
     assert_eq!(service.len(), 48 - 12 + 8);
     for victim in &victims {
         assert!(!service.contains(victim));
     }
     for addition in &added {
-        assert!(service.contains(&addition.id), "{} unrouted", addition.id);
+        assert!(
+            service.contains(&addition.id),
+            "{} unreachable",
+            addition.id
+        );
         assert!(service.search(&addition.id, 3).is_some());
     }
     let sharded = service.into_sharded();
@@ -487,10 +472,8 @@ fn sharded_snapshot_roundtrip_reproduces_search_results() {
     let _ = std::fs::remove_dir_all(&dir);
     let workflows = demo_workflows(30, 29);
     let config = SimilarityConfig::best_module_sets();
-    // 1 spare shard beyond a round-robin of 30: build over 31 shards so
-    // shard 30 is guaranteed empty.
-    let sharded =
-        ShardedCorpus::build_with(config.clone(), 31, ShardPartition::RoundRobin, workflows);
+    // 30 workflows over 31 shards: at least one shard is empty.
+    let sharded = ShardedCorpus::build(config.clone(), 31, workflows);
     assert!(sharded.shards().iter().any(|s| s.is_empty()));
     sharded.save(&dir).unwrap();
 
@@ -504,23 +487,20 @@ fn sharded_snapshot_roundtrip_reproduces_search_results() {
         );
     }
 
-    // Corrupting one shard file yields a typed per-shard error and a clean
-    // fallback rebuild.
-    let victim = dir.join("shard-007.snap");
+    // Corrupting one non-empty shard file yields a typed per-shard error
+    // and a clean fallback rebuild.
+    let victim_shard = (7..31)
+        .find(|&i| !sharded.shards()[i].is_empty())
+        .expect("30 workflows fill some shard from 7 on");
+    let victim = dir.join(format!("shard-{victim_shard:03}.snap"));
     let text = std::fs::read_to_string(&victim).unwrap();
     std::fs::write(&victim, text.replace("\"id\"", "\"ID\"")).unwrap();
     match ShardedCorpus::load(&dir, config.clone()) {
-        Err(wf_sim::ShardSnapshotError::Shard { shard: 7, .. }) => {}
+        Err(wf_sim::ShardSnapshotError::Shard { shard, .. }) if shard == victim_shard => {}
         Err(err) => panic!("unexpected error: {err}"),
         Ok(_) => panic!("corrupt shard must not load"),
     }
-    let (rebuilt, origin) = ShardedCorpus::load_or_build(
-        &dir,
-        config,
-        4,
-        ShardPartition::HashId,
-        demo_workflows(30, 29),
-    );
+    let (rebuilt, origin) = ShardedCorpus::load_or_build(&dir, config, 4, demo_workflows(30, 29));
     assert!(!origin.is_snapshot());
     assert_eq!(rebuilt.len(), 30);
     let _ = std::fs::remove_dir_all(&dir);
@@ -537,8 +517,7 @@ fn truncated_shard_snapshot_is_typed_and_recovery_is_equivalent() {
     let _ = std::fs::remove_dir_all(&dir);
     let workflows = demo_workflows(24, 77);
     let config = SimilarityConfig::best_module_sets();
-    let original =
-        ShardedCorpus::build_with(config.clone(), 5, ShardPartition::HashId, workflows.clone());
+    let original = ShardedCorpus::build(config.clone(), 5, workflows.clone());
     original.save(&dir).unwrap();
 
     // Truncate shard 3 mid-file: keep a strict prefix so the header may
@@ -554,8 +533,7 @@ fn truncated_shard_snapshot_is_typed_and_recovery_is_equivalent() {
         Ok(_) => panic!("a truncated shard must not load"),
     }
 
-    let (rebuilt, origin) =
-        ShardedCorpus::load_or_build(&dir, config.clone(), 5, ShardPartition::HashId, workflows);
+    let (rebuilt, origin) = ShardedCorpus::load_or_build(&dir, config.clone(), 5, workflows);
     assert!(!origin.is_snapshot());
     assert_eq!(
         origin.failed_shard(),

@@ -141,7 +141,7 @@ fn racing_deadline_returns_partial_degraded_result_within_slo() {
         let ids: Vec<String> = workflows.iter().map(|w| w.id.0.clone()).collect();
         let service = Arc::new(CorpusService::new(
             ShardedCorpus::build(SimilarityConfig::best_module_sets(), 4, workflows)
-                .with_parallelism(SearchParallelism::racing_per_shard()),
+                .with_parallelism(SearchParallelism::Racing),
         ));
         (service, ids)
     };

@@ -42,7 +42,7 @@
 //! build → mutate (incremental `add`/`remove`) → snapshot (versioned,
 //! checksummed persistence) → score (pruned top-k search and profiled
 //! clustering matrices from one instance).  The [`shard`] module scales the
-//! corpus out: [`ShardedCorpus`] partitions workflows across independent
+//! corpus out: [`ShardedCorpus`] hashes workflow ids across independent
 //! shards with bit-identical scatter-gather top-k (plus per-shard snapshots
 //! behind one manifest), and [`CorpusService`] serves concurrent searches
 //! and batch queries while churn write-locks only the owning shard.
@@ -79,7 +79,7 @@ pub use pipeline::{SimilarityReport, WorkflowSimilarity};
 pub use prior_work::{prior_approaches, PriorApproach};
 pub use profile::{ClassPairTable, ModuleProfile, ProfiledMeasure, QueryFeatures, WorkflowProfile};
 pub use shard::{
-    drain_shard, CorpusService, DegradedSearch, SearchParallelism, ShardOrigin, ShardPartition,
-    ShardSnapshotError, ShardedCorpus,
+    drain_shard, CorpusService, DegradedSearch, SearchParallelism, ShardOrigin, ShardSnapshotError,
+    ShardedCorpus,
 };
 pub use stacking::{learn_weights, weight_grid, LearnedWeights, RankEnsemble};

@@ -12,8 +12,9 @@
 //! module partitions the corpus instead:
 //!
 //! * [`ShardedCorpus`] — N shards, each a complete [`Corpus`] owning its
-//!   own pool, profiles and token index; workflows are routed to shards by
-//!   id ([`ShardPartition`]).  A top-k query **scatters** by building one
+//!   own pool, profiles and token index; each workflow lives in the shard
+//!   the FNV-1a hash of its id picks, so routing is stateless and an id
+//!   never lives in two shards.  A top-k query **scatters** by building one
 //!   candidate *cursor* per shard (the shard's candidates with their
 //!   bounds, read from a per-query class table; nothing scored yet), then
 //!   runs **one global best-bound-first scan** over the cursors merged by
@@ -26,6 +27,8 @@
 //! * [`CorpusService`] — the concurrent wrapper: one `RwLock` per shard,
 //!   so searches proceed on all shards concurrently with churn that only
 //!   write-locks the single owning shard, plus a parallel batch-query API.
+//!   Hash routing needs no shared route table, so the shard locks are the
+//!   service's only locks.
 //!
 //! ## Why sharded search stays bit-identical
 //!
@@ -42,7 +45,6 @@
 //! asc)` hit ordering, so ids, scores *and* tie order equal the
 //! single-corpus [`IndexedSearchEngine`](wf_repo::IndexedSearchEngine).
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::io;
@@ -53,7 +55,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 // deterministic scheduling points inside one (see `vendor/shuttle-mini`
 // and the `wf-analyze` model-check suite, which races `CorpusService`
 // searches against live churn under a controlled scheduler).
-use shuttle_mini::sync::{Mutex, RwLock, RwLockReadGuard};
+use shuttle_mini::sync::{RwLock, RwLockReadGuard};
 
 use wf_model::{Workflow, WorkflowId};
 use wf_repo::{
@@ -69,108 +71,63 @@ use crate::profile::{ProfiledMeasure, QueryFeatures, WorkflowProfile};
 pub const SHARD_MANIFEST_MAGIC: &str = "wfsim-shard-manifest";
 
 /// Version of the shard-manifest layout.  Version 2 added the generation
-/// number that ties the manifest to its shard files.
-pub const SHARD_MANIFEST_VERSION: u32 = 2;
+/// number that ties the manifest to its shard files; version 3 dropped the
+/// partition and rotation-cursor fields (routing is always by id hash).
+pub const SHARD_MANIFEST_VERSION: u32 = 3;
 
 /// The file a [`ShardedCorpus::save`] directory's manifest is written to.
 pub const SHARD_MANIFEST_FILE: &str = "manifest";
-
-/// How workflows are assigned to shards.
-///
-/// Both partitions are *stable*: a workflow id always routes to the shard
-/// that currently holds it, so `add` with an existing id replaces in place
-/// and never duplicates an id across shards — the invariant scatter-gather
-/// relies on to never return the same workflow twice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardPartition {
-    /// Stateless FNV-1a hash of the workflow id, modulo the shard count.
-    /// Routing needs no lookup table and survives snapshot round-trips by
-    /// construction.
-    HashId,
-    /// New ids are dealt to shards in rotation, keeping shard sizes within
-    /// one of each other; the id → shard assignment is remembered so
-    /// replacements and removals route to the owning shard.
-    RoundRobin,
-}
-
-impl fmt::Display for ShardPartition {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ShardPartition::HashId => "hash",
-            ShardPartition::RoundRobin => "round-robin",
-        })
-    }
-}
-
-impl ShardPartition {
-    fn parse(token: &str) -> Option<Self> {
-        match token {
-            "hash" => Some(ShardPartition::HashId),
-            "round-robin" => Some(ShardPartition::RoundRobin),
-            _ => None,
-        }
-    }
-}
 
 /// How many workers one query's scatter runs on.
 ///
 /// Both modes are **bit-identical** — ids, scores, tie order — to the
 /// single-corpus [`IndexedSearchEngine`](wf_repo::IndexedSearchEngine);
-/// the knob only sets the worker count the scatter is planned with
-/// ([`SearchParallelism::workers_for`]):
+/// the knob only sets the worker count the scatter is planned with:
 ///
 /// * [`Sequential`](SearchParallelism::Sequential) is one worker, inline
 ///   on the calling thread.  Without a shard gate every shard's ranked
 ///   cursor is merged into one global best-bound-first frontier, so
 ///   scoring order is globally optimal and this mode does the *least*
-///   total work; per-query latency is flat in shard count.  This is the
-///   path the fault-free `wf-serve` server runs.
-/// * [`Racing`](SearchParallelism::Racing) with two or more workers
-///   scans each shard as its own unit: workers claim shards off one
-///   ticket and drain them against the one shared lock-free
-///   [`SearchThreshold`], so every worker prunes against the globally
-///   tightening k-th-best floor.  Workers may score candidates a global
-///   frontier would have pruned (the floor tightens a little later), but
-///   pruning is *strictly below* a floor that is always a true worst-of-k
-///   of exactly-scored candidates, so no interleaving can change the
-///   merged result — only the work split.  What racing is kept for is
-///   isolation: a shard whose gate stalls pins only its own worker.
+///   total work; the number of candidates scored is flat in shard count.
+///   This is the path the fault-free `wf-serve` server runs, and the only
+///   mode that may run inside a shuttle-mini model run (it spawns
+///   nothing).
+/// * [`Racing`](SearchParallelism::Racing) runs one worker per shard:
+///   each scans its own shard and all drain against the one shared
+///   lock-free [`SearchThreshold`], so every worker prunes against the
+///   globally tightening k-th-best floor.  Workers may score candidates a
+///   global frontier would have pruned (the floor tightens a little
+///   later), but pruning is *strictly below* a floor that is always a true
+///   worst-of-k of exactly-scored candidates, so no interleaving can
+///   change the merged result — only the work split.  What racing is kept
+///   for is isolation: a shard whose gate stalls pins only its own worker.
+///   The workers are plain `std` scoped threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchParallelism {
     /// One global frontier, scanned sequentially (the default).
     #[default]
     Sequential,
-    /// Per-shard workers racing the shared threshold floor, at most
-    /// `max_workers` threads (clamped to at least 1; values above the
-    /// shard count are clamped down to one worker per shard).
-    Racing {
-        /// Upper bound on worker threads for one query's scan.
-        max_workers: usize,
-    },
+    /// One worker per shard, racing the shared threshold floor.
+    Racing,
 }
 
 impl SearchParallelism {
-    /// One worker per shard — the natural racing configuration.
-    pub fn racing_per_shard() -> Self {
-        SearchParallelism::Racing {
-            max_workers: usize::MAX,
-        }
-    }
-
-    /// The number of workers a scan over `shard_count` shards actually
-    /// uses in this mode.
-    pub fn workers_for(self, shard_count: usize) -> usize {
+    /// The number of workers a scan over `shard_count` shards uses.
+    fn workers_for(self, shard_count: usize) -> usize {
         match self {
             SearchParallelism::Sequential => 1,
-            SearchParallelism::Racing { max_workers } => clamp_workers(max_workers, shard_count),
+            SearchParallelism::Racing => shard_count.max(1),
         }
     }
 }
 
-/// The one worker clamp: at least one worker, and no more than there are
-/// units of work to claim.
-fn clamp_workers(requested: usize, units: usize) -> usize {
-    requested.max(1).min(units.max(1))
+impl fmt::Display for SearchParallelism {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            SearchParallelism::Sequential => "sequential",
+            SearchParallelism::Racing => "racing",
+        })
+    }
 }
 
 fn hash_route(id: &WorkflowId, shards: usize) -> usize {
@@ -184,15 +141,9 @@ fn shard_file_name(shard: usize) -> String {
 /// The one manifest header the sharded writer ([`save_shards`]) writes
 /// and [`ShardedCorpus::load`] parses — any new field must be added here
 /// and in the parser, never in a per-caller copy.
-fn manifest_line(
-    generation: u64,
-    shards: usize,
-    partition: ShardPartition,
-    next_rr: usize,
-    config: &SimilarityConfig,
-) -> String {
+fn manifest_line(generation: u64, shards: usize, config: &SimilarityConfig) -> String {
     format!(
-        "{SHARD_MANIFEST_MAGIC} v{SHARD_MANIFEST_VERSION} gen={generation} shards={shards} partition={partition} next={next_rr} config={}\n",
+        "{SHARD_MANIFEST_MAGIC} v{SHARD_MANIFEST_VERSION} gen={generation} shards={shards} config={}\n",
         config_fingerprint(config),
     )
 }
@@ -208,8 +159,6 @@ fn manifest_line(
 /// [`ShardedCorpus::load_or_build`] rebuilds from — never a mix.
 fn save_shards<R: std::ops::Deref<Target = Corpus>>(
     dir: &Path,
-    partition: ShardPartition,
-    next_rr: usize,
     config: &SimilarityConfig,
     shard_count: usize,
     mut shard_at: impl FnMut(usize) -> R,
@@ -232,7 +181,7 @@ fn save_shards<R: std::ops::Deref<Target = Corpus>>(
     }
     // The shard renames must be durable before the manifest's.
     sync_dir(dir, &mut steps)?;
-    let manifest = manifest_line(generation, shard_count, partition, next_rr, config);
+    let manifest = manifest_line(generation, shard_count, config);
     write_atomic(
         &dir.join(SHARD_MANIFEST_FILE),
         manifest.as_bytes(),
@@ -249,13 +198,13 @@ fn save_shards<R: std::ops::Deref<Target = Corpus>>(
 /// * every shard is a complete [`Corpus`] for the same
 ///   [`SimilarityConfig`]; shards share nothing (pool, profiles, index are
 ///   per shard);
-/// * a workflow id lives in at most one shard, and always in the shard its
-///   partition routes it to ([`ShardedCorpus::add`] replaces through the
-///   owning shard, never across shards);
+/// * a workflow id lives in at most one shard, and always in the shard the
+///   hash of the id routes it to ([`ShardedCorpus::add`] replaces through
+///   the owning shard, never across shards);
 /// * [`ShardedCorpus::search`] results — ids, scores, tie order — are
 ///   bit-identical to a single-corpus
 ///   [`IndexedSearchEngine`](wf_repo::IndexedSearchEngine) over the union
-///   of all shards, for every shard count and partition.
+///   of all shards, for every shard count.
 ///
 /// ```
 /// use wf_model::{builder::WorkflowBuilder, ModuleType};
@@ -279,13 +228,7 @@ fn save_shards<R: std::ops::Deref<Target = Corpus>>(
 /// ```
 pub struct ShardedCorpus {
     config: SimilarityConfig,
-    partition: ShardPartition,
     shards: Vec<Corpus>,
-    /// Id → owning shard; maintained only for [`ShardPartition::RoundRobin`]
-    /// (hash routing is stateless).
-    routes: BTreeMap<WorkflowId, u32>,
-    /// Next rotation slot for new round-robin ids.
-    next_rr: usize,
     /// How a single query's scan is scheduled across the shards (a
     /// runtime knob, not persisted by [`ShardedCorpus::save`]).
     parallelism: SearchParallelism,
@@ -294,49 +237,18 @@ pub struct ShardedCorpus {
 impl ShardedCorpus {
     /// Builds a hash-partitioned corpus of `shard_count` shards (clamped to
     /// at least 1).  Duplicate ids replace earlier occurrences, exactly
-    /// like [`Corpus::build`].
+    /// like [`Corpus::build`]: every copy of an id hashes to one shard, in
+    /// arrival order, and that shard's build keeps the last upload at the
+    /// first one's position.
     pub fn build(
         config: SimilarityConfig,
         shard_count: usize,
         workflows: impl IntoIterator<Item = Workflow>,
     ) -> Self {
-        ShardedCorpus::build_with(config, shard_count, ShardPartition::HashId, workflows)
-    }
-
-    /// [`ShardedCorpus::build`] with an explicit partition strategy.
-    pub fn build_with(
-        config: SimilarityConfig,
-        shard_count: usize,
-        partition: ShardPartition,
-        workflows: impl IntoIterator<Item = Workflow>,
-    ) -> Self {
         let shard_count = shard_count.max(1);
-        // Last-upload-wins dedup in arrival order, as in `Corpus::build`.
-        let mut deduped: Vec<Workflow> = Vec::new();
-        let mut seen: BTreeMap<WorkflowId, usize> = BTreeMap::new();
-        for wf in workflows {
-            match seen.get(&wf.id) {
-                Some(&pos) => deduped[pos] = wf,
-                None => {
-                    seen.insert(wf.id.clone(), deduped.len());
-                    deduped.push(wf);
-                }
-            }
-        }
         let mut buckets: Vec<Vec<Workflow>> = (0..shard_count).map(|_| Vec::new()).collect();
-        let mut routes = BTreeMap::new();
-        let mut next_rr = 0usize;
-        for wf in deduped {
-            let shard = match partition {
-                ShardPartition::HashId => hash_route(&wf.id, shard_count),
-                ShardPartition::RoundRobin => {
-                    let shard = next_rr % shard_count;
-                    next_rr += 1;
-                    routes.insert(wf.id.clone(), shard as u32);
-                    shard
-                }
-            };
-            buckets[shard].push(wf);
+        for wf in workflows {
+            buckets[hash_route(&wf.id, shard_count)].push(wf);
         }
         let shards = buckets
             .into_iter()
@@ -344,29 +256,17 @@ impl ShardedCorpus {
             .collect();
         ShardedCorpus {
             config,
-            partition,
             shards,
-            routes,
-            next_rr,
             parallelism: SearchParallelism::default(),
         }
     }
 
     /// Sets the intra-query scan strategy (builder form).  Both modes are
-    /// bit-identical; see [`SearchParallelism`].
+    /// bit-identical; see [`SearchParallelism`].  A [`CorpusService`]
+    /// wrapping this corpus inherits the strategy.
     pub fn with_parallelism(mut self, parallelism: SearchParallelism) -> Self {
         self.parallelism = parallelism;
         self
-    }
-
-    /// Sets the intra-query scan strategy in place.
-    pub fn set_parallelism(&mut self, parallelism: SearchParallelism) {
-        self.parallelism = parallelism;
-    }
-
-    /// The intra-query scan strategy.
-    pub fn parallelism(&self) -> SearchParallelism {
-        self.parallelism
     }
 
     /// The configured similarity algorithm (shared by every shard).
@@ -377,11 +277,6 @@ impl ShardedCorpus {
     /// The algorithm name in the paper's notation.
     pub fn measure_name(&self) -> String {
         self.shards[0].measure_name()
-    }
-
-    /// The partition strategy routing ids to shards.
-    pub fn partition(&self) -> ShardPartition {
-        self.partition
     }
 
     /// Number of shards (at least 1).
@@ -415,13 +310,8 @@ impl ShardedCorpus {
 
     /// The shard currently holding a workflow id, if resident.
     pub fn shard_of(&self, id: &WorkflowId) -> Option<usize> {
-        match self.partition {
-            ShardPartition::HashId => {
-                let shard = hash_route(id, self.shards.len());
-                self.shards[shard].index_of(id).map(|_| shard)
-            }
-            ShardPartition::RoundRobin => self.routes.get(id).map(|&s| s as usize),
-        }
+        let shard = hash_route(id, self.shards.len());
+        self.shards[shard].index_of(id).map(|_| shard)
     }
 
     /// True when the id is resident in some shard.
@@ -438,18 +328,7 @@ impl ShardedCorpus {
     /// with the same id in place), returning the shard index.  Only that
     /// shard's pool, profiles and index are touched.
     pub fn add(&mut self, wf: Workflow) -> usize {
-        let shard = match self.partition {
-            ShardPartition::HashId => hash_route(&wf.id, self.shards.len()),
-            ShardPartition::RoundRobin => match self.routes.get(&wf.id) {
-                Some(&s) => s as usize,
-                None => {
-                    let s = self.next_rr % self.shards.len();
-                    self.next_rr += 1;
-                    self.routes.insert(wf.id.clone(), s as u32);
-                    s
-                }
-            },
-        };
+        let shard = hash_route(&wf.id, self.shards.len());
         self.shards[shard].add(wf);
         shard
     }
@@ -457,12 +336,8 @@ impl ShardedCorpus {
     /// Removes a workflow from its owning shard, returning it (or `None`
     /// for an unknown id).
     pub fn remove(&mut self, id: &WorkflowId) -> Option<Workflow> {
-        let shard = self.shard_of(id)?;
-        let removed = self.shards[shard].remove(id);
-        if removed.is_some() && self.partition == ShardPartition::RoundRobin {
-            self.routes.remove(id);
-        }
-        removed
+        let shard = hash_route(id, self.shards.len());
+        self.shards[shard].remove(id)
     }
 
     /// The `k` workflows most similar to the resident workflow with id
@@ -583,17 +458,12 @@ impl ShardedCorpus {
     /// Writes one snapshot file per shard, then a manifest, into `dir`
     /// (created if absent).  Shard snapshots are the versioned, checksummed
     /// [`Corpus::save`] format; the manifest records the save's generation,
-    /// shard count, partition and config fingerprint, and its atomic
-    /// rename commits the save.
+    /// shard count and config fingerprint, and its atomic rename commits
+    /// the save.
     pub fn save(&self, dir: impl AsRef<Path>) -> io::Result<()> {
-        save_shards(
-            dir.as_ref(),
-            self.partition,
-            self.next_rr,
-            &self.config,
-            self.shards.len(),
-            |i| &self.shards[i],
-        )
+        save_shards(dir.as_ref(), &self.config, self.shards.len(), |i| {
+            &self.shards[i]
+        })
     }
 
     /// Restores a sharded corpus saved by [`ShardedCorpus::save`],
@@ -601,9 +471,11 @@ impl ShardedCorpus {
     /// manifest must carry the current layout version and the fingerprint
     /// of exactly `config`; every shard snapshot must load intact (each is
     /// version- and checksum-validated individually) and carry the
-    /// manifest's generation, and every restored workflow must route to
+    /// manifest's generation, and every restored workflow must hash to
     /// the shard it was found in.  Any violation is a typed
-    /// [`ShardSnapshotError`].
+    /// [`ShardSnapshotError`].  The manifest's shard count is not trusted
+    /// for allocation: a count larger than the files present fails at the
+    /// first missing shard file.
     pub fn load(
         dir: impl AsRef<Path>,
         config: SimilarityConfig,
@@ -641,12 +513,6 @@ impl ShardedCorpus {
                 "manifest declares zero shards".to_string(),
             ));
         }
-        let partition = ShardPartition::parse(&field("partition=")?).ok_or_else(|| {
-            ShardSnapshotError::Manifest("unknown partition strategy".to_string())
-        })?;
-        let next_rr: usize = field("next=")?
-            .parse()
-            .map_err(|_| ShardSnapshotError::Manifest("malformed rotation cursor".to_string()))?;
         let fingerprint = field("config=")?;
         let expected = config_fingerprint(&config);
         if fingerprint != expected {
@@ -655,41 +521,26 @@ impl ShardedCorpus {
                 found: fingerprint,
             });
         }
-        let mut shards = Vec::with_capacity(shard_count);
+        let mut shards = Vec::new();
         for i in 0..shard_count {
             let shard = std::fs::read_to_string(dir.join(shard_file_name(i)))
                 .map_err(SnapshotError::Io)
                 .and_then(|text| Corpus::decode_snapshot(&text, config.clone(), Some(generation)));
             shards.push(shard.map_err(|error| ShardSnapshotError::Shard { shard: i, error })?);
         }
-        let mut routes = BTreeMap::new();
         for (i, shard) in shards.iter().enumerate() {
             for id in shard.ids() {
-                match partition {
-                    ShardPartition::HashId => {
-                        let expected = hash_route(id, shard_count);
-                        if expected != i {
-                            return Err(ShardSnapshotError::Manifest(format!(
-                                "workflow {id} found in shard {i} but hashes to shard {expected}"
-                            )));
-                        }
-                    }
-                    ShardPartition::RoundRobin => {
-                        if let Some(previous) = routes.insert(id.clone(), i as u32) {
-                            return Err(ShardSnapshotError::Manifest(format!(
-                                "workflow {id} found in both shard {previous} and shard {i}"
-                            )));
-                        }
-                    }
+                let expected = hash_route(id, shard_count);
+                if expected != i {
+                    return Err(ShardSnapshotError::Manifest(format!(
+                        "workflow {id} found in shard {i} but hashes to shard {expected}"
+                    )));
                 }
             }
         }
         Ok(ShardedCorpus {
             config,
-            partition,
             shards,
-            routes,
-            next_rr,
             parallelism: SearchParallelism::default(),
         })
     }
@@ -707,7 +558,6 @@ impl ShardedCorpus {
         dir: impl AsRef<Path>,
         config: SimilarityConfig,
         shard_count: usize,
-        partition: ShardPartition,
         workflows: impl IntoIterator<Item = Workflow>,
     ) -> (Self, ShardOrigin) {
         let dir = dir.as_ref();
@@ -727,7 +577,7 @@ impl ShardedCorpus {
                     ),
                 }
                 (
-                    ShardedCorpus::build_with(config, shard_count, partition, workflows),
+                    ShardedCorpus::build(config, shard_count, workflows),
                     ShardOrigin::Rebuilt(reason),
                 )
             }
@@ -768,8 +618,8 @@ pub enum ShardSnapshotError {
     /// The manifest file could not be read.
     Io(io::Error),
     /// The manifest is malformed, has the wrong version, or contradicts
-    /// the shard files (e.g. a workflow filed in a shard it does not route
-    /// to).
+    /// the shard files (e.g. a workflow filed in a shard its id does not
+    /// hash to).
     Manifest(String),
     /// The manifest was written for a different similarity configuration.
     ConfigMismatch {
@@ -1096,7 +946,8 @@ fn scatter<R: std::ops::Deref<Target = Corpus>>(
 /// are plain `std` scoped threads that claim indices off one shared
 /// ticket, so a slow job pins only the worker that claimed it.
 fn claim_units<T: Send>(units: usize, workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let workers = clamp_workers(workers, units);
+    // At least one worker, and no more than there are units to claim.
+    let workers = workers.max(1).min(units.max(1));
     if workers == 1 {
         return (0..units).map(job).collect();
     }
@@ -1134,30 +985,18 @@ fn claim_units<T: Send>(units: usize, workers: usize, job: impl Fn(usize) -> T +
         .collect()
 }
 
-impl fmt::Display for SearchParallelism {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SearchParallelism::Sequential => f.write_str("sequential"),
-            SearchParallelism::Racing { max_workers } => {
-                if *max_workers == usize::MAX {
-                    f.write_str("racing")
-                } else {
-                    write!(f, "racing({max_workers})")
-                }
-            }
-        }
-    }
-}
-
 /// A concurrent serving wrapper around a [`ShardedCorpus`]: one `RwLock`
 /// per shard, so any number of searches proceed in parallel and churn
 /// (`add` / `remove`) only write-locks the single shard owning the id.
 ///
 /// # Invariants and consistency model
 ///
-/// * Routing is fixed at construction (partition + shard count); churn
+/// * An id hashes to exactly one shard, for the service's lifetime: churn
 ///   never migrates a workflow between shards, so an id has exactly one
 ///   owner lock.
+/// * Deadlock freedom: the shard locks are the only locks.  Every
+///   multi-lock path takes them in ascending index order, and a writer
+///   holds exactly one shard write lock.
 /// * A search read-locks the owner shard to extract query features and
 ///   releases it; then it takes **all** shard read locks up front, in
 ///   ascending index order, and only then runs any shard gate.  The locks
@@ -1166,19 +1005,12 @@ impl fmt::Display for SearchParallelism {
 ///   removed (or added) *before* the search started is guaranteed
 ///   excluded (or visible): the churn invariant the stress tests assert.
 ///   A gate that stalls therefore stalls with every read lock held:
-///   writers to any shard wait for it.  Deadlock freedom:
-///   every multi-lock path takes the routes mutex first (and releases it
-///   before shard locks) and orders shard locks ascending; writers hold
-///   routes, then exactly one shard write lock.
+///   writers to any shard wait for it.
 /// * On a quiescent corpus, results are bit-identical to
 ///   [`ShardedCorpus::search`] and hence to the single-corpus engine.
 pub struct CorpusService {
     config: SimilarityConfig,
-    partition: ShardPartition,
     shards: Vec<RwLock<Corpus>>,
-    /// Round-robin routing state: id → shard plus the rotation cursor
-    /// (unused, but kept consistent, for hash partitions).
-    routes: Mutex<(BTreeMap<WorkflowId, u32>, usize)>,
     threads: usize,
     /// Intra-query scan strategy, inherited from the wrapped
     /// [`ShardedCorpus`] (see [`SearchParallelism`]).
@@ -1191,9 +1023,7 @@ impl CorpusService {
     pub fn new(sharded: ShardedCorpus) -> Self {
         CorpusService {
             config: sharded.config,
-            partition: sharded.partition,
             shards: sharded.shards.into_iter().map(RwLock::new).collect(),
-            routes: Mutex::new((sharded.routes, sharded.next_rr)),
             threads: 4,
             parallelism: sharded.parallelism,
         }
@@ -1206,34 +1036,15 @@ impl CorpusService {
         self
     }
 
-    /// Sets the intra-query scan strategy.  Racing searches with two or
-    /// more workers spawn plain `std` scoped threads, so such a service
-    /// must not be driven from inside a shuttle-mini model run (the
-    /// model-check suite races [`drain_shard`] directly instead);
-    /// sequential searches run inline and spawn nothing.
-    pub fn with_parallelism(mut self, parallelism: SearchParallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The intra-query scan strategy.
-    pub fn parallelism(&self) -> SearchParallelism {
-        self.parallelism
-    }
-
     /// Unwraps the service back into the single-owner [`ShardedCorpus`].
     pub fn into_sharded(self) -> ShardedCorpus {
-        let (routes, next_rr) = self.routes.into_inner().expect("route state poisoned");
         ShardedCorpus {
             config: self.config,
-            partition: self.partition,
             shards: self
                 .shards
                 .into_iter()
                 .map(|lock| lock.into_inner().expect("shard lock poisoned"))
                 .collect(),
-            routes,
-            next_rr,
             parallelism: self.parallelism,
         }
     }
@@ -1261,95 +1072,35 @@ impl CorpusService {
 
     /// True when the id is resident.
     pub fn contains(&self, id: &WorkflowId) -> bool {
-        match self.owner_of(id) {
-            Some(shard) => self.read(&self.shards[shard]).index_of(id).is_some(),
-            None => false,
-        }
+        self.read(self.owner_of(id)).index_of(id).is_some()
     }
 
     fn read<'a>(&self, lock: &'a RwLock<Corpus>) -> RwLockReadGuard<'a, Corpus> {
         lock.read().expect("shard lock poisoned")
     }
 
-    /// The shard an id routes to (`None` only for round-robin ids never
-    /// seen).
-    fn owner_of(&self, id: &WorkflowId) -> Option<usize> {
-        match self.partition {
-            ShardPartition::HashId => Some(hash_route(id, self.shards.len())),
-            ShardPartition::RoundRobin => {
-                let routes = self.routes.lock().expect("route state poisoned");
-                routes.0.get(id).map(|&s| s as usize)
-            }
-        }
+    /// The lock of the shard an id hashes to.
+    fn owner_of(&self, id: &WorkflowId) -> &RwLock<Corpus> {
+        &self.shards[hash_route(id, self.shards.len())]
     }
 
     /// Inserts (or replaces) a workflow, write-locking only the owning
     /// shard.  Returns the shard index.
-    ///
-    /// Round-robin routing holds the route lock *across* the shard write
-    /// (lock order: routes, then shard — the same as
-    /// [`CorpusService::remove`]): releasing it between assignment and
-    /// insertion would let a concurrent remove of the same id observe the
-    /// route before the workflow exists, or delete the route while the
-    /// insertion is in flight, stranding a resident without a route.
     pub fn add(&self, wf: Workflow) -> usize {
-        match self.partition {
-            ShardPartition::HashId => {
-                let shard = hash_route(&wf.id, self.shards.len());
-                self.shards[shard]
-                    .write()
-                    .expect("shard lock poisoned")
-                    .add(wf);
-                shard
-            }
-            ShardPartition::RoundRobin => {
-                let mut routes = self.routes.lock().expect("route state poisoned");
-                let shard = match routes.0.get(&wf.id) {
-                    Some(&s) => s as usize,
-                    None => {
-                        let s = routes.1 % self.shards.len();
-                        routes.1 += 1;
-                        routes.0.insert(wf.id.clone(), s as u32);
-                        s
-                    }
-                };
-                self.shards[shard]
-                    .write()
-                    .expect("shard lock poisoned")
-                    .add(wf);
-                shard
-            }
-        }
+        let shard = hash_route(&wf.id, self.shards.len());
+        self.shards[shard]
+            .write()
+            .expect("shard lock poisoned")
+            .add(wf);
+        shard
     }
 
     /// Removes a workflow by id, write-locking only the owning shard.
-    ///
-    /// Round-robin routing mutates the route map and the shard under one
-    /// route lock (routes, then shard — matching [`CorpusService::add`]),
-    /// so the "id resident ⇔ id routed" invariant holds at every instant
-    /// another thread can observe.
     pub fn remove(&self, id: &WorkflowId) -> Option<Workflow> {
-        match self.partition {
-            ShardPartition::HashId => {
-                let shard = hash_route(id, self.shards.len());
-                self.shards[shard]
-                    .write()
-                    .expect("shard lock poisoned")
-                    .remove(id)
-            }
-            ShardPartition::RoundRobin => {
-                let mut routes = self.routes.lock().expect("route state poisoned");
-                let shard = *routes.0.get(id)? as usize;
-                let removed = self.shards[shard]
-                    .write()
-                    .expect("shard lock poisoned")
-                    .remove(id);
-                if removed.is_some() {
-                    routes.0.remove(id);
-                }
-                removed
-            }
-        }
+        self.owner_of(id)
+            .write()
+            .expect("shard lock poisoned")
+            .remove(id)
     }
 
     /// Scatter-gather top-k for a resident query id; `None` when the id is
@@ -1416,7 +1167,7 @@ impl CorpusService {
     /// The query features of a resident workflow, extracted under the
     /// owning shard's read lock (released before the scatter).
     fn resident_features(&self, query: &WorkflowId) -> Option<QueryFeatures> {
-        let shard = self.read(&self.shards[self.owner_of(query)?]);
+        let shard = self.read(self.owner_of(query));
         let wf = shard.get(query)?;
         Some(shard.measure().query_features(wf))
     }
@@ -1450,15 +1201,9 @@ impl CorpusService {
     /// serialized under its read lock (a save concurrent with churn is
     /// per-shard consistent).
     pub fn save(&self, dir: impl AsRef<Path>) -> io::Result<()> {
-        let next_rr = self.routes.lock().expect("route state poisoned").1;
-        save_shards(
-            dir.as_ref(),
-            self.partition,
-            next_rr,
-            &self.config,
-            self.shards.len(),
-            |i| self.read(&self.shards[i]),
-        )
+        save_shards(dir.as_ref(), &self.config, self.shards.len(), |i| {
+            self.read(&self.shards[i])
+        })
     }
 }
 
@@ -1481,6 +1226,8 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// At 4 shards these ids hash to `{a, e}`, `{b, f}`, `{c}` and `{d}`, so
+    /// every shard is non-empty; at 3 shards, shard 2 is empty.
     fn sample() -> Vec<Workflow> {
         vec![
             wf("a", &["fetch sequence", "run blast", "render report"]),
@@ -1520,32 +1267,22 @@ mod tests {
 
     #[test]
     fn build_routes_every_workflow_to_exactly_one_shard() {
-        for partition in [ShardPartition::HashId, ShardPartition::RoundRobin] {
-            let sharded = ShardedCorpus::build_with(config(), 3, partition, sample());
-            assert_eq!(sharded.len(), 6, "{partition}");
-            assert_eq!(sharded.shard_count(), 3);
-            for id in sharded.ids() {
-                let owner = sharded.shard_of(&id).expect("resident");
-                let holders = sharded
-                    .shards()
-                    .iter()
-                    .filter(|s| s.index_of(&id).is_some())
-                    .count();
-                assert_eq!(holders, 1, "{partition}: {id}");
-                assert!(sharded.shards()[owner].index_of(&id).is_some());
-            }
-            assert!(sharded.contains(&"a".into()));
-            assert!(!sharded.contains(&"zzz".into()));
-            assert_eq!(sharded.get(&"c".into()).unwrap().module_count(), 2);
+        let sharded = ShardedCorpus::build(config(), 3, sample());
+        assert_eq!(sharded.len(), 6);
+        assert_eq!(sharded.shard_count(), 3);
+        for id in sharded.ids() {
+            let owner = sharded.shard_of(&id).expect("resident");
+            let holders = sharded
+                .shards()
+                .iter()
+                .filter(|s| s.index_of(&id).is_some())
+                .count();
+            assert_eq!(holders, 1, "{id}");
+            assert!(sharded.shards()[owner].index_of(&id).is_some());
         }
-    }
-
-    #[test]
-    fn round_robin_keeps_shards_balanced() {
-        let sharded = ShardedCorpus::build_with(config(), 4, ShardPartition::RoundRobin, sample());
-        let sizes: Vec<usize> = sharded.shards().iter().map(Corpus::len).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 6);
-        assert!(sizes.iter().all(|&s| s == 1 || s == 2), "{sizes:?}");
+        assert!(sharded.contains(&"a".into()));
+        assert!(!sharded.contains(&"zzz".into()));
+        assert_eq!(sharded.get(&"c".into()).unwrap().module_count(), 2);
     }
 
     #[test]
@@ -1559,18 +1296,34 @@ mod tests {
     fn duplicate_build_ids_replace_like_a_single_corpus() {
         let mut workflows = sample();
         workflows.push(wf("b", &["totally different"]));
-        let sharded = ShardedCorpus::build(config(), 3, workflows);
-        assert_eq!(sharded.len(), 6);
-        assert_eq!(sharded.get(&"b".into()).unwrap().module_count(), 1);
+        workflows.insert(1, wf("f", &["an early copy"]));
+        workflows.push(wf("a", &["late", "replacement"]));
+        for shards in [1, 3, 4] {
+            let sharded = ShardedCorpus::build(config(), shards, workflows.clone());
+            assert_eq!(sharded.len(), 6);
+            assert_eq!(sharded.get(&"b".into()).unwrap().module_count(), 1);
+            assert_eq!(sharded.get(&"a".into()).unwrap().module_count(), 2);
+            // Each shard holds the single corpus's workflows for that shard,
+            // in the single corpus's order: last upload wins, at the first
+            // upload's position.
+            let single = Corpus::build(config(), workflows.clone());
+            for (i, shard) in sharded.shards().iter().enumerate() {
+                let expected: Vec<Workflow> = single
+                    .workflows()
+                    .iter()
+                    .filter(|wf| hash_route(&wf.id, shards) == i)
+                    .cloned()
+                    .collect();
+                assert_eq!(shard.workflows(), expected, "{shards} shards, shard {i}");
+            }
+        }
     }
 
     #[test]
-    fn search_matches_the_single_corpus_engine_for_every_partition() {
+    fn search_matches_the_single_corpus_engine_at_every_shard_count() {
         for shards in [1, 2, 4, 8] {
-            for partition in [ShardPartition::HashId, ShardPartition::RoundRobin] {
-                let sharded = ShardedCorpus::build_with(config(), shards, partition, sample());
-                assert_matches_single(&sharded, &format!("{shards} shards, {partition}"));
-            }
+            let sharded = ShardedCorpus::build(config(), shards, sample());
+            assert_matches_single(&sharded, &format!("{shards} shards"));
         }
     }
 
@@ -1585,20 +1338,18 @@ mod tests {
 
     #[test]
     fn churn_routes_through_owning_shards() {
-        for partition in [ShardPartition::HashId, ShardPartition::RoundRobin] {
-            let mut sharded = ShardedCorpus::build_with(config(), 3, partition, sample());
-            assert!(sharded.remove(&"b".into()).is_some());
-            assert!(sharded.remove(&"b".into()).is_none());
-            assert_eq!(sharded.len(), 5);
-            let shard = sharded.add(wf("g", &["run blast", "plot hits"]));
-            assert_eq!(sharded.shard_of(&"g".into()), Some(shard));
-            // Replacement stays in the owning shard.
-            let again = sharded.add(wf("g", &["parse tree"]));
-            assert_eq!(shard, again, "{partition}");
-            assert_eq!(sharded.len(), 6);
-            assert_eq!(sharded.get(&"g".into()).unwrap().module_count(), 1);
-            assert_matches_single(&sharded, &format!("churned, {partition}"));
-        }
+        let mut sharded = ShardedCorpus::build(config(), 3, sample());
+        assert!(sharded.remove(&"b".into()).is_some());
+        assert!(sharded.remove(&"b".into()).is_none());
+        assert_eq!(sharded.len(), 5);
+        let shard = sharded.add(wf("g", &["run blast", "plot hits"]));
+        assert_eq!(sharded.shard_of(&"g".into()), Some(shard));
+        // Replacement stays in the owning shard.
+        let again = sharded.add(wf("g", &["parse tree"]));
+        assert_eq!(shard, again);
+        assert_eq!(sharded.len(), 6);
+        assert_eq!(sharded.get(&"g".into()).unwrap().module_count(), 1);
+        assert_matches_single(&sharded, "churned");
     }
 
     #[test]
@@ -1640,18 +1391,13 @@ mod tests {
     fn sharded_snapshot_roundtrips_including_empty_shards() {
         let dir = std::env::temp_dir().join("wfsim-shard-snapshot-test");
         let _ = std::fs::remove_dir_all(&dir);
-        // Round-robin over more shards than workflows forces empty shards.
-        let sharded = ShardedCorpus::build_with(
-            config(),
-            5,
-            ShardPartition::RoundRobin,
-            sample().into_iter().take(3),
-        );
+        // More shards than workflows forces empty shards.
+        let sharded = ShardedCorpus::build(config(), 5, sample().into_iter().take(3));
         assert!(sharded.shards().iter().any(Corpus::is_empty));
         sharded.save(&dir).unwrap();
         let restored = ShardedCorpus::load(&dir, config()).unwrap();
         assert_eq!(restored.shard_count(), 5);
-        assert_eq!(restored.partition(), ShardPartition::RoundRobin);
+        assert_eq!(contents(&restored), contents(&sharded));
         assert_eq!(restored.ids(), sharded.ids());
         for id in sharded.ids() {
             assert_eq!(
@@ -1688,8 +1434,7 @@ mod tests {
         ));
 
         // load_or_build falls back to a clean rebuild.
-        let (rebuilt, origin) =
-            ShardedCorpus::load_or_build(&dir, config(), 2, ShardPartition::HashId, sample());
+        let (rebuilt, origin) = ShardedCorpus::load_or_build(&dir, config(), 2, sample());
         assert!(matches!(origin, ShardOrigin::Rebuilt(_)));
         assert!(!origin.is_snapshot());
         assert_eq!(rebuilt.len(), 6);
@@ -1721,11 +1466,12 @@ mod tests {
     /// steps), over a directory holding a previous save.  Every cut must
     /// load as exactly the previous save, exactly the new one, or a typed
     /// error that `load_or_build` rebuilds from — never a mix, which the
-    /// fixture would show because the new save changes every shard.
+    /// fixture would show because the new save changes every shard (all
+    /// four are non-empty).
     #[test]
     fn a_save_cut_at_any_write_step_loads_old_new_or_a_typed_error() {
         fn old_corpus() -> ShardedCorpus {
-            ShardedCorpus::build_with(config(), 3, ShardPartition::RoundRobin, sample())
+            ShardedCorpus::build(config(), 4, sample())
         }
         fn new_corpus() -> ShardedCorpus {
             let mut new = old_corpus();
@@ -1770,8 +1516,7 @@ mod tests {
                         let (rebuilt, origin) = ShardedCorpus::load_or_build(
                             &dir,
                             config(),
-                            3,
-                            ShardPartition::RoundRobin,
+                            4,
                             sharded_workflows(&new),
                         );
                         assert!(!origin.is_snapshot(), "step {step}");
@@ -1786,9 +1531,9 @@ mod tests {
                 }
                 step += 1;
             }
-            // Three steps per file (three shards and the manifest) and two
+            // Three steps per file (four shards and the manifest) and two
             // directory syncs, every one of them cut once.
-            assert_eq!(step, 3 * 4 + 2 + 1);
+            assert_eq!(step, 3 * 5 + 2 + 1);
             assert!(saw_old && saw_new && saw_error);
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -1813,8 +1558,7 @@ mod tests {
                 }
             })
         ));
-        let (_, origin) =
-            ShardedCorpus::load_or_build(&dir, config(), 3, ShardPartition::HashId, sample());
+        let (_, origin) = ShardedCorpus::load_or_build(&dir, config(), 3, sample());
         assert_eq!(origin.failed_shard(), Some(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1846,8 +1590,7 @@ mod tests {
                     error: SnapshotError::VersionMismatch { .. },
                 }) if shard == victim
             ));
-            let (rebuilt, origin) =
-                ShardedCorpus::load_or_build(&dir, config(), 3, ShardPartition::HashId, sample());
+            let (rebuilt, origin) = ShardedCorpus::load_or_build(&dir, config(), 3, sample());
             assert!(!origin.is_snapshot());
             assert_eq!(origin.failed_shard(), Some(victim));
             assert_eq!(contents(&rebuilt), contents(&sharded));
@@ -1863,6 +1606,69 @@ mod tests {
             ShardedCorpus::load(&dir, config()),
             Err(ShardSnapshotError::Manifest(_))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A manifest in the v2 layout, which still carried `partition=` and
+    /// `next=` fields, next to intact shard files is a typed version error,
+    /// and `load_or_build` rebuilds the same corpus.
+    #[test]
+    fn a_v2_manifest_makes_load_or_build_rebuild() {
+        let dir = std::env::temp_dir().join("wfsim-shard-v2-manifest-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let sharded = ShardedCorpus::build(config(), 3, sample());
+        sharded.save(&dir).unwrap();
+        let v2 = format!(
+            "{SHARD_MANIFEST_MAGIC} v2 gen=1 shards=3 partition=hash next=0 config={}\n",
+            config_fingerprint(&config())
+        );
+        std::fs::write(dir.join(SHARD_MANIFEST_FILE), v2).unwrap();
+        match ShardedCorpus::load(&dir, config()) {
+            Err(ShardSnapshotError::Manifest(why)) => assert!(why.contains("version"), "{why}"),
+            Err(other) => panic!("expected a manifest version error, got {other}"),
+            Ok(_) => panic!("a v2 manifest must not load"),
+        }
+        let (rebuilt, origin) = ShardedCorpus::load_or_build(&dir, config(), 3, sample());
+        assert!(!origin.is_snapshot());
+        assert_eq!(origin.failed_shard(), None);
+        assert_eq!(contents(&rebuilt), contents(&sharded));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The manifest's shard count is untrusted input: an absurd count must
+    /// not be allocated for (a capacity overflow or an allocation failure
+    /// would kill the process before `load_or_build` could rebuild).  The
+    /// load fails, typed, at the first missing shard file.
+    #[test]
+    fn a_huge_manifest_shard_count_is_a_typed_error_and_rebuilds() {
+        let dir = std::env::temp_dir().join("wfsim-shard-huge-count-test");
+        for count in ["18446744073709551615", "10000000000"] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let sharded = ShardedCorpus::build(config(), 3, sample());
+            sharded.save(&dir).unwrap();
+            let manifest = dir.join(SHARD_MANIFEST_FILE);
+            let text = std::fs::read_to_string(&manifest).unwrap();
+            assert!(text.contains(" shards=3 "));
+            std::fs::write(
+                &manifest,
+                text.replacen(" shards=3 ", &format!(" shards={count} "), 1),
+            )
+            .unwrap();
+            assert!(
+                matches!(
+                    ShardedCorpus::load(&dir, config()),
+                    Err(ShardSnapshotError::Shard {
+                        shard: 3,
+                        error: SnapshotError::Io(_),
+                    })
+                ),
+                "shards={count}"
+            );
+            let (rebuilt, origin) = ShardedCorpus::load_or_build(&dir, config(), 3, sample());
+            assert!(!origin.is_snapshot());
+            assert_eq!(origin.failed_shard(), Some(3));
+            assert_eq!(contents(&rebuilt), contents(&sharded));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1907,12 +1713,7 @@ mod tests {
     fn service_save_writes_a_loadable_sharded_snapshot() {
         let dir = std::env::temp_dir().join("wfsim-service-snapshot-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let service = CorpusService::new(ShardedCorpus::build_with(
-            config(),
-            2,
-            ShardPartition::RoundRobin,
-            sample(),
-        ));
+        let service = CorpusService::new(ShardedCorpus::build(config(), 2, sample()));
         service.add(wf("g", &["run blast"]));
         service.save(&dir).unwrap();
         let restored = ShardedCorpus::load(&dir, config()).unwrap();
@@ -1923,7 +1724,7 @@ mod tests {
 
     #[test]
     fn never_token_deadline_search_equals_plain_search() {
-        let sharded = ShardedCorpus::build_with(config(), 3, ShardPartition::RoundRobin, sample());
+        let sharded = ShardedCorpus::build(config(), 3, sample());
         for id in sharded.ids() {
             let plain = sharded.search(&id, 3).expect("resident");
             let result = sharded
@@ -1938,7 +1739,7 @@ mod tests {
 
     #[test]
     fn pre_fired_deadline_returns_empty_fully_degraded_result() {
-        let sharded = ShardedCorpus::build_with(config(), 2, ShardPartition::RoundRobin, sample());
+        let sharded = ShardedCorpus::build(config(), 2, sample());
         let token = CancelToken::never();
         token.cancel();
         let result = sharded
@@ -1953,15 +1754,11 @@ mod tests {
 
     #[test]
     fn vetoed_shard_degrades_coverage_not_correctness() {
-        let service = CorpusService::new(ShardedCorpus::build_with(
-            config(),
-            3,
-            ShardPartition::RoundRobin,
-            sample(),
-        ));
+        // Four shards, every one holding a hit the full search returns.
+        let service = CorpusService::new(ShardedCorpus::build(config(), 4, sample()));
         let query: WorkflowId = "a".into();
         let full = service.search(&query, 10).expect("resident");
-        for vetoed in 0..3 {
+        for vetoed in 0..4 {
             let result = service
                 .search_deadline_with(&query, 10, &CancelToken::never(), |s| s != vetoed)
                 .expect("resident");
@@ -1969,10 +1766,10 @@ mod tests {
             for (shard, &answered) in result.answered.iter().enumerate() {
                 assert_eq!(answered, shard != vetoed, "shard {shard}");
             }
-            assert_eq!(result.answered_count(), 2);
+            assert_eq!(result.answered_count(), 3);
             // Coverage shrinks — correctness does not: every surviving hit
             // carries the exact score the full search proved for that id.
-            assert!(result.hits.len() <= full.len());
+            assert!(result.hits.len() < full.len(), "shard {vetoed} held a hit");
             for hit in &result.hits {
                 let reference = full
                     .iter()
@@ -1989,7 +1786,7 @@ mod tests {
         // 1 were already drained, so the partial result must be *exactly*
         // the full ranking restricted to their residents — work completed
         // before the deadline survives it, nothing else leaks in.
-        let sharded = ShardedCorpus::build_with(config(), 4, ShardPartition::RoundRobin, sample());
+        let sharded = ShardedCorpus::build(config(), 4, sample());
         let admitted: Vec<WorkflowId> = sharded.shards()[..2]
             .iter()
             .flat_map(|shard| shard.ids().to_vec())
@@ -2019,27 +1816,20 @@ mod tests {
     }
 
     #[test]
-    fn racing_search_is_bit_identical_to_sequential_for_every_partition() {
+    fn racing_search_is_bit_identical_to_sequential_at_every_shard_count() {
         for shards in [1, 2, 4, 8] {
-            for partition in [ShardPartition::HashId, ShardPartition::RoundRobin] {
-                let sequential = ShardedCorpus::build_with(config(), shards, partition, sample());
-                for max_workers in [1, 2, 16, usize::MAX] {
-                    let racing = ShardedCorpus::build_with(config(), shards, partition, sample())
-                        .with_parallelism(SearchParallelism::Racing { max_workers });
-                    assert_eq!(
-                        racing.parallelism().workers_for(shards),
-                        max_workers.max(1).min(shards)
-                    );
-                    for id in sequential.ids() {
-                        for k in [0, 2, 10] {
-                            let expected = sequential.search(&id, k).expect("resident");
-                            let got = racing.search(&id, k).expect("resident");
-                            assert_eq!(got.len(), expected.len());
-                            for (g, e) in got.iter().zip(&expected) {
-                                assert_eq!(g.id, e.id, "{shards} shards, {max_workers} workers");
-                                assert_eq!(g.score.to_bits(), e.score.to_bits());
-                            }
-                        }
+            let sequential = ShardedCorpus::build(config(), shards, sample());
+            let racing = ShardedCorpus::build(config(), shards, sample())
+                .with_parallelism(SearchParallelism::Racing);
+            assert_eq!(racing.parallelism.workers_for(shards), shards);
+            for id in sequential.ids() {
+                for k in [0, 2, 10] {
+                    let expected = sequential.search(&id, k).expect("resident");
+                    let got = racing.search(&id, k).expect("resident");
+                    assert_eq!(got.len(), expected.len());
+                    for (g, e) in got.iter().zip(&expected) {
+                        assert_eq!(g.id, e.id, "{shards} shards");
+                        assert_eq!(g.score.to_bits(), e.score.to_bits());
                     }
                 }
             }
@@ -2049,8 +1839,8 @@ mod tests {
     #[test]
     fn racing_search_workflow_matches_sequential() {
         let sequential = ShardedCorpus::build(config(), 4, sample());
-        let racing = ShardedCorpus::build(config(), 4, sample())
-            .with_parallelism(SearchParallelism::racing_per_shard());
+        let racing =
+            ShardedCorpus::build(config(), 4, sample()).with_parallelism(SearchParallelism::Racing);
         let external = wf("external", &["run blast", "render report"]);
         assert_eq!(
             racing.search_workflow(&external, 10),
@@ -2060,8 +1850,8 @@ mod tests {
 
     #[test]
     fn racing_never_token_deadline_search_equals_plain_search() {
-        let sharded = ShardedCorpus::build_with(config(), 3, ShardPartition::RoundRobin, sample())
-            .with_parallelism(SearchParallelism::racing_per_shard());
+        let sharded =
+            ShardedCorpus::build(config(), 3, sample()).with_parallelism(SearchParallelism::Racing);
         for id in sharded.ids() {
             let plain = sharded.search(&id, 3).expect("resident");
             let result = sharded
@@ -2075,8 +1865,8 @@ mod tests {
 
     #[test]
     fn racing_pre_fired_deadline_returns_empty_fully_degraded_result() {
-        let sharded = ShardedCorpus::build_with(config(), 2, ShardPartition::RoundRobin, sample())
-            .with_parallelism(SearchParallelism::Racing { max_workers: 2 });
+        let sharded =
+            ShardedCorpus::build(config(), 2, sample()).with_parallelism(SearchParallelism::Racing);
         let token = CancelToken::never();
         token.cancel();
         let result = sharded
@@ -2091,16 +1881,12 @@ mod tests {
 
     #[test]
     fn racing_vetoed_shard_degrades_coverage_not_correctness() {
-        let service = CorpusService::new(ShardedCorpus::build_with(
-            config(),
-            3,
-            ShardPartition::RoundRobin,
-            sample(),
-        ))
-        .with_parallelism(SearchParallelism::racing_per_shard());
+        let service = CorpusService::new(
+            ShardedCorpus::build(config(), 4, sample()).with_parallelism(SearchParallelism::Racing),
+        );
         let query: WorkflowId = "a".into();
         let full = service.search(&query, 10).expect("resident");
-        for vetoed in 0..3 {
+        for vetoed in 0..4 {
             let result = service
                 .search_deadline_with(&query, 10, &CancelToken::never(), |s| s != vetoed)
                 .expect("resident");
@@ -2108,6 +1894,7 @@ mod tests {
             for (shard, &answered) in result.answered.iter().enumerate() {
                 assert_eq!(answered, shard != vetoed, "shard {shard}");
             }
+            assert!(result.hits.len() < full.len(), "shard {vetoed} held a hit");
             for hit in &result.hits {
                 let reference = full
                     .iter()
@@ -2119,27 +1906,13 @@ mod tests {
     }
 
     #[test]
-    fn racing_zero_workers_clamps_to_one_and_stays_exact() {
-        let sharded = ShardedCorpus::build(config(), 3, sample())
-            .with_parallelism(SearchParallelism::Racing { max_workers: 0 });
-        assert_eq!(sharded.parallelism().workers_for(3), 1);
-        assert_matches_single(&sharded, "racing clamped to one worker");
-    }
-
-    #[test]
     fn service_inherits_and_returns_parallelism() {
-        let sharded = ShardedCorpus::build(config(), 2, sample())
-            .with_parallelism(SearchParallelism::Racing { max_workers: 2 });
+        let sharded =
+            ShardedCorpus::build(config(), 2, sample()).with_parallelism(SearchParallelism::Racing);
         let service = CorpusService::new(sharded);
-        assert_eq!(
-            service.parallelism(),
-            SearchParallelism::Racing { max_workers: 2 }
-        );
+        assert_eq!(service.parallelism, SearchParallelism::Racing);
         let back = service.into_sharded();
-        assert_eq!(
-            back.parallelism(),
-            SearchParallelism::Racing { max_workers: 2 }
-        );
+        assert_eq!(back.parallelism, SearchParallelism::Racing);
     }
 
     #[test]
@@ -2153,12 +1926,7 @@ mod tests {
 
     #[test]
     fn service_deadline_search_with_open_gate_is_not_degraded() {
-        let service = CorpusService::new(ShardedCorpus::build_with(
-            config(),
-            2,
-            ShardPartition::HashId,
-            sample(),
-        ));
+        let service = CorpusService::new(ShardedCorpus::build(config(), 2, sample()));
         let query: WorkflowId = "b".into();
         let full = service.search(&query, 4).expect("resident");
         let result = service
@@ -2168,7 +1936,7 @@ mod tests {
         assert_eq!(result.hits, full);
         // Ungated, the deadline search is the sharded corpus's global
         // frontier, down to the scoring counters.
-        let sharded = ShardedCorpus::build_with(config(), 2, ShardPartition::HashId, sample());
+        let sharded = ShardedCorpus::build(config(), 2, sample());
         let (_, frontier_stats) = sharded.search_with_stats(&query, 4).expect("resident");
         assert_eq!(result.stats, frontier_stats);
         let gated = service

@@ -1,5 +1,5 @@
-//! The serving architecture end to end: partition a corpus into shards,
-//! prove scatter-gather search equals the single-corpus engine, persist
+//! The serving architecture end to end: partition a corpus into shards
+//! (each workflow in the shard its id hashes to), prove scatter-gather search equals the single-corpus engine, persist
 //! and restore the sharded snapshot, then serve concurrent queries while
 //! a churn thread uploads and deletes workflows.
 //!
@@ -10,7 +10,7 @@
 
 use wfsim::corpus::{generate_taverna_corpus, TavernaCorpusConfig};
 use wfsim::model::WorkflowId;
-use wfsim::sim::{Corpus, ShardPartition, SimilarityConfig};
+use wfsim::sim::{Corpus, SimilarityConfig};
 use wfsim::{CorpusService, ShardedCorpus};
 
 fn main() {
@@ -38,13 +38,8 @@ fn main() {
     // corruption.
     let dir = std::env::temp_dir().join("wfsim-example-shards");
     sharded.save(&dir).expect("sharded snapshot written");
-    let (restored, origin) = ShardedCorpus::load_or_build(
-        &dir,
-        config.clone(),
-        4,
-        ShardPartition::HashId,
-        workflows.clone(),
-    );
+    let (restored, origin) =
+        ShardedCorpus::load_or_build(&dir, config.clone(), 4, workflows.clone());
     println!(
         "\nsharded snapshot: {} shards restored from {} (from snapshot: {})",
         restored.shard_count(),

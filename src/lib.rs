@@ -101,8 +101,8 @@ pub use wf_serve as serve;
 /// with incremental `add`/`remove` and snapshot persistence.
 pub use wf_sim::Corpus;
 
-/// The sharded serving layer: a corpus partitioned across independent
-/// shards with bit-identical scatter-gather top-k, per-shard snapshots
-/// behind one manifest, and a `RwLock`-per-shard concurrent service
-/// ([`CorpusService`]) with batch queries.
-pub use wf_sim::{CorpusService, ShardPartition, ShardedCorpus};
+/// The sharded serving layer: a corpus whose workflow ids hash across
+/// independent shards, with bit-identical scatter-gather top-k, per-shard
+/// snapshots behind one manifest, and a `RwLock`-per-shard concurrent
+/// service ([`CorpusService`]) with batch queries.
+pub use wf_sim::{CorpusService, ShardedCorpus};
