@@ -1,8 +1,8 @@
 //! Deterministic fault injection for the serving stack.
 //!
 //! A [`FaultPlan`] describes *which* faults to inject — delayed shards,
-//! shard visit failures, replies dropped mid-frame, slow-loris reply
-//! writers — and a seed.  The live [`FaultState`] turns the plan into
+//! shard visit failures, panics inside a search, replies dropped
+//! mid-frame, slow-loris reply writers — and a seed.  The live [`FaultState`] turns the plan into
 //! per-event decisions that are a pure function of `(seed, site, sequence
 //! number)`: the Nth decision at a given site is identical on every run
 //! with the same seed, regardless of thread scheduling at *other* sites.
@@ -24,6 +24,7 @@ use wf_repo::CancelToken;
 const SITE_SHARD_FAIL: u64 = 0x51;
 const SITE_REPLY_DROP: u64 = 0x52;
 const SITE_REPLY_SLOW: u64 = 0x53;
+const SITE_SHARD_PANIC: u64 = 0x54;
 
 /// What a deterministic fault plan does to the serving stack.
 #[derive(Debug, Clone, Default)]
@@ -32,6 +33,7 @@ pub struct FaultPlan {
     slow_shards: Vec<usize>,
     shard_delay: Duration,
     fail_shards_per_mille: u16,
+    panic_shards_per_mille: u16,
     drop_replies_per_mille: u16,
     slow_replies_per_mille: u16,
     slow_reply_pace: Duration,
@@ -67,6 +69,15 @@ impl FaultPlan {
         self
     }
 
+    /// Panics in roughly `per_mille`/1000 shard visits, inside the search
+    /// (with every shard read lock held) — the failure a bug in the
+    /// search path would cause.  The server answers the request with a
+    /// typed `Internal` error and its worker lives on.
+    pub fn panic_shards(mut self, per_mille: u16) -> Self {
+        self.panic_shards_per_mille = per_mille.min(1000);
+        self
+    }
+
     /// Drops roughly `per_mille`/1000 replies mid-frame: a few header
     /// bytes are written, then the connection is severed — the client sees
     /// a truncated frame or a reset, both retryable.
@@ -87,6 +98,7 @@ impl FaultPlan {
     pub fn has_faults(&self) -> bool {
         !self.slow_shards.is_empty()
             || self.fail_shards_per_mille > 0
+            || self.panic_shards_per_mille > 0
             || self.drop_replies_per_mille > 0
             || self.slow_replies_per_mille > 0
     }
@@ -101,6 +113,8 @@ pub enum ShardFault {
     Delay(Duration),
     /// Veto the visit: the shard goes unanswered and the result degrades.
     Fail,
+    /// Panic inside the search.
+    Panic,
 }
 
 /// What to do to one reply write.
@@ -153,8 +167,8 @@ impl FaultState {
     }
 
     /// The decision for the next visit to `shard`.  Delays are
-    /// deterministic per shard (listed shards always stall); failures draw
-    /// from the seeded per-mille stream.
+    /// deterministic per shard (listed shards always stall); failures and
+    /// panics draw from the seeded per-mille streams.
     pub fn shard_fault(&self, shard: usize) -> ShardFault {
         // ordering: Relaxed — the sequence only needs to be unique and
         // monotonic per site; decisions never synchronise other memory.
@@ -164,6 +178,9 @@ impl FaultState {
         }
         if self.draw(SITE_SHARD_FAIL, seq, self.plan.fail_shards_per_mille) {
             return ShardFault::Fail;
+        }
+        if self.draw(SITE_SHARD_PANIC, seq, self.plan.panic_shards_per_mille) {
+            return ShardFault::Panic;
         }
         ShardFault::Pass
     }
@@ -236,6 +253,19 @@ mod tests {
         assert!(shard_a.contains(&ShardFault::Pass));
         assert!(reply_a.contains(&ReplyFault::Drop));
         assert!(reply_a.contains(&ReplyFault::Pass));
+    }
+
+    #[test]
+    fn panic_decisions_are_deterministic_and_bite() {
+        let plan = FaultPlan::new(0xFEED).panic_shards(200);
+        assert!(plan.has_faults());
+        let a = FaultState::new(plan.clone());
+        let b = FaultState::new(plan);
+        let da: Vec<_> = (0..200).map(|s| a.shard_fault(s % 4)).collect();
+        let db: Vec<_> = (0..200).map(|s| b.shard_fault(s % 4)).collect();
+        assert_eq!(da, db);
+        assert!(da.contains(&ShardFault::Panic));
+        assert!(da.contains(&ShardFault::Pass));
     }
 
     #[test]

@@ -479,7 +479,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
     loop {
         match queue.pop(Duration::from_millis(50)) {
             Some(job) => {
-                let response = execute(&job, shared);
+                let response = execute_caught(&job, shared);
                 send_reply(job.request_id, &response, &job.writer, shared);
             }
             None => {
@@ -489,6 +489,30 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
             }
         }
     }
+}
+
+/// [`execute`] behind the job's panic boundary: a panic while the job
+/// runs — including one a racing search worker re-raises on join — is
+/// answered with a typed `Internal` error, and the worker goes on to its
+/// next job instead of dying with its queue still admitting work.
+///
+/// Unwinding drops every lock guard the job held.  A search holds only
+/// shard *read* locks, which a panic does not poison; a panic under a
+/// shard write lock (inside `add` / `remove`) poisons that shard, and
+/// later jobs touching it then fail the same typed way.
+fn execute_caught(job: &Job, shared: &Shared) -> Response {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(job, shared))).unwrap_or_else(
+        |payload| {
+            let cause = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "unknown cause".to_string());
+            Response::Error(ServeError::Internal {
+                detail: format!("request failed: {cause}"),
+            })
+        },
+    )
 }
 
 /// Runs one work request against the corpus service.
@@ -529,6 +553,10 @@ fn execute(job: &Job, shared: &Shared) -> Response {
                         ShardFault::Fail => {
                             shared.metrics.faults_injected.incr();
                             false
+                        }
+                        ShardFault::Panic => {
+                            shared.metrics.faults_injected.incr();
+                            panic!("injected panic visiting shard {shard}");
                         }
                     };
                     shared

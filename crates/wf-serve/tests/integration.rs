@@ -320,6 +320,83 @@ fn saturation_sheds_with_typed_overloaded_instead_of_queueing() {
     server.shutdown();
 }
 
+/// A panic inside a search costs neither its reply nor its worker: with
+/// ~15% of shard visits panicking (under every shard read lock, and on a
+/// racing worker thread that the join re-raises), every request is
+/// answered — a typed `Internal` error or exact hits — and searches keep
+/// succeeding after far more panics than the server has workers.
+#[test]
+fn injected_panics_get_internal_replies_and_workers_survive() {
+    for parallelism in [SearchParallelism::Sequential, SearchParallelism::Racing] {
+        let workflows = generate_taverna_corpus(&TavernaCorpusConfig::small(32, 21)).0;
+        let ids: Vec<String> = workflows.iter().map(|w| w.id.0.clone()).collect();
+        let service = Arc::new(CorpusService::new(
+            ShardedCorpus::build(SimilarityConfig::best_module_sets(), 4, workflows)
+                .with_parallelism(parallelism),
+        ));
+        let plan = FaultPlan::new(FAULT_SEED).panic_shards(150);
+        let workers = 2;
+        let server = Server::start(
+            Arc::clone(&service),
+            ServerConfig {
+                workers,
+                ..ServerConfig::default()
+            },
+            Some(plan),
+        )
+        .expect("server starts");
+        let mut client = fast_client(server.addr(), 11);
+        const SEARCHES: usize = 48;
+        let mut panicked = Vec::new();
+        let mut served = Vec::new();
+        for i in 0..SEARCHES {
+            let query = &ids[i % ids.len()];
+            match client.search(query, 5, 0) {
+                Ok(outcome) => {
+                    assert!(!outcome.degraded, "{parallelism}: {query}");
+                    let exact: Vec<(String, u64)> = service
+                        .search(&WorkflowId::new(query.clone()), 5)
+                        .expect("resident")
+                        .iter()
+                        .map(|h| (h.id.0.clone(), h.score.to_bits()))
+                        .collect();
+                    let got: Vec<(String, u64)> = outcome
+                        .hits
+                        .iter()
+                        .map(|h| (h.id.clone(), h.score.to_bits()))
+                        .collect();
+                    assert_eq!(got, exact, "{parallelism}: {query}");
+                    served.push(i);
+                }
+                Err(ClientError::Rejected(ServeError::Internal { detail })) => {
+                    assert!(detail.contains("injected panic"), "{detail}");
+                    panicked.push(i);
+                }
+                Err(other) => panic!("{parallelism}, seed {FAULT_SEED:#x}: {other}"),
+            }
+        }
+        assert_eq!(panicked.len() + served.len(), SEARCHES);
+        assert!(
+            panicked.len() > 2 * workers,
+            "{parallelism}, seed {FAULT_SEED:#x}: only {} panics",
+            panicked.len()
+        );
+        // Had each panic cost a worker, nothing after the workers-th panic
+        // would have been answered.
+        assert!(
+            served.iter().any(|&i| i > panicked[2 * workers]),
+            "{parallelism}: searches succeed after more panics than workers"
+        );
+        // The control plane still answers, and the server's own books
+        // show one reply per request.
+        assert_eq!(client.len().expect("len"), ids.len() as u64);
+        let stats = server.metrics();
+        assert_eq!(stats.responses_error, panicked.len() as u64);
+        assert_eq!(stats.shed, 0);
+        server.shutdown();
+    }
+}
+
 /// Degradation path 3: with ~30% of replies severed mid-frame, a retrying
 /// client recovers every query — request ids account for each in-flight
 /// query exactly once, results stay exact, and the injected drops are

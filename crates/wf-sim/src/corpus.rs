@@ -96,18 +96,14 @@ impl Corpus {
     /// `config`.  Duplicate ids replace earlier occurrences in place (last
     /// upload wins, as in [`wf_repo::Repository`]).
     pub fn build(config: SimilarityConfig, workflows: impl IntoIterator<Item = Workflow>) -> Self {
-        let mut originals: Vec<Workflow> = Vec::new();
-        let mut seen: BTreeMap<WorkflowId, usize> = BTreeMap::new();
-        for wf in workflows {
-            match seen.get(&wf.id) {
-                Some(&pos) => originals[pos] = wf,
-                None => {
-                    seen.insert(wf.id.clone(), originals.len());
-                    originals.push(wf);
-                }
-            }
-        }
+        let originals = dedup_last_wins(workflows);
         let measure = ProfiledMeasure::new(config, &originals);
+        Corpus::from_profiled(originals, measure)
+    }
+
+    /// Assembles a corpus from distinct-id workflows and their profiles,
+    /// building the token index.
+    pub(crate) fn from_profiled(originals: Vec<Workflow>, measure: ProfiledMeasure) -> Self {
         let index = TokenIndex::build(&measure);
         Corpus {
             originals,
@@ -293,18 +289,19 @@ impl Corpus {
 
     /// [`Corpus::load`] over an in-memory snapshot string.
     pub fn from_snapshot_str(text: &str, config: SimilarityConfig) -> Result<Self, SnapshotError> {
-        Corpus::decode_snapshot(text, config, None)
+        let workflows = Corpus::snapshot_workflows(text, &config, None)?;
+        Ok(Corpus::build(config, workflows))
     }
 
     /// Checks a snapshot's header (and its generation, when one is
-    /// expected), then decodes its workflows and runs [`Corpus::build`]
-    /// over them.  A body holding one id twice is malformed: no saved
+    /// expected), then decodes its workflows, in corpus order, for a build
+    /// to run over.  A body holding one id twice is malformed: no saved
     /// corpus does, and the build would drop one.
-    pub(crate) fn decode_snapshot(
+    pub(crate) fn snapshot_workflows(
         text: &str,
-        config: SimilarityConfig,
+        config: &SimilarityConfig,
         generation: Option<u64>,
-    ) -> Result<Self, SnapshotError> {
+    ) -> Result<Vec<Workflow>, SnapshotError> {
         let (header, body) = text
             .split_once('\n')
             .ok_or_else(|| SnapshotError::Format("missing header line".to_string()))?;
@@ -341,7 +338,7 @@ impl Corpus {
             .next()
             .and_then(|f| f.strip_prefix("config="))
             .ok_or_else(|| SnapshotError::Format("malformed config field".to_string()))?;
-        let expected = config_fingerprint(&config);
+        let expected = config_fingerprint(config);
         if fingerprint != expected {
             return Err(SnapshotError::ConfigMismatch {
                 expected,
@@ -357,7 +354,7 @@ impl Corpus {
                 wf.id
             )));
         }
-        Ok(Corpus::build(config, snapshot.workflows))
+        Ok(snapshot.workflows)
     }
 
     /// Loads the snapshot at `path` if it is present, intact and was built
@@ -377,6 +374,24 @@ impl Corpus {
             ),
         }
     }
+}
+
+/// The distinct-id workflows of a build, in arrival order: a repeated id
+/// keeps its last upload at its first upload's position (last upload wins,
+/// as in [`wf_repo::Repository`]).
+pub(crate) fn dedup_last_wins(workflows: impl IntoIterator<Item = Workflow>) -> Vec<Workflow> {
+    let mut originals: Vec<Workflow> = Vec::new();
+    let mut seen: BTreeMap<WorkflowId, usize> = BTreeMap::new();
+    for wf in workflows {
+        match seen.get(&wf.id) {
+            Some(&pos) => originals[pos] = wf,
+            None => {
+                seen.insert(wf.id.clone(), originals.len());
+                originals.push(wf);
+            }
+        }
+    }
+    originals
 }
 
 /// A corpus scorer for dense all-pairs computation, carrying the

@@ -32,13 +32,16 @@
 //! Modules whose compared attributes are all identical form one *module
 //! class*, and every module-pair value (similarity, bound, preselection
 //! verdict) is a function of the two classes.  Corpora repeat modules
-//! heavily (each shard of a 10k-workflow corpus split 8 ways holds ~5,900
-//! module slots in ~1,100 live classes), so the corpus keeps one
-//! representative per class plus a flat per-slot class column, and the
-//! searches bound a query against each live class once (`ClassBounds`)
-//! instead of against every module slot.
+//! heavily (the 10k-workflow benchmark corpus holds ~47,000 module slots
+//! in 4,054 classes), so a build interns every class once into a frozen
+//! `ClassBase` shared by all shards of the corpus, each shard keeps a
+//! flat per-slot class column, and the searches bound a query against
+//! each base class once per query (`BaseBounds`) instead of against every
+//! module slot of every shard.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use wf_matching::{map_with, SimilarityMatrix};
@@ -343,79 +346,137 @@ impl WorkflowProfile {
     }
 }
 
-/// The module comparison classes of a corpus: two modules share a class
+/// The frozen module classes of a whole corpus: two modules share a class
 /// iff every compared attribute is identical ([`module_class_key`]), so
 /// their similarity, bound and preselection verdict against any third
 /// module are identical under every scheme.
 ///
-/// Each class keeps one representative module with its profile and the
-/// number of live module slots holding it; a class whose count falls to
-/// zero frees its id for the next new class, so ids, representatives and
-/// every table over them stay bounded by the live corpus under churn.  The
-/// per-slot column is CSR-style: workflow `w`'s modules (aligned with its
-/// preprocessed module list) occupy slots `starts[w]..starts[w + 1]`.
-/// Derived state, built with the profiles.  Adding or removing a
-/// workflow touches only its own modules' classes.
-struct ModuleClasses {
-    /// Exact class key → class id, for live classes only.
+/// [`ProfiledMeasure::build_shared`] interns every class of every shard
+/// once into one base, which all the shards then share behind an `Arc`:
+/// one representative module per class, its profile bound to the base's
+/// own token pool.  Nothing mutates a base after the build, so searches
+/// read it without a lock, and a class no shard holds any more keeps its
+/// id until the next build.
+///
+/// The representatives' token ids come from the base pool, not from any
+/// shard's, which is exact because every value read through a class is
+/// pool-independent: token-set Jaccard counts shared and distinct strings
+/// (any binding that maps equal strings to equal ids and distinct ones to
+/// distinct ids gives the same counts, as [`FrozenInterner`] guarantees),
+/// and the character signatures, lengths, types and raw strings carry no
+/// pool ids at all.  Binding the query to the base pool therefore bounds
+/// it against a class exactly as binding it to a shard's pool bounds it
+/// against that shard's modules of the class.
+pub(crate) struct ClassBase {
+    pool: StringPool,
+    /// Exact class key → base class id.
     interner: BTreeMap<String, u32>,
-    /// Indexed by class id; `live == 0` marks a free id.
+    /// Indexed by base class id.
     reps: Vec<ClassRep>,
-    /// Free class ids, reused before new ones are minted.
+}
+
+impl ClassBase {
+    /// Number of base classes (live in some shard or not).
+    fn len(&self) -> usize {
+        self.reps.len()
+    }
+}
+
+/// One corpus's (one shard's) module classes: a live count per class of
+/// the shared [`ClassBase`], plus a small *overflow* of classes first seen
+/// by an [`add`](ProfiledMeasure::add_workflow) after the build.
+///
+/// Class ids below the base length are base ids; id `base.len() + o` is
+/// overflow class `o`.  Overflow representatives are bound to the
+/// corpus's own pool.  An overflow class whose count falls to zero frees
+/// its id for the next new class, so the overflow stays bounded by the
+/// live corpus under churn; base ids are never freed before the next
+/// build.  The per-slot column is CSR-style: workflow `w`'s modules
+/// (aligned with its preprocessed module list) occupy slots
+/// `starts[w]..starts[w + 1]`.  Derived state, built with the profiles.
+/// Adding or removing a workflow touches only its own modules' classes.
+struct ModuleClasses {
+    base: Arc<ClassBase>,
+    /// Live module slots of this corpus per base class.
+    base_live: Vec<u32>,
+    /// Exact class key → overflow index, for live overflow classes only.
+    interner: BTreeMap<String, u32>,
+    /// Indexed by overflow index; `overflow_live == 0` marks a free index.
+    overflow: Vec<ClassRep>,
+    overflow_live: Vec<u32>,
+    /// Free overflow indices, reused before new ones are minted.
     free: Vec<u32>,
     starts: Vec<u32>,
     slot_class: Vec<u32>,
 }
 
 /// One module class: a representative module (as preprocessed) with its
-/// profile, and how many live module slots belong to the class.
+/// profile.
 struct ClassRep {
     module: Module,
     profile: ModuleProfile,
-    live: u32,
 }
 
 impl ModuleClasses {
-    fn new() -> Self {
+    /// The classes of a freshly built corpus, whose slots all hold base
+    /// classes.
+    fn new(base: Arc<ClassBase>, starts: Vec<u32>, slot_class: Vec<u32>) -> Self {
+        let mut base_live = vec![0; base.len()];
+        for &class in &slot_class {
+            base_live[class as usize] += 1;
+        }
         ModuleClasses {
+            base,
+            base_live,
             interner: BTreeMap::new(),
-            reps: Vec::new(),
+            overflow: Vec::new(),
+            overflow_live: Vec::new(),
             free: Vec::new(),
-            starts: vec![0],
-            slot_class: Vec::new(),
+            starts,
+            slot_class,
         }
     }
 
-    /// Appends one workflow's module slots, interning each module's class.
+    /// Appends one workflow's module slots: a module of a base class
+    /// counts towards it, any other joins (or founds) an overflow class.
     fn push_workflow(&mut self, profile: &WorkflowProfile) {
         for (module, features) in profile.workflow.modules.iter().zip(&profile.modules) {
-            let key = module_class_key(module);
-            let class = match self.interner.get(&key) {
-                Some(&class) => class,
-                None => {
-                    let rep = ClassRep {
-                        module: module.clone(),
-                        profile: features.clone(),
-                        live: 0,
-                    };
-                    let class = match self.free.pop() {
-                        Some(class) => {
-                            self.reps[class as usize] = rep;
-                            class
-                        }
-                        None => {
-                            self.reps.push(rep);
-                            (self.reps.len() - 1) as u32
-                        }
-                    };
-                    self.interner.insert(key, class);
-                    class
-                }
-            };
-            self.reps[class as usize].live += 1;
+            let class = self.intern(module, features);
             self.slot_class.push(class);
         }
         self.starts.push(self.slot_class.len() as u32);
+    }
+
+    fn intern(&mut self, module: &Module, features: &ModuleProfile) -> u32 {
+        let key = module_class_key(module);
+        if let Some(&class) = self.base.interner.get(&key) {
+            self.base_live[class as usize] += 1;
+            return class;
+        }
+        let local = match self.interner.get(&key) {
+            Some(&local) => local,
+            None => {
+                let rep = ClassRep {
+                    module: module.clone(),
+                    profile: features.clone(),
+                };
+                let local = match self.free.pop() {
+                    Some(local) => {
+                        self.overflow[local as usize] = rep;
+                        local
+                    }
+                    None => {
+                        self.overflow.push(rep);
+                        self.overflow_live.push(0);
+                        (self.overflow.len() - 1) as u32
+                    }
+                };
+                self.interner.insert(key, local);
+                local
+            }
+        };
+        self.overflow_live[local as usize] += 1;
+        (self.base.len() + local as usize) as u32
     }
 
     /// Drops one workflow's module slots; later workflows shift down one
@@ -423,12 +484,17 @@ impl ModuleClasses {
     fn remove_workflow(&mut self, workflow: usize) {
         let slots = self.slots(workflow);
         let removed = slots.len() as u32;
+        let base_len = self.base.len();
         for class in self.slot_class.drain(slots) {
-            let rep = &mut self.reps[class as usize];
-            rep.live -= 1;
-            if rep.live == 0 {
-                self.interner.remove(&module_class_key(&rep.module));
-                self.free.push(class);
+            let Some(local) = (class as usize).checked_sub(base_len) else {
+                self.base_live[class as usize] -= 1;
+                continue;
+            };
+            self.overflow_live[local] -= 1;
+            if self.overflow_live[local] == 0 {
+                self.interner
+                    .remove(&module_class_key(&self.overflow[local].module));
+                self.free.push(local as u32);
             }
         }
         self.starts.remove(workflow + 1);
@@ -449,9 +515,37 @@ impl ModuleClasses {
         &self.slot_class[self.slots(workflow)]
     }
 
-    /// Every live class with its id.
+    /// Number of class ids in use: every base id plus every overflow
+    /// index, live or free.
+    fn id_count(&self) -> usize {
+        self.base.len() + self.overflow.len()
+    }
+
+    /// Every class live in this corpus with its id: base classes first,
+    /// then overflow classes.
     fn live(&self) -> impl Iterator<Item = (usize, &ClassRep)> {
-        self.reps.iter().enumerate().filter(|(_, rep)| rep.live > 0)
+        let base_len = self.base.len();
+        let base = self.base.reps.iter().zip(&self.base_live);
+        let overflow = self.overflow.iter().zip(&self.overflow_live);
+        base.enumerate()
+            .chain(
+                overflow
+                    .enumerate()
+                    .map(move |(o, rep)| (base_len + o, rep)),
+            )
+            .filter(|(_, (_, &live))| live > 0)
+            .map(|(class, (rep, _))| (class, rep))
+    }
+
+    /// Every live overflow class with its overflow index.
+    #[cfg(test)]
+    fn live_overflow(&self) -> impl Iterator<Item = (usize, &ClassRep)> {
+        self.overflow
+            .iter()
+            .zip(&self.overflow_live)
+            .enumerate()
+            .filter(|(_, (_, &live))| live > 0)
+            .map(|(o, (rep, _))| (o, rep))
     }
 
     /// The most module slots any one workflow holds.
@@ -487,28 +581,73 @@ impl ProfiledMeasure {
     }
 
     /// Profiles `workflows` for an already constructed measure (e.g. one
-    /// built with [`WorkflowSimilarity::with_usage`]).
+    /// built with [`WorkflowSimilarity::with_usage`]) — the one-shard case
+    /// of [`ProfiledMeasure::build_shared`].
     pub fn from_measure(inner: WorkflowSimilarity, workflows: &[Workflow]) -> Self {
-        let mut pool = StringPool::new();
-        let mut profiles = Vec::with_capacity(workflows.len());
-        let mut ids = Vec::with_capacity(workflows.len());
-        let mut id_index = BTreeMap::new();
-        let mut classes = ModuleClasses::new();
-        for (i, wf) in workflows.iter().enumerate() {
-            let profile = profile_workflow(&inner, &mut pool, wf);
-            classes.push_workflow(&profile);
-            profiles.push(profile);
-            ids.push(wf.id.clone());
-            id_index.insert(wf.id.clone(), i);
+        ProfiledMeasure::build_shared(&inner, &[workflows])
+            .pop()
+            .expect("one measure per shard")
+    }
+
+    /// Profiles every shard's workflows, interning the module classes of
+    /// all shards into one shared [`ClassBase`]: each module's class key is
+    /// computed once, and a class seen first gets its representative bound
+    /// to the base's pool.  Each shard keeps its own pool and profiles.
+    pub(crate) fn build_shared(inner: &WorkflowSimilarity, shards: &[&[Workflow]]) -> Vec<Self> {
+        let mut base = ClassBase {
+            pool: StringPool::new(),
+            interner: BTreeMap::new(),
+            reps: Vec::new(),
+        };
+        let mut built = Vec::with_capacity(shards.len());
+        for workflows in shards {
+            let mut pool = StringPool::new();
+            let mut profiles = Vec::with_capacity(workflows.len());
+            let mut ids = Vec::with_capacity(workflows.len());
+            let mut id_index = BTreeMap::new();
+            let mut starts = vec![0];
+            let mut slot_class = Vec::new();
+            for (i, wf) in workflows.iter().enumerate() {
+                let features = QueryFeatures::extract(inner, wf);
+                for (module, module_features) in
+                    features.processed.modules.iter().zip(&features.modules)
+                {
+                    let next = base.reps.len() as u32;
+                    let class = *base
+                        .interner
+                        .entry(module_class_key(module))
+                        .or_insert_with(|| {
+                            let profile =
+                                module_features.bind_with(|tokens| base.pool.intern_set(tokens));
+                            base.reps.push(ClassRep {
+                                module: module.clone(),
+                                profile,
+                            });
+                            next
+                        });
+                    slot_class.push(class);
+                }
+                starts.push(slot_class.len() as u32);
+                profiles.push(features.bind_into(&mut pool));
+                ids.push(wf.id.clone());
+                id_index.insert(wf.id.clone(), i);
+            }
+            built.push((pool, ids, id_index, profiles, starts, slot_class));
         }
-        ProfiledMeasure {
-            inner,
-            pool,
-            ids,
-            id_index,
-            profiles,
-            classes,
-        }
+        let base = Arc::new(base);
+        built
+            .into_iter()
+            .map(
+                |(pool, ids, id_index, profiles, starts, slot_class)| ProfiledMeasure {
+                    inner: inner.clone(),
+                    pool,
+                    ids,
+                    id_index,
+                    profiles,
+                    classes: ModuleClasses::new(base.clone(), starts, slot_class),
+                },
+            )
+            .collect()
     }
 
     /// Profiles one more workflow (appended at the end of the corpus),
@@ -659,6 +798,103 @@ impl ProfiledMeasure {
         }
     }
 
+    /// [`ProfiledMeasure::score_profile`] with every module pair's exact
+    /// similarity looked up in, or added to, a per-query memo keyed by
+    /// (query module, candidate module class) — bit-identical, because a
+    /// pair similarity is a function of the two modules' classes and does
+    /// not depend on the pool the tokens were bound to (see
+    /// [`ClassBase`]).  Entries for base classes go to `base`, which every
+    /// shard over the same base may share; entries for this corpus's
+    /// overflow classes go to `overflow`, which is its own.  Both memos
+    /// must be made for this `query` ([`ProfiledMeasure::base_memo`],
+    /// [`ProfiledMeasure::overflow_memo`]).
+    pub(crate) fn score_profile_memo(
+        &self,
+        query: &WorkflowProfile,
+        candidate: usize,
+        base: &mut PairMemo,
+        overflow: &mut PairMemo,
+    ) -> f64 {
+        if !self.inner.config().measure.is_structural() {
+            return self.score_profile(query, candidate);
+        }
+        let resident = &self.profiles[candidate];
+        let classes = self.classes.of(candidate);
+        let base_len = self.classes.base.len();
+        let swapped = self.swaps_canonically(query, resident);
+        let (pa, pb) = if swapped {
+            (resident, query)
+        } else {
+            (query, resident)
+        };
+        self.structural_score_pair(pa, pb, |i, j| {
+            // The query module and candidate module of pair (i, j), and
+            // the orientation the pipeline compares them in.
+            let (q, c, orientation) = if swapped { (j, i, 1) } else { (i, j, 0) };
+            let class = classes[c] as usize;
+            let (memo, class) = match class.checked_sub(base_len) {
+                None => (&mut *base, class),
+                Some(o) => (&mut *overflow, o),
+            };
+            memo.get(orientation, class, q, || {
+                self.pair_similarity(pa.side(i), pb.side(j))
+            })
+        })
+    }
+
+    /// The class base this corpus was built over.
+    #[cfg(test)]
+    pub(crate) fn class_base(&self) -> &Arc<ClassBase> {
+        &self.classes.base
+    }
+
+    /// Overflow class ids in use (live or free).
+    #[cfg(test)]
+    pub(crate) fn overflow_class_ids(&self) -> usize {
+        self.classes.overflow.len()
+    }
+
+    /// Base classes this corpus holds no module of.
+    #[cfg(test)]
+    pub(crate) fn dead_base_classes(&self) -> usize {
+        self.classes
+            .base_live
+            .iter()
+            .filter(|&&live| live == 0)
+            .count()
+    }
+
+    /// An empty scoring memo for `query` over the base classes, to share
+    /// among every shard over this corpus's base (see
+    /// [`ProfiledMeasure::score_profile_memo`]).
+    pub(crate) fn base_memo(&self, query: &WorkflowProfile) -> PairMemo {
+        self.pair_memo(self.classes.base.len(), query)
+    }
+
+    /// An empty scoring memo for `query` over this corpus's own overflow
+    /// classes.
+    pub(crate) fn overflow_memo(&self, query: &WorkflowProfile) -> PairMemo {
+        self.pair_memo(self.classes.overflow.len(), query)
+    }
+
+    /// A memo over `classes` class ids; annotation measures compare no
+    /// modules and get an empty one.
+    fn pair_memo(&self, classes: usize, query: &WorkflowProfile) -> PairMemo {
+        let measure = self.inner.config().measure;
+        if !measure.is_structural() {
+            return PairMemo::new(0, 0, 0);
+        }
+        // Graph Edit may put the candidate first, which compares the pair
+        // the other way round: no symmetry is assumed, so that orientation
+        // gets entries of its own.
+        let orientations = if measure == MeasureKind::GraphEdit {
+            2
+        } else {
+            1
+        };
+        PairMemo::new(classes, query.modules.len(), orientations)
+    }
+
     /// An admissible upper bound on [`ProfiledMeasure::score_indexed`] for
     /// the Module Sets measure; `None` for measures without a cheap bound
     /// (Path Sets, Graph Edit, annotations), which then fall back to an
@@ -710,11 +946,16 @@ impl ProfiledMeasure {
 
     /// The structural pipeline over two (canonically ordered) profiles with
     /// a pluggable module-pair scorer `pair(i, j)` (module `i` of `pa` vs
-    /// module `j` of `pb`): the exact per-pair path and the class-table
-    /// lookup path share everything else.
-    fn structural_score_pair<F>(&self, pa: &WorkflowProfile, pb: &WorkflowProfile, pair: F) -> f64
+    /// module `j` of `pb`): the exact per-pair path, the class-table
+    /// lookup path and the per-query memo path share everything else.
+    fn structural_score_pair<F>(
+        &self,
+        pa: &WorkflowProfile,
+        pb: &WorkflowProfile,
+        mut pair: F,
+    ) -> f64
     where
-        F: Fn(usize, usize) -> f64,
+        F: FnMut(usize, usize) -> f64,
     {
         let config = self.inner.config();
         let matrix = SimilarityMatrix::from_fn(
@@ -817,20 +1058,33 @@ impl ProfiledMeasure {
     /// table therefore replaces the O(Σ |A|·|B|) per-cell text comparisons
     /// of a full clustering matrix.  Both orientations are computed
     /// explicitly, so no symmetry assumption enters the bit-exactness
-    /// argument.  Free class ids get no slot, so the table is O(live²).
+    /// argument.  Dead and free class ids get no slot, so the table is
+    /// O(live²).
     pub fn class_pair_table(&self) -> ClassPairTable {
-        let mut remap = vec![u32::MAX; self.classes.reps.len()];
-        let mut representatives: Vec<&ClassRep> = Vec::new();
+        let base_len = self.classes.base.len();
+        let mut remap = vec![u32::MAX; self.classes.id_count()];
+        // Overflow representatives are bound to this corpus's pool; they
+        // are re-bound to the base pool (frozen, like a query), so every
+        // token-set comparison below runs within one binding.
+        let mut interner = FrozenInterner::new(&self.classes.base.pool);
+        let mut representatives: Vec<(&Module, Cow<'_, ModuleProfile>)> = Vec::new();
         for (class, rep) in self.classes.live() {
             remap[class] = representatives.len() as u32;
-            representatives.push(rep);
+            let profile = if class < base_len {
+                Cow::Borrowed(&rep.profile)
+            } else {
+                Cow::Owned(
+                    ModuleFeatures::extract(&rep.module)
+                        .bind_with(|tokens| interner.resolve_set(tokens)),
+                )
+            };
+            representatives.push((&rep.module, profile));
         }
         let live = representatives.len();
         let mut scores = vec![0.0; live * live];
-        for (a, ra) in representatives.iter().enumerate() {
-            for (b, rb) in representatives.iter().enumerate() {
-                scores[a * live + b] =
-                    self.pair_similarity((&ra.module, &ra.profile), (&rb.module, &rb.profile));
+        for (a, (ma, pa)) in representatives.iter().enumerate() {
+            for (b, (mb, pb)) in representatives.iter().enumerate() {
+                scores[a * live + b] = self.pair_similarity((ma, pa), (mb, pb));
             }
         }
         ClassPairTable {
@@ -865,69 +1119,175 @@ impl ProfiledMeasure {
             heap.resize(na + nb, 0.0);
             &mut heap
         };
-        module_sets_bound(sides, na, normalization, |i, j| {
-            let a = pa.side(i);
-            let b = pb.side(j);
-            if preselects(config.preselection, a, b) {
-                pair_upper_bound(rules, a, b)
-            } else {
-                0.0
+        // Relax the one-to-one mapping two ways: each mapped pair's weight
+        // is at most its row's best pair bound *and* its column's best pair
+        // bound (see `finish_bound`).  A vetoed pair bounds at 0.0, which
+        // raises no maximum.
+        let (row_best, col_best) = sides.split_at_mut(na);
+        row_best.fill(0.0);
+        col_best.fill(0.0);
+        for (i, row) in row_best.iter_mut().enumerate() {
+            for (j, col) in col_best.iter_mut().enumerate() {
+                let (a, b) = (pa.side(i), pb.side(j));
+                if !preselects(config.preselection, a, b) {
+                    continue;
+                }
+                let ub = pair_upper_bound(rules, a, b);
+                if ub > *row {
+                    *row = ub;
+                }
+                if ub > *col {
+                    *col = ub;
+                }
             }
-        })
+        }
+        finish_bound(row_best, col_best, normalization)
     }
 
-    /// Bounds every (query module, live class) pair once — the per-query
-    /// table behind [`ClassBounds::bound`]; `None` for measures without a
+    /// Bounds every query module against every base class once — the
+    /// per-query table behind [`ClassBounds::bound`], shared by every
+    /// shard built over the same base; `None` for measures without a
     /// cheap bound (everything but Module Sets).
     ///
+    /// The query is bound to the base pool here (never mutating it), so
+    /// each entry equals the per-pair bound of the query bound to any
+    /// shard's pool against any module of the class (see [`ClassBase`]).
     /// A pair the preselection vetoes holds `0.0`, as in the per-pair
-    /// reference: the row and column maxima start at `0.0`, so a vetoed
-    /// pair raises none of them.  The rows are keyed by the *candidate's*
-    /// class, so an external query's unseen modules need nothing special.
-    pub(crate) fn class_bounds(&self, query: &WorkflowProfile) -> Option<ClassBounds<'_>> {
+    /// reference.  Each class's column maximum (its best bound over the
+    /// query modules) is stored beside its row, so a candidate's column
+    /// maxima cost one read per module.
+    pub(crate) fn base_bounds(&self, features: &QueryFeatures) -> Option<BaseBounds> {
         let config = self.inner.config();
         if config.measure != MeasureKind::ModuleSets {
             return None;
         }
-        let rules = config.module_scheme.rules();
-        let na = query.modules.len();
-        let mut rows = vec![0.0; self.classes.reps.len() * na];
-        for (class, rep) in self.classes.live() {
-            let b = (&rep.module, &rep.profile);
-            let row = &mut rows[class * na..][..na];
-            for (i, ub) in row.iter_mut().enumerate() {
-                let a = query.side(i);
-                if preselects(config.preselection, a, b) {
-                    *ub = pair_upper_bound(rules, a, b);
-                }
-            }
-        }
-        Some(ClassBounds {
-            classes: &self.classes,
+        let base = &self.classes.base;
+        let mut interner = FrozenInterner::new(&base.pool);
+        let query: Vec<ModuleProfile> = features
+            .modules
+            .iter()
+            .map(|m| m.bind_with(|tokens| interner.resolve_set(tokens)))
+            .collect();
+        let query: Vec<(&Module, &ModuleProfile)> =
+            features.processed.modules.iter().zip(&query).collect();
+        let (rows, col_max) = bound_rows(
+            config,
+            &query,
+            base.reps.iter().map(|rep| (&rep.module, &rep.profile)),
+        );
+        Some(BaseBounds {
+            base: Arc::clone(base),
             normalization: config.normalization,
-            na,
+            na: query.len(),
             rows,
-            sides: vec![0.0; na + self.classes.widest()],
+            col_max,
         })
+    }
+
+    /// One shard's view of a query's class bounds: the shared base table
+    /// plus rows for the shard's live overflow classes, bounded against
+    /// `query` (the query bound to this corpus's pool, which the overflow
+    /// representatives are bound to).  `base` must come from
+    /// [`ProfiledMeasure::base_bounds`] on a measure sharing this one's
+    /// base.
+    pub(crate) fn class_bounds<'a>(
+        &'a self,
+        base: &'a BaseBounds,
+        query: &WorkflowProfile,
+    ) -> ClassBounds<'a> {
+        debug_assert!(
+            Arc::ptr_eq(&base.base, &self.classes.base),
+            "base bounds of another corpus"
+        );
+        let query: Vec<(&Module, &ModuleProfile)> =
+            (0..query.modules.len()).map(|i| query.side(i)).collect();
+        // Free overflow ids keep their last representative: bounding it is
+        // harmless (no slot reads the row) and keeps the rows dense.
+        let (overflow_rows, overflow_max) = bound_rows(
+            self.inner.config(),
+            &query,
+            self.classes
+                .overflow
+                .iter()
+                .map(|rep| (&rep.module, &rep.profile)),
+        );
+        ClassBounds {
+            classes: &self.classes,
+            base,
+            overflow_rows,
+            overflow_max,
+            sides: vec![0.0; base.na + self.classes.widest()],
+        }
     }
 }
 
-/// One query's Module Sets bound against every workflow of one corpus,
-/// read from a (query module × live class) table of pair bounds built
-/// once per query by [`ProfiledMeasure::class_bounds`].
-///
-/// [`ClassBounds::bound`] reads the table through the candidate's class
-/// ids and runs the same [`module_sets_bound`] as the per-pair reference
-/// ([`ProfiledMeasure::upper_bound_profile`]) over the same per-pair
-/// values, so the two bounds are equal bit for bit.
-pub(crate) struct ClassBounds<'m> {
-    classes: &'m ModuleClasses,
+/// The (query module × class) pair bounds of `query` against each listed
+/// class representative, row-major by class, and each class's column
+/// maximum.  Vetoed pairs hold `0.0`; the maxima start at `0.0`.
+fn bound_rows<'m>(
+    config: &SimilarityConfig,
+    query: &[(&Module, &ModuleProfile)],
+    classes: impl IntoIterator<Item = (&'m Module, &'m ModuleProfile)>,
+) -> (Vec<f64>, Vec<f64>) {
+    let rules = config.module_scheme.rules();
+    let mut rows = Vec::new();
+    let mut col_max = Vec::new();
+    for b in classes {
+        let mut max = 0.0f64;
+        for &a in query {
+            let ub = if preselects(config.preselection, a, b) {
+                pair_upper_bound(rules, a, b)
+            } else {
+                0.0
+            };
+            max = max.max(ub);
+            rows.push(ub);
+        }
+        col_max.push(max);
+    }
+    (rows, col_max)
+}
+
+/// One query's Module Sets pair bounds against every class of a
+/// [`ClassBase`], built once per query by [`ProfiledMeasure::base_bounds`]
+/// and read by every shard's [`ClassBounds`].
+pub(crate) struct BaseBounds {
+    /// The base the rows cover (checked against each shard's).
+    base: Arc<ClassBase>,
     normalization: Normalization,
     /// Query module count: the row stride of `rows`.
     na: usize,
     /// `rows[class * na + i]`: query module `i`'s pair bound against
-    /// `class` (`0.0` when vetoed, never read for free ids).
+    /// base class `class` (`0.0` when vetoed).
     rows: Vec<f64>,
+    /// `col_max[class]`: the largest of the class's row.
+    col_max: Vec<f64>,
+}
+
+impl BaseBounds {
+    /// Number of base classes the table bounds (one row each).
+    #[cfg(test)]
+    pub(crate) fn row_count(&self) -> usize {
+        self.col_max.len()
+    }
+}
+
+/// One query's Module Sets bound against every workflow of one corpus,
+/// read from the shared [`BaseBounds`] for base classes and from the
+/// corpus's own overflow rows for classes first seen after the build.
+///
+/// [`ClassBounds::bound`] takes a candidate's row maxima from the rows of
+/// its classes and its column maxima straight from the stored class
+/// maxima, then runs the same [`finish_bound`] as the per-pair reference
+/// ([`ProfiledMeasure::upper_bound_profile`]) over the same maxima, so the
+/// two bounds are equal bit for bit.
+pub(crate) struct ClassBounds<'m> {
+    classes: &'m ModuleClasses,
+    base: &'m BaseBounds,
+    /// `overflow_rows[o * na + i]`: query module `i` against overflow
+    /// class `o` (never read for free ids).
+    overflow_rows: Vec<f64>,
+    overflow_max: Vec<f64>,
     /// Per-side maxima scratch, sized for the widest workflow.
     sides: Vec<f64>,
 }
@@ -939,62 +1299,53 @@ impl ClassBounds<'_> {
     // table reads over the candidate's class ids, no allocation.
     pub(crate) fn bound(&mut self, candidate: usize) -> f64 {
         let classes = self.classes.of(candidate);
-        let (na, rows) = (self.na, &self.rows);
-        module_sets_bound(
-            &mut self.sides[..na + classes.len()],
-            na,
-            self.normalization,
-            |i, j| rows[classes[j] as usize * na + i],
-        )
+        let base = self.base;
+        let na = base.na;
+        let base_len = base.col_max.len();
+        let (row_best, col_best) = self.sides[..na + classes.len()].split_at_mut(na);
+        row_best.fill(0.0);
+        for (col, &class) in col_best.iter_mut().zip(classes) {
+            let class = class as usize;
+            let (row, max) = match class.checked_sub(base_len) {
+                None => (&base.rows[class * na..][..na], base.col_max[class]),
+                Some(o) => (&self.overflow_rows[o * na..][..na], self.overflow_max[o]),
+            };
+            *col = max;
+            // `f64::max` equals the reference's `>` chain bit for bit: the
+            // pair bounds are never NaN or -0.0.
+            for (best, &ub) in row_best.iter_mut().zip(row) {
+                *best = best.max(ub);
+            }
+        }
+        finish_bound(row_best, col_best, base.normalization)
     }
 }
 
-/// The Module Sets bound from per-pair bounds `pair(i, j)` (query module
-/// `i`, candidate module `j`): per query module, the best pair bound over
-/// the candidate's modules, summed, capped at the one-to-one assignment
-/// limit `min(|A|, |B|)`, and pushed through the (monotone) normalization.
-/// `sides` holds the `|A|` row maxima then the `|B|` column maxima
-/// (`na` is `|A|`); it is scratch, overwritten here.
+/// The Module Sets bound from the per-side maxima of the per-pair bounds:
+/// `row_best[i]` is query module `i`'s best pair bound over the
+/// candidate's modules, `col_best[j]` candidate module `j`'s best over the
+/// query's.  Relaxing the one-to-one mapping two ways — each mapped pair's
+/// weight is at most its row's maximum *and* its column's, and at most
+/// `m = min(|A|, |B|)` pairs are mapped — bounds nnsim by the smaller of
+/// the two "sum of the top m per-side maxima" estimates, capped at `m`,
+/// which is pushed through the (monotone) normalization.  Both slices are
+/// scratch, reordered here.  Shared by the per-pair reference and the
+/// class-table bound.
 ///
 /// The returned bound carries an m²·ε admissibility slack so it dominates
 /// the exact score *in floating point*, not just mathematically — the
 /// best-bound-first scans prune on the raw bound, and a 1-ulp shortfall
 /// (different summation order than the mapping's) would silently drop an
 /// exact top-k member.
-// lint:hot shared by the per-pair reference and the class-table bound,
-// once per bounded candidate; caller-provided scratch keeps it
-// allocation-free.
-fn module_sets_bound(
-    sides: &mut [f64],
-    na: usize,
-    normalization: Normalization,
-    pair: impl Fn(usize, usize) -> f64,
-) -> f64 {
-    let nb = sides.len() - na;
+// lint:hot once per bounded candidate; works in the caller's scratch.
+fn finish_bound(row_best: &mut [f64], col_best: &mut [f64], normalization: Normalization) -> f64 {
+    let (na, nb) = (row_best.len(), col_best.len());
     if na == 0 || nb == 0 {
         // Exact: an empty side forces an empty mapping.
         return match normalization {
             Normalization::None => 0.0,
             Normalization::SizeNormalized => jaccard_normalize(0.0, na, nb),
         };
-    }
-    // Relax the one-to-one mapping two ways: each mapped pair's weight is
-    // at most its row's best pair bound *and* its column's best pair bound,
-    // and at most min(na, nb) pairs are mapped — so nnsim is at most the
-    // smaller of the two "sum of the top min(na, nb) per-side maxima"
-    // estimates.
-    sides.fill(0.0);
-    let (row_best, col_best) = sides.split_at_mut(na);
-    for (i, row) in row_best.iter_mut().enumerate() {
-        for (j, col) in col_best.iter_mut().enumerate() {
-            let ub = pair(i, j);
-            if ub > *row {
-                *row = ub;
-            }
-            if ub > *col {
-                *col = ub;
-            }
-        }
     }
     let mapped = na.min(nb);
     // Admissibility slack: the bound and the exact score sum the same
@@ -1018,6 +1369,47 @@ fn module_sets_bound(
 /// to this many modules per side (the demo corpora top out well below it;
 /// larger pairs fall back to a heap buffer).
 const STACK_MODULES: usize = 64;
+
+/// Exact module-pair similarities of one query, keyed by (orientation,
+/// class, query module) and each computed on first use.  A flag per entry
+/// marks what is known; no value doubles as a sentinel.
+pub(crate) struct PairMemo {
+    /// Query module count: the stride of one class's entries.
+    na: usize,
+    /// Entries per orientation.
+    span: usize,
+    values: Vec<f64>,
+    known: Vec<bool>,
+}
+
+impl PairMemo {
+    fn new(classes: usize, na: usize, orientations: usize) -> Self {
+        let len = classes * na * orientations;
+        PairMemo {
+            na,
+            span: classes * na,
+            values: vec![0.0; len],
+            known: vec![false; len],
+        }
+    }
+
+    /// The memoized value of (orientation, class, query module), running
+    /// `compute` the first time it is asked for.
+    fn get(
+        &mut self,
+        orientation: usize,
+        class: usize,
+        query_module: usize,
+        compute: impl FnOnce() -> f64,
+    ) -> f64 {
+        let slot = orientation * self.span + class * self.na + query_module;
+        if !self.known[slot] {
+            self.values[slot] = compute();
+            self.known[slot] = true;
+        }
+        self.values[slot]
+    }
+}
 
 /// The dense class-pair similarity table of [`ProfiledMeasure::
 /// class_pair_table`]: `score(a, b)` is exactly the module-pair scheme
@@ -1053,13 +1445,14 @@ impl ClassPairTable {
 /// matter what bytes the (unvalidated, JSON-loadable) values contain.
 fn module_class_key(module: &Module) -> String {
     let module_type = format!("{:?}", module.module_type);
-    let mut key = format!("{}:{module_type}", module_type.len());
+    let mut key = String::with_capacity(64);
+    // Writing to a `String` cannot fail.
+    let _ = write!(key, "{}:{module_type}", module_type.len());
     for attr in AttributeKey::ALL {
         match module.attribute(attr) {
             Some(value) => {
                 let value = value.as_str();
-                key.push_str(&format!("+{}:", value.len()));
-                key.push_str(value);
+                let _ = write!(key, "+{}:{value}", value.len());
             }
             None => key.push('-'),
         }
@@ -1068,10 +1461,11 @@ fn module_class_key(module: &Module) -> String {
 }
 
 /// Builds the full profile of one workflow against a measure and a shared
-/// pool — the single profiling code path behind batch construction
-/// ([`ProfiledMeasure::from_measure`]), incremental insertion
-/// ([`ProfiledMeasure::add_workflow`]) and (via the frozen
-/// [`QueryFeatures::bind`] half) external query profiling.
+/// pool — the profiling path of incremental insertion
+/// ([`ProfiledMeasure::add_workflow`]).  Batch construction
+/// ([`ProfiledMeasure::build_shared`]) runs the same two halves with the
+/// class interning in between, and external query profiling the frozen
+/// [`QueryFeatures::bind`] half.
 fn profile_workflow(
     inner: &WorkflowSimilarity,
     pool: &mut StringPool,
@@ -1090,10 +1484,35 @@ fn ged_key(p: &WorkflowProfile) -> (usize, usize, &WorkflowId) {
     )
 }
 
-/// Sum of the `m` largest values (sorts in place; `m <= values.len()`).
+/// Sum of the `m` largest values, added largest first.
+///
+/// An insertion sort moves the `m` largest values, in descending order,
+/// to the front of `values` (the rest is left in any order), then sums
+/// that prefix.  For values that are never NaN or -0.0 — per-side maxima
+/// of pair bounds in `[0, 1]` — the prefix is the same sequence of bits a
+/// full descending sort yields, so the sum is too.
+// lint:hot twice per bounded candidate; sorts in place.
 fn top_m_sum(values: &mut [f64], m: usize) -> f64 {
-    values.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-    values[..m.min(values.len())].iter().sum()
+    let m = m.min(values.len());
+    let mut filled = 0;
+    for next in (0..values.len()).filter(|_| m > 0) {
+        let value = values[next];
+        if filled == m {
+            if value <= values[m - 1] {
+                continue;
+            }
+            // The smallest kept value drops out.
+            filled -= 1;
+        }
+        let mut at = filled;
+        while at > 0 && values[at - 1] < value {
+            values[at] = values[at - 1];
+            at -= 1;
+        }
+        values[at] = value;
+        filled += 1;
+    }
+    values[..m].iter().sum()
 }
 
 /// One rule's exact comparison, reading every derived feature from the
@@ -1594,10 +2013,12 @@ mod tests {
     /// The class-table bound of `query` against every workflow of
     /// `measure`, each compared by bits with the per-pair reference.
     fn assert_table_bound_matches(measure: &ProfiledMeasure, query: &Workflow, what: &str) {
-        let query = measure.bind_query(&measure.query_features(query));
-        let mut table = measure
-            .class_bounds(&query)
+        let features = measure.query_features(query);
+        let base = measure
+            .base_bounds(&features)
             .expect("module sets is bounded");
+        let query = measure.bind_query(&features);
+        let mut table = measure.class_bounds(&base, &query);
         for candidate in 0..measure.len() {
             let want = measure
                 .upper_bound_profile(&query, candidate)
@@ -1623,26 +2044,57 @@ mod tests {
         for config in bound_configs() {
             let name = format!("{} {:?}", config.name(), config.normalization);
             let mut measure = ProfiledMeasure::new(config, residents);
+            assert_eq!(
+                measure.classes.overflow.len(),
+                0,
+                "{name}: built from scratch"
+            );
             for query in residents {
                 assert_table_bound_matches(&measure, query, &format!("{name} resident"));
             }
             for query in &externals {
                 assert_table_bound_matches(&measure, query, &format!("{name} external"));
             }
-            // Churn: removals free the classes only they held, and the
-            // additions that follow reuse those ids.
+            // Churn: removals leave the base classes only they held dead
+            // (their ids stay), and the additions that follow bring
+            // classes the base has never seen into the overflow.
             for at in [20, 7, 0] {
                 measure.remove_workflow(at);
             }
-            assert!(!measure.classes.free.is_empty(), "{name}: no class died");
+            assert!(
+                measure.dead_base_classes() > 0,
+                "{name}: no base class died"
+            );
             for query in residents.iter().step_by(5) {
                 assert_table_bound_matches(&measure, query, &format!("{name} churned"));
             }
             for wf in &externals {
                 measure.add_workflow(wf);
             }
+            assert!(
+                measure.classes.live_overflow().count() > 0,
+                "{name}: no overflow class"
+            );
             for query in residents.iter().step_by(5).chain(&externals) {
                 assert_table_bound_matches(&measure, query, &format!("{name} re-added"));
+            }
+            // Dropping the additions frees overflow ids; adding them back
+            // reuses those ids.
+            let overflow_ids = measure.classes.overflow.len();
+            for wf in &externals {
+                let at = measure.index_of(&wf.id).expect("added above");
+                measure.remove_workflow(at);
+            }
+            assert_eq!(measure.classes.free.len(), overflow_ids, "{name}");
+            for query in residents.iter().step_by(5) {
+                assert_table_bound_matches(&measure, query, &format!("{name} freed"));
+            }
+            for wf in externals.iter().rev() {
+                measure.add_workflow(wf);
+            }
+            assert_eq!(measure.classes.overflow.len(), overflow_ids, "{name}");
+            for query in residents.iter().step_by(5).chain(&externals) {
+                assert_table_bound_matches(&measure, query, &format!("{name} reused"));
             }
         }
     }
@@ -1659,6 +2111,7 @@ mod tests {
         for wf in &workflows[24..] {
             measure.add_workflow(wf);
         }
+        assert!(measure.classes.live_overflow().count() > 0);
         let survivors: Vec<Workflow> = measure
             .profiles()
             .iter()
@@ -1673,11 +2126,11 @@ mod tests {
         let rebuilt = ProfiledMeasure::new(config, &survivors);
         let classes = &measure.classes;
         assert_eq!(classes.live().count(), rebuilt.classes.live().count());
-        assert_eq!(classes.interner.len(), classes.live().count());
+        assert_eq!(classes.interner.len(), classes.live_overflow().count());
         assert_eq!(
-            classes.reps.len(),
-            classes.live().count() + classes.free.len(),
-            "every class id is live or free"
+            classes.overflow.len(),
+            classes.live_overflow().count() + classes.free.len(),
+            "every overflow id is live or free"
         );
         assert_eq!(classes.starts, rebuilt.classes.starts);
         // Same partition of module slots into classes, up to relabeling.
@@ -1685,8 +2138,113 @@ mod tests {
         for (&a, &b) in classes.slot_class.iter().zip(&rebuilt.classes.slot_class) {
             assert_eq!(*relabel.entry(a).or_insert(b), b, "class {a} split");
         }
-        let live: usize = classes.live().map(|(_, rep)| rep.live as usize).sum();
-        assert_eq!(live, classes.slot_class.len());
+        let live: u32 = classes.base_live.iter().chain(&classes.overflow_live).sum();
+        assert_eq!(live as usize, classes.slot_class.len());
+    }
+
+    /// Scores every query against every resident of `measure` through
+    /// the memo, twice over (the second pass reads every pair from it),
+    /// each compared by bits with `score_profile`.  Returns how many pairs
+    /// took Graph Edit's canonical swap.
+    fn assert_memo_matches(measure: &ProfiledMeasure, queries: &[Workflow], what: &str) -> usize {
+        let mut swapped = 0;
+        for query in queries {
+            let query = measure.bind_query(&measure.query_features(query));
+            let mut base = measure.base_memo(&query);
+            let mut overflow = measure.overflow_memo(&query);
+            for candidate in (0..measure.len()).chain(0..measure.len()) {
+                if measure.swaps_canonically(&query, measure.profile(candidate)) {
+                    swapped += 1;
+                }
+                let got = measure.score_profile_memo(&query, candidate, &mut base, &mut overflow);
+                assert_eq!(
+                    got.to_bits(),
+                    measure.score_profile(&query, candidate).to_bits(),
+                    "{what}: {} vs {}",
+                    query.workflow().id,
+                    measure.ids()[candidate]
+                );
+            }
+        }
+        swapped
+    }
+
+    /// The memo reproduces `score_profile` for the six module comparison
+    /// schemes under Module Sets (both preselections), for Path Sets, for
+    /// an annotation measure, and for Graph Edit, whose canonical swap
+    /// compares pairs candidate first.  Every corpus holds overflow
+    /// classes next to its base ones.
+    #[test]
+    fn memoized_scoring_is_bit_identical_to_score_profile() {
+        let (workflows, _) =
+            wf_corpus::generate_taverna_corpus(&wf_corpus::TavernaCorpusConfig::small(14, 9));
+        let (residents, strangers) = workflows.split_at(10);
+        let mut queries: Vec<Workflow> = workflows.iter().step_by(3).cloned().collect();
+        queries.push(unseen_query());
+        queries.extend(corpus());
+        let mut configs = all_scheme_configs();
+        configs.extend([
+            SimilarityConfig::best_path_sets(),
+            SimilarityConfig::bag_of_words(),
+        ]);
+        for config in configs {
+            let name = config.name();
+            let mut measure = ProfiledMeasure::new(config, residents);
+            for wf in strangers {
+                measure.add_workflow(wf);
+            }
+            measure.remove_workflow(3);
+            assert!(measure.classes.live_overflow().count() > 0, "{name}");
+            assert_memo_matches(&measure, &queries, &name);
+        }
+        // Graph Edit is costly to score: the small fixture corpus.
+        let small = corpus();
+        let mut measure = ProfiledMeasure::new(SimilarityConfig::graph_edit_default(), &small[..2]);
+        for wf in &small[2..] {
+            measure.add_workflow(wf);
+        }
+        let mut queries = small.clone();
+        queries.push(unseen_query());
+        let swapped = assert_memo_matches(&measure, &queries, "graph edit");
+        assert!(swapped > 0, "no pair took the canonical swap");
+    }
+
+    /// The `top_m_sum` the class-table bound shipped with first: a full
+    /// descending sort, then the sum of the first `m`.
+    fn sorted_top_m_sum(values: &mut [f64], m: usize) -> f64 {
+        values.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+        values[..m.min(values.len())].iter().sum()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Per-side maxima are in `[0, 1]`, never NaN or -0.0; drawing
+        /// them from a few levels makes ties and zeros common.
+        #[test]
+        fn insertion_top_m_sum_equals_the_sorted_sum(
+            levels in proptest::collection::vec(0u32..6, 0..24),
+            fine in proptest::collection::vec(0u32..1000, 0..24),
+            m in 0usize..28,
+        ) {
+            let values: Vec<f64> = levels
+                .iter()
+                .zip(fine.iter().chain(std::iter::repeat(&0)))
+                .map(|(&level, &fine)| match level {
+                    0 => 0.0,
+                    1 => 1.0,
+                    2 => 0.5,
+                    _ => f64::from(fine) / 999.0,
+                })
+                .collect();
+            let (mut ours, mut sorted) = (values.clone(), values.clone());
+            let want = sorted_top_m_sum(&mut sorted, m);
+            proptest::prop_assert_eq!(top_m_sum(&mut ours, m).to_bits(), want.to_bits());
+            let m = m.min(values.len());
+            for (a, b) in ours[..m].iter().zip(&sorted[..m]) {
+                proptest::prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -12,11 +12,13 @@
 //! module partitions the corpus instead:
 //!
 //! * [`ShardedCorpus`] — N shards, each a complete [`Corpus`] owning its
-//!   own pool, profiles and token index; each workflow lives in the shard
+//!   own pool, profiles and token index, all sharing one frozen base of
+//!   module classes built with them; each workflow lives in the shard
 //!   the FNV-1a hash of its id picks, so routing is stateless and an id
 //!   never lives in two shards.  A top-k query **scatters** by building one
 //!   candidate *cursor* per shard (the shard's candidates with their
-//!   bounds, read from a per-query class table; nothing scored yet), then
+//!   bounds, read from one per-query table over the shared class base;
+//!   nothing scored yet), then
 //!   runs **one global best-bound-first scan** over the cursors merged by
 //!   a [`RankedFrontier`](wf_repo::RankedFrontier): the scan always scores
 //!   the globally best-bound candidate and tightens a single shared
@@ -64,8 +66,11 @@ use wf_repo::{
 };
 
 use crate::config::SimilarityConfig;
-use crate::corpus::{config_fingerprint, fnv1a64, sync_dir, write_atomic, Corpus, SnapshotError};
-use crate::profile::{ProfiledMeasure, QueryFeatures, WorkflowProfile};
+use crate::corpus::{
+    config_fingerprint, dedup_last_wins, fnv1a64, sync_dir, write_atomic, Corpus, SnapshotError,
+};
+use crate::pipeline::WorkflowSimilarity;
+use crate::profile::{BaseBounds, ProfiledMeasure, QueryFeatures, WorkflowProfile};
 
 /// First token of a shard-manifest header line.
 pub const SHARD_MANIFEST_MAGIC: &str = "wfsim-shard-manifest";
@@ -196,8 +201,9 @@ fn save_shards<R: std::ops::Deref<Target = Corpus>>(
 /// # Invariants
 ///
 /// * every shard is a complete [`Corpus`] for the same
-///   [`SimilarityConfig`]; shards share nothing (pool, profiles, index are
-///   per shard);
+///   [`SimilarityConfig`]; pool, profiles and index are per shard, and the
+///   only thing shards share is the immutable module-class base they were
+///   built with (read without a lock);
 /// * a workflow id lives in at most one shard, and always in the shard the
 ///   hash of the id routes it to ([`ShardedCorpus::add`] replaces through
 ///   the owning shard, never across shards);
@@ -250,9 +256,23 @@ impl ShardedCorpus {
         for wf in workflows {
             buckets[hash_route(&wf.id, shard_count)].push(wf);
         }
+        let buckets = buckets.into_iter().map(dedup_last_wins).collect();
+        ShardedCorpus::from_buckets(config, buckets)
+    }
+
+    /// Builds one shard per bucket of distinct-id workflows.  The shards'
+    /// profiles are built together, so that every module class of the
+    /// corpus is interned once into one class base, which all the shards
+    /// share (a search then bounds its query against each class once, not
+    /// once per shard holding it).
+    fn from_buckets(config: SimilarityConfig, buckets: Vec<Vec<Workflow>>) -> Self {
+        let slices: Vec<&[Workflow]> = buckets.iter().map(Vec::as_slice).collect();
+        let measures =
+            ProfiledMeasure::build_shared(&WorkflowSimilarity::new(config.clone()), &slices);
         let shards = buckets
             .into_iter()
-            .map(|bucket| Corpus::build(config.clone(), bucket))
+            .zip(measures)
+            .map(|(originals, measure)| Corpus::from_profiled(originals, measure))
             .collect();
         ShardedCorpus {
             config,
@@ -466,8 +486,9 @@ impl ShardedCorpus {
         })
     }
 
-    /// Restores a sharded corpus saved by [`ShardedCorpus::save`],
-    /// rebuilding each shard from its workflows one after another.  The
+    /// Restores a sharded corpus saved by [`ShardedCorpus::save`]: decodes
+    /// every shard's workflows, then rebuilds all shards together, as
+    /// [`ShardedCorpus::build`] does (one shared class base).  The
     /// manifest must carry the current layout version and the fingerprint
     /// of exactly `config`; every shard snapshot must load intact (each is
     /// version- and checksum-validated individually) and carry the
@@ -521,28 +542,25 @@ impl ShardedCorpus {
                 found: fingerprint,
             });
         }
-        let mut shards = Vec::new();
+        let mut buckets = Vec::new();
         for i in 0..shard_count {
-            let shard = std::fs::read_to_string(dir.join(shard_file_name(i)))
+            let bucket = std::fs::read_to_string(dir.join(shard_file_name(i)))
                 .map_err(SnapshotError::Io)
-                .and_then(|text| Corpus::decode_snapshot(&text, config.clone(), Some(generation)));
-            shards.push(shard.map_err(|error| ShardSnapshotError::Shard { shard: i, error })?);
+                .and_then(|text| Corpus::snapshot_workflows(&text, &config, Some(generation)));
+            buckets.push(bucket.map_err(|error| ShardSnapshotError::Shard { shard: i, error })?);
         }
-        for (i, shard) in shards.iter().enumerate() {
-            for id in shard.ids() {
-                let expected = hash_route(id, shard_count);
+        for (i, bucket) in buckets.iter().enumerate() {
+            for wf in bucket {
+                let expected = hash_route(&wf.id, shard_count);
                 if expected != i {
                     return Err(ShardSnapshotError::Manifest(format!(
-                        "workflow {id} found in shard {i} but hashes to shard {expected}"
+                        "workflow {} found in shard {i} but hashes to shard {expected}",
+                        wf.id
                     )));
                 }
             }
         }
-        Ok(ShardedCorpus {
-            config,
-            shards,
-            parallelism: SearchParallelism::default(),
-        })
+        Ok(ShardedCorpus::from_buckets(config, buckets))
     }
 
     /// Loads the sharded snapshot in `dir` if it is present, intact and
@@ -678,11 +696,19 @@ impl Error for ShardSnapshotError {
 /// Builds one shard's *cursor* of a global best-bound-first search: binds
 /// the query to the shard's pool, counts label-token overlaps through the
 /// inverted index and bounds every candidate (admissible, `INFINITY` when
-/// unboundable) from the shard's per-query class table
-/// ([`ProfiledMeasure::class_bounds`]) — bit-identical to the per-pair
-/// bound of [`wf_repo::IndexedSearchEngine`].  Returns the bound query and
-/// the candidates in corpus order, neither sorted nor scored; the scatter
-/// loop merges the cursors through a [`RankedFrontier`].
+/// unboundable) — bit-identical to the per-pair bound of
+/// [`wf_repo::IndexedSearchEngine`].  Returns the bound query and the
+/// candidates in corpus order, neither sorted nor scored; the scatter loop
+/// merges the cursors through a [`RankedFrontier`].
+///
+/// The bounds read the query's table over the corpus-wide class base
+/// (`base`, built once per query by the scatter and shared by every
+/// shard); only the shard's overflow classes, first seen by an `add` after
+/// the build, get rows of their own here.  The base rows were bounded with
+/// the query bound to the base's pool, the overflow rows with it bound to
+/// the shard's: every pair bound is pool-independent (token-set Jaccard
+/// counts strings, not ids, and the other features carry no ids), so both
+/// equal the per-pair bound against the shard's own modules.
 ///
 /// Candidate indices are pre-encoded for the frontier: a local corpus
 /// index `local` of cursor `front` (of `num_fronts` total) is stored as
@@ -694,6 +720,7 @@ impl Error for ShardSnapshotError {
 fn shard_cursor(
     corpus: &Corpus,
     features: &QueryFeatures,
+    base: Option<&BaseBounds>,
     exclude: &WorkflowId,
     front: usize,
     num_fronts: usize,
@@ -706,7 +733,7 @@ fn shard_cursor(
         .overlap_counts(query.label_tokens().ids());
     // Corpus ids are unique, so the excluded id is at most one index.
     let excluded = measure.index_of(exclude);
-    let mut bounds = measure.class_bounds(&query);
+    let mut bounds = base.map(|base| measure.class_bounds(base, &query));
     let mut candidates: Vec<RankedCandidate> = Vec::with_capacity(measure.len());
     for (index, &overlap) in overlaps.iter().enumerate() {
         if Some(index) == excluded {
@@ -769,16 +796,20 @@ impl DegradedSearch {
 /// candidate across every cursor, tightens the caller's shared threshold,
 /// and stops when the best remaining bound *anywhere* falls below the
 /// floor — so pruning power is that of the single-corpus engine,
-/// independent of how many fronts the corpus is split into.
+/// independent of how many fronts the corpus is split into.  Scoring goes
+/// through a per-query memo of exact module-pair similarities, shared by
+/// every front for the base classes.
 ///
 /// Returns the scan's heap-order hits (callers canonicalize through
 /// [`merge_top_k`]).  A fired `cancel` abandons the merged stream
 /// mid-scan; the hits proven up to that point are exact (the frontier
 /// only reorders *scoring*, and top-k content is insertion-order
 /// independent).
+#[allow(clippy::too_many_arguments)] // the scan's contract plus the shared base table
 fn frontier_scan(
     fronts: &[&Corpus],
     features: &QueryFeatures,
+    base: Option<&BaseBounds>,
     exclude: &WorkflowId,
     k: usize,
     threshold: &SearchThreshold,
@@ -790,11 +821,20 @@ fn frontier_scan(
     let mut lists: Vec<Vec<RankedCandidate>> = Vec::with_capacity(num_fronts);
     let mut measures: Vec<&ProfiledMeasure> = Vec::with_capacity(num_fronts);
     for (front, corpus) in fronts.iter().enumerate() {
-        let (query, candidates) = shard_cursor(corpus, features, exclude, front, num_fronts, stats);
+        let (query, candidates) =
+            shard_cursor(corpus, features, base, exclude, front, num_fronts, stats);
         queries.push(query);
         lists.push(candidates);
         measures.push(corpus.measure());
     }
+    // A unit holds at least one front, and all fronts share one class
+    // base: one base memo for every front, one overflow memo per front.
+    let mut base_memo = measures[0].base_memo(&queries[0]);
+    let mut overflow_memos: Vec<_> = measures
+        .iter()
+        .zip(&queries)
+        .map(|(measure, query)| measure.overflow_memo(query))
+        .collect();
     // Every candidate index was encoded as `local * num_fronts + front`
     // by `shard_cursor`, monotone in `local` for a fixed front, so each
     // cursor's canonical tie order survives the merge.
@@ -809,7 +849,12 @@ fn frontier_scan(
         stats,
         |encoded| {
             let (front, local) = (encoded % num_fronts, encoded / num_fronts);
-            measures[front].score_profile(&queries[front], local)
+            measures[front].score_profile_memo(
+                &queries[front],
+                local,
+                &mut base_memo,
+                &mut overflow_memos[front],
+            )
         },
         |encoded| {
             let (front, local) = (encoded % num_fronts, encoded / num_fronts);
@@ -819,13 +864,15 @@ fn frontier_scan(
 }
 
 /// Drains one shard's ranked cursor against a caller-shared threshold:
-/// builds the shard's cursor ([`shard_cursor`]) and runs the canonical
-/// prune-and-score loop over it, publishing every new worst-of-k into
-/// `threshold` and pruning strictly below its floor.
+/// bounds the query against the shard's class base, builds the shard's
+/// cursor ([`shard_cursor`]) and runs the canonical prune-and-score loop
+/// over it, publishing every new worst-of-k into `threshold` and pruning
+/// strictly below its floor.
 ///
-/// This is exactly what a one-shard unit of the scatter runs (gated or
-/// racing searches): each unit owns one shard's drain, and all units
-/// share one [`SearchThreshold`] and one [`CancelToken`] (polled between
+/// This is what a one-shard unit of the scatter runs (gated or racing
+/// searches), except that the scatter builds the base table once for all
+/// its units: each unit owns one shard's drain, and all units share one
+/// [`SearchThreshold`] and one [`CancelToken`] (polled between
 /// candidates, so a fired deadline abandons the drain mid-stream with
 /// exact partial hits).  It is public so the `wf-analyze`
 /// model-check suite can race real shard drains under the deterministic
@@ -840,7 +887,17 @@ pub fn drain_shard(
     cancel: &CancelToken,
     stats: &mut SearchStats,
 ) -> Vec<SearchHit> {
-    frontier_scan(&[corpus], features, exclude, k, threshold, cancel, stats)
+    let base = corpus.measure().base_bounds(features);
+    frontier_scan(
+        &[corpus],
+        features,
+        base.as_ref(),
+        exclude,
+        k,
+        threshold,
+        cancel,
+        stats,
+    )
 }
 
 /// A gate run on a shard before its scan: `false` vetoes the visit, and
@@ -900,6 +957,11 @@ fn scatter<R: std::ops::Deref<Target = Corpus>>(
         1
     };
     let units: Vec<&[&Corpus]> = fronts.chunks(unit_len).collect();
+    // Every shard was built over one class base, so the query is bounded
+    // against it once, for all units.
+    let base = fronts
+        .first()
+        .and_then(|corpus| corpus.measure().base_bounds(features));
     let threshold = SearchThreshold::new();
     let outcomes = claim_units(units.len(), plan.workers, |unit| {
         let mut stats = SearchStats::default();
@@ -916,6 +978,7 @@ fn scatter<R: std::ops::Deref<Target = Corpus>>(
         let hits = frontier_scan(
             units[unit],
             features,
+            base.as_ref(),
             exclude,
             k,
             &threshold,
@@ -944,7 +1007,8 @@ fn scatter<R: std::ops::Deref<Target = Corpus>>(
 /// index order.  One worker runs the jobs inline on the calling thread and
 /// spawns nothing, which keeps shuttle-mini model runs legal; more workers
 /// are plain `std` scoped threads that claim indices off one shared
-/// ticket, so a slow job pins only the worker that claimed it.
+/// ticket, so a slow job pins only the worker that claimed it.  A job that
+/// panics re-raises its panic on the calling thread.
 fn claim_units<T: Send>(units: usize, workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
     // At least one worker, and no more than there are units to claim.
     let workers = workers.max(1).min(units.max(1));
@@ -974,7 +1038,12 @@ fn claim_units<T: Send>(units: usize, workers: usize, job: impl Fn(usize) -> T +
             })
             .collect();
         for handle in handles {
-            for (unit, result) in handle.join().expect("search worker panicked") {
+            // A worker's panic is re-raised on the caller with its own
+            // payload, so a panic boundary above reports the real cause.
+            let done = handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            for (unit, result) in done {
                 slots[unit] = Some(result);
             }
         }
@@ -1211,6 +1280,7 @@ impl CorpusService {
 mod tests {
     use super::*;
     use crate::corpus::SNAPSHOT_MAGIC;
+    use std::sync::Arc;
     use wf_model::{builder::WorkflowBuilder, ModuleType};
 
     fn wf(id: &str, labels: &[&str]) -> Workflow {
@@ -1921,6 +1991,77 @@ mod tests {
             let squares = claim_units(7, workers, |i| i * i);
             assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36], "{workers} workers");
             assert!(claim_units(0, workers, |i| i).is_empty());
+        }
+    }
+
+    /// A build and a load both intern every class once into one base
+    /// that all shards share, leaving no overflow; and a query is bounded
+    /// against the same number of base classes at 8 shards as at 1.
+    #[test]
+    fn shards_share_one_class_base_after_build_and_load() {
+        let dir = std::env::temp_dir().join("wfsim-shard-class-base-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (workflows, _) =
+            wf_corpus::generate_taverna_corpus(&wf_corpus::TavernaCorpusConfig::small(40, 3));
+        let eight = ShardedCorpus::build(config(), 8, workflows.clone());
+        eight.save(&dir).unwrap();
+        let loaded = ShardedCorpus::load(&dir, config()).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        for sharded in [&eight, &loaded] {
+            let base = sharded.shards()[0].measure().class_base();
+            for shard in sharded.shards() {
+                assert!(Arc::ptr_eq(base, shard.measure().class_base()));
+                assert_eq!(shard.measure().overflow_class_ids(), 0);
+            }
+        }
+        let one = ShardedCorpus::build(config(), 1, workflows.clone());
+        let rows = |sharded: &ShardedCorpus, wf: &Workflow| {
+            sharded.shards()[0]
+                .measure()
+                .base_bounds(&sharded.query_features(wf))
+                .expect("module sets is bounded")
+                .row_count()
+        };
+        for wf in &workflows {
+            assert_eq!(rows(&eight, wf), rows(&one, wf), "query {}", wf.id);
+            assert_eq!(rows(&loaded, wf), rows(&one, wf), "query {}", wf.id);
+        }
+    }
+
+    /// After removes that leave base classes dead and adds that bring
+    /// classes the base never saw (overflow), search at every shard count
+    /// equals a single corpus built over the survivors and the brute-force
+    /// scan, bit for bit.
+    #[test]
+    fn churned_shards_search_like_a_single_corpus_and_the_scan_oracle() {
+        let (workflows, _) =
+            wf_corpus::generate_taverna_corpus(&wf_corpus::TavernaCorpusConfig::small(48, 21));
+        let (initial, later) = workflows.split_at(36);
+        let mut additions = later.to_vec();
+        additions.push(wf("unseen", &["zq xylophone", "kw lookup", "run blast"]));
+        for shards in [1, 3, 8] {
+            let mut sharded = ShardedCorpus::build(config(), shards, initial.to_vec());
+            for wf in initial.iter().step_by(3) {
+                assert!(sharded.remove(&wf.id).is_some());
+            }
+            for wf in &additions {
+                sharded.add(wf.clone());
+            }
+            let measures = || sharded.shards().iter().map(Corpus::measure);
+            assert!(measures().any(|m| m.dead_base_classes() > 0), "{shards}");
+            assert!(measures().any(|m| m.overflow_class_ids() > 0), "{shards}");
+            let single = Corpus::build(config(), sharded_workflows(&sharded));
+            for id in sharded.ids() {
+                let got = sharded.search(&id, 6).expect("resident");
+                assert_eq!(got, single.top_k(&id, 6).unwrap(), "{shards}: {id}");
+                let index = single.index_of(&id).expect("resident");
+                let oracle = wf_repo::scan_top_k(single.measure(), index, 6);
+                assert_eq!(got.len(), oracle.len(), "{shards}: {id}");
+                for (g, o) in got.iter().zip(&oracle) {
+                    assert_eq!(g.id, o.id, "{shards}: {id}");
+                    assert_eq!(g.score.to_bits(), o.score.to_bits(), "{shards}: {id}");
+                }
+            }
         }
     }
 
