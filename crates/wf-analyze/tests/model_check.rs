@@ -281,6 +281,100 @@ fn pre_removed_workflow_never_surfaces_in_search() {
     report.assert_ok();
 }
 
+/// Two writers on different shards race a search under the shared class
+/// registry: one removes `h`, the last holder of the `align reads` class,
+/// which frees its id; the other adds `g`, whose `merge alignments` class
+/// is new to the corpus, which mints an id (or takes the freed one).  Each
+/// writer holds its shard's write lock and takes the registry inside it;
+/// the search holds every shard's read lock before it reads the registry.
+/// Whatever the interleaving, the search must answer as one of the four
+/// quiescent corpus states, and after both writers join, as the final one.
+#[test]
+fn service_search_racing_class_freeing_and_minting_writers_matches_a_quiescent_state() {
+    const K: usize = 5;
+    const QUERY: &str = "a";
+    let initial = || -> Vec<Workflow> {
+        base_workflows()
+            .into_iter()
+            .chain([wf("h", &["run blast", "align reads"])])
+            .collect()
+    };
+    let minted = || {
+        wf(
+            "g",
+            &[
+                "fetch sequence",
+                "run blast",
+                "merge alignments",
+                "plot hits",
+            ],
+        )
+    };
+    let without_h = || initial().into_iter().filter(|w| w.id.0 != "h");
+    let references: Arc<Vec<Vec<SearchHit>>> = Arc::new(
+        [
+            initial(),
+            without_h().collect(),
+            initial().into_iter().chain([minted()]).collect(),
+            without_h().chain([minted()]).collect(),
+        ]
+        .into_iter()
+        .map(|workflows| quiescent_reference(workflows, QUERY, K))
+        .collect(),
+    );
+    for (i, a) in references.iter().enumerate() {
+        for b in &references[i + 1..] {
+            assert_ne!(a, b, "every corpus state must answer differently");
+        }
+    }
+    let routes = ShardedCorpus::build(
+        SimilarityConfig::best_module_sets(),
+        2,
+        initial().into_iter().chain([minted()]),
+    );
+    assert_ne!(
+        routes.shard_of(&WorkflowId::new("g")),
+        routes.shard_of(&WorkflowId::new("h")),
+        "the writers must own different shards"
+    );
+
+    let refs = Arc::clone(&references);
+    let report = check_random(0xF4EE, 300, move || {
+        let service = Arc::new(CorpusService::new(ShardedCorpus::build(
+            SimilarityConfig::best_module_sets(),
+            2,
+            initial(),
+        )));
+        let remover = {
+            let service = Arc::clone(&service);
+            thread::spawn(move || {
+                let removed = service.remove(&WorkflowId::new("h"));
+                assert!(removed.is_some(), "h is resident until this remove");
+            })
+        };
+        let adder = {
+            let service = Arc::clone(&service);
+            thread::spawn(move || {
+                service.add(minted());
+            })
+        };
+        let hits = service
+            .search(&WorkflowId::new(QUERY), K)
+            .expect("query stays resident through churn");
+        assert!(
+            refs.contains(&hits),
+            "search result matches no quiescent corpus state: {hits:?}"
+        );
+        remover.join().expect("remover panicked");
+        adder.join().expect("adder panicked");
+        let settled = service
+            .search(&WorkflowId::new(QUERY), K)
+            .expect("query resident after churn");
+        assert_eq!(settled, refs[3], "post-churn corpus must be quiescent");
+    });
+    report.assert_ok();
+}
+
 // ---------------------------------------------------------------------
 // Racing scatter-gather: per-shard drains against the shared floor.
 // ---------------------------------------------------------------------
@@ -315,20 +409,28 @@ fn racing_shard_drains_are_schedule_independent() {
         .expect("query resident");
     assert!(!reference.is_empty());
 
+    // Both drains read one query prepared (bound, class table built)
+    // before any thread spawns, as the scatter prepares once for all its
+    // racing units.
+    let measure = sharded.shards()[0].measure();
+    let wf = sharded
+        .get(&WorkflowId::new(QUERY))
+        .expect("query resident");
+    let query = Arc::new(measure.prepare(&measure.query_features(wf)));
     let corpus = Arc::clone(&sharded);
     let report = check_exhaustive(500_000, move || {
         let threshold = Arc::new(SearchThreshold::new());
         let worker = {
-            let (corpus, threshold) = (Arc::clone(&corpus), Arc::clone(&threshold));
+            let (corpus, query, threshold) = (
+                Arc::clone(&corpus),
+                Arc::clone(&query),
+                Arc::clone(&threshold),
+            );
             thread::spawn(move || {
-                let shard = &corpus.shards()[1];
-                let features = shard
-                    .measure()
-                    .query_features(corpus.get(&WorkflowId::new(QUERY)).expect("query resident"));
                 let mut stats = wf_repo::SearchStats::default();
                 wf_sim::drain_shard(
-                    shard,
-                    &features,
+                    &corpus.shards()[1],
+                    &query,
                     &WorkflowId::new(QUERY),
                     K,
                     &threshold,
@@ -337,14 +439,10 @@ fn racing_shard_drains_are_schedule_independent() {
                 )
             })
         };
-        let shard = &corpus.shards()[0];
-        let features = shard
-            .measure()
-            .query_features(corpus.get(&WorkflowId::new(QUERY)).expect("query resident"));
         let mut stats = wf_repo::SearchStats::default();
         let part_0 = wf_sim::drain_shard(
-            shard,
-            &features,
+            &corpus.shards()[0],
+            &query,
             &WorkflowId::new(QUERY),
             K,
             &threshold,

@@ -68,7 +68,7 @@ fn sharded_topk_is_bit_identical_for_all_schemes_and_shard_counts() {
 }
 
 /// The same acceptance criterion for the *racing* scatter-gather: shard
-/// workers draining their cursors in parallel against the shared
+/// workers draining their shards in parallel against the shared
 /// threshold must stay bit-identical to the single-corpus indexed engine
 /// — ids, scores, tie order — for every shard count and scheme.  Pruning
 /// is strictly below a floor that is always a true worst-of-k, so thread

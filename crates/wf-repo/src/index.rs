@@ -317,32 +317,30 @@ where
     top.into_hits()
 }
 
-/// A pull-based merge of several candidate lists into one global
-/// best-bound-first stream.
+/// A lazy best-bound-first stream over one search's candidates.
 ///
-/// This is the scheduling core of the sharded scatter-gather search: each
-/// shard contributes its candidate list as a *cursor*, and the frontier
-/// always yields the globally best-bound head across all cursors — so a
-/// single [`scan_ranked_candidates`] over the frontier prunes with the same
-/// power as one engine over the whole corpus, independent of how the
-/// candidates are partitioned.
+/// This is the scheduling core of the sharded scatter-gather search: the
+/// candidates of every shard go into one frontier, keyed by shard-major
+/// position (the shard's offset plus its local index), so a single
+/// [`scan_ranked_candidates`] over it prunes with the same power as one
+/// engine over the whole corpus, independent of how the candidates are
+/// partitioned.
 ///
-/// Each cursor is a binary heap in the canonical [`sort_best_bound_first`]
+/// The frontier is a binary heap in the canonical [`sort_best_bound_first`]
 /// order, built in O(n) and popped in O(log n): a scan that prunes after a
 /// few dozen candidates never pays for sorting the thousands it skips, and
-/// every cursor still yields exactly its sorted sequence (the order is
-/// total, so the heap has no tie of its own to break).
-///
-/// Ties across cursors (equal bound and overlap) resolve to the earliest
-/// cursor — a deterministic order; the final top-k content is
-/// insertion-order independent anyway (every non-pruned candidate is
+/// the frontier still yields exactly the sorted sequence (the order is
+/// total, so the heap has no tie of its own to break).  Index-ascending
+/// ties on shard-major positions resolve to the earliest shard, then the
+/// earliest local index — a deterministic order; the final top-k content
+/// is insertion-order independent anyway (every non-pruned candidate is
 /// scored exactly, and [`TopK`] keeps the k best under the canonical
 /// score-then-id order).  What the frontier has yielded is not a coverage
 /// report: [`scan_ranked_candidates`] pops a candidate before it checks
 /// its cancel token, so callers report coverage from the scan's
 /// `stats.cancelled`.
 pub struct RankedFrontier {
-    cursors: Vec<BinaryHeap<ScanFirst>>,
+    heap: BinaryHeap<ScanFirst>,
     total: usize,
 }
 
@@ -371,17 +369,15 @@ impl PartialEq for ScanFirst {
 impl Eq for ScanFirst {}
 
 impl RankedFrontier {
-    /// A frontier over per-cursor candidate lists, in any order.
-    pub fn new(lists: Vec<Vec<RankedCandidate>>) -> Self {
-        let total = lists.iter().map(Vec::len).sum();
-        let cursors = lists
-            .into_iter()
-            .map(|list| list.into_iter().map(ScanFirst).collect())
-            .collect();
-        RankedFrontier { cursors, total }
+    /// A frontier over candidates with distinct indices, in any order.
+    pub fn new(candidates: Vec<RankedCandidate>) -> Self {
+        RankedFrontier {
+            total: candidates.len(),
+            heap: candidates.into_iter().map(ScanFirst).collect(),
+        }
     }
 
-    /// Total candidates across all cursors, popped or not.
+    /// Total candidates, popped or not.
     pub fn total(&self) -> usize {
         self.total
     }
@@ -390,29 +386,10 @@ impl RankedFrontier {
 impl Iterator for RankedFrontier {
     type Item = RankedCandidate;
 
-    /// Pops the globally best-bound candidate across all cursor heads
-    /// (bound descending, then overlap descending, then earliest cursor).
-    // lint:hot runs once per candidate of every sharded search; wfsim_lint
-    // forbids lock acquisition and heap allocation here.
+    /// Pops the best-bound candidate (bound descending, then overlap
+    /// descending, then index ascending).
     fn next(&mut self) -> Option<RankedCandidate> {
-        let mut best: Option<(usize, &RankedCandidate)> = None;
-        for (cursor, heap) in self.cursors.iter().enumerate() {
-            let Some(ScanFirst(head)) = heap.peek() else {
-                continue;
-            };
-            let better = match best {
-                None => true,
-                Some((_, leader)) => {
-                    head.bound > leader.bound
-                        || (head.bound == leader.bound && head.overlap > leader.overlap)
-                }
-            };
-            if better {
-                best = Some((cursor, head));
-            }
-        }
-        let (cursor, _) = best?;
-        self.cursors[cursor].pop().map(|ScanFirst(head)| head)
+        self.heap.pop().map(|ScanFirst(head)| head)
     }
 }
 
@@ -790,9 +767,7 @@ mod tests {
             bound,
             overlap: 1,
         };
-        let a = vec![rc(0, 0.9), rc(2, 0.5)];
-        let b = vec![rc(1, 0.8), rc(3, 0.4)];
-        let frontier = RankedFrontier::new(vec![a, b]);
+        let frontier = RankedFrontier::new(vec![rc(0, 0.9), rc(2, 0.5), rc(1, 0.8), rc(3, 0.4)]);
         let bounds = [0.9, 0.8, 0.5, 0.4];
         let token = crate::search::CancelToken::never();
         let scored = std::cell::Cell::new(0usize);
@@ -833,22 +808,29 @@ mod tests {
     }
 
     #[test]
-    fn frontier_merges_cursors_into_global_best_bound_order() {
+    fn frontier_pops_shard_major_positions_in_global_best_bound_order() {
         let rc = |index, bound, overlap| RankedCandidate {
             index,
             bound,
             overlap,
         };
-        // Two unsorted cursors with interleaved bounds, plus an empty one.
-        let a = vec![rc(2, 0.1, 0), rc(0, 0.9, 2), rc(1, 0.5, 1)];
-        let b = vec![rc(5, 0.5, 1), rc(3, 0.7, 3), rc(4, 0.5, 4)];
-        let mut frontier = RankedFrontier::new(vec![a, Vec::new(), b]);
+        // Two shards' candidates at shard-major positions (the first holds
+        // 0..3, the second 3..6), unsorted and interleaved.
+        let candidates = vec![
+            rc(5, 0.5, 1),
+            rc(2, 0.1, 0),
+            rc(3, 0.7, 3),
+            rc(0, 0.9, 2),
+            rc(4, 0.5, 4),
+            rc(1, 0.5, 1),
+        ];
+        let mut frontier = RankedFrontier::new(candidates);
         assert_eq!(frontier.total(), 6);
 
         let order: Vec<usize> = frontier.by_ref().map(|c| c.index).collect();
         // 0.9 → 0.7 → the 0.5 tie resolves by overlap desc (4), then the
-        // overlap-1 tie by earliest cursor (cursor 0's index 1 before
-        // cursor 2's index 5) → 0.1.
+        // overlap-1 tie by position (the first shard's 1 before the
+        // second's 5) → 0.1.
         assert_eq!(order, vec![0, 3, 4, 1, 5, 2]);
         assert!(
             frontier.next().is_none(),

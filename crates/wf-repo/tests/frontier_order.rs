@@ -1,8 +1,10 @@
-//! Property tests for the lazy candidate order: a [`RankedFrontier`]
-//! cursor is a binary heap, and it must pop exactly the sequence a full
+//! Property tests for the lazy candidate order: a [`RankedFrontier`] is a
+//! binary heap, and it must pop exactly the sequence a full
 //! [`sort_best_bound_first`] produces — including every tie, which the
 //! generators below make common (a handful of bound and overlap values
-//! over many candidates).
+//! over many candidates) — and, over several shards' candidates keyed by
+//! shard-major position, exactly the order the per-shard cursor merge it
+//! replaced popped.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -42,9 +44,11 @@ fn key(candidate: &RankedCandidate) -> (usize, u64, u32) {
     )
 }
 
-/// The pre-heap merge: per-cursor fully sorted lists, advanced by
-/// position, the best head winning and the earliest cursor taking ties.
-fn sorted_merge(mut lists: Vec<Vec<RankedCandidate>>) -> Vec<(usize, u64, u32)> {
+/// The per-shard cursor merge the one heap replaced: per-shard fully
+/// sorted lists of local indices, advanced by position, the best head
+/// winning and the earliest shard taking ties; each popped local index is
+/// reported at its shard-major position (`offsets[shard] + local`).
+fn cursor_merge(mut lists: Vec<Vec<RankedCandidate>>, offsets: &[usize]) -> Vec<(usize, u64, u32)> {
     for list in &mut lists {
         sort_best_bound_first(list);
     }
@@ -67,7 +71,8 @@ fn sorted_merge(mut lists: Vec<Vec<RankedCandidate>>) -> Vec<(usize, u64, u32)> 
         let Some((cursor, head)) = best else {
             return merged;
         };
-        merged.push(key(head));
+        let (_, bound, overlap) = key(head);
+        merged.push((offsets[cursor] + head.index, bound, overlap));
         positions[cursor] += 1;
     }
 }
@@ -76,32 +81,53 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn one_cursor_pops_the_sorted_order(
+    fn one_heap_pops_the_sorted_order(
         raw in vec((0usize..BOUNDS.len(), 0u32..3, 0u64..1_000), 0..300),
     ) {
         let list = candidates(&raw);
         let mut sorted = list.clone();
         sort_best_bound_first(&mut sorted);
-        let frontier = RankedFrontier::new(vec![list]);
+        let frontier = RankedFrontier::new(list);
         prop_assert_eq!(frontier.total(), sorted.len());
         let popped: Vec<_> = frontier.map(|c| key(&c)).collect();
         let want: Vec<_> = sorted.iter().map(key).collect();
         prop_assert_eq!(popped, want);
     }
 
+    /// Each candidate belongs to one of four shards (some may be empty)
+    /// and has a local index within it; the heap over shard-major
+    /// positions pops bound ↓, overlap ↓, shard ↑, local ↑ — exactly the
+    /// cursor merge.
     #[test]
-    fn many_cursors_pop_the_sorted_merge(
+    fn one_heap_over_shard_major_positions_pops_the_cursor_merge(
         raw in vec((0usize..BOUNDS.len(), 0u32..3, 0u64..1_000, 0usize..4), 0..300),
     ) {
         let all = candidates(
             &raw.iter().map(|&(b, o, s, _)| (b, o, s)).collect::<Vec<_>>(),
         );
+        // Local indices in the order the shuffled candidates reach a shard.
         let mut lists = vec![Vec::new(); 4];
         for candidate in all {
-            lists[raw[candidate.index].3].push(candidate);
+            let list: &mut Vec<RankedCandidate> = &mut lists[raw[candidate.index].3];
+            list.push(RankedCandidate { index: list.len(), ..candidate });
         }
-        let want = sorted_merge(lists.clone());
-        let popped: Vec<_> = RankedFrontier::new(lists).map(|c| key(&c)).collect();
+        let offsets: Vec<usize> = lists
+            .iter()
+            .scan(0, |offset, list| {
+                let start = *offset;
+                *offset += list.len();
+                Some(start)
+            })
+            .collect();
+        let want = cursor_merge(lists.clone(), &offsets);
+        let positions: Vec<RankedCandidate> = lists
+            .iter()
+            .zip(&offsets)
+            .flat_map(|(list, &offset)| {
+                list.iter().map(move |c| RankedCandidate { index: offset + c.index, ..*c })
+            })
+            .collect();
+        let popped: Vec<_> = RankedFrontier::new(positions).map(|c| key(&c)).collect();
         prop_assert_eq!(popped, want);
     }
 }

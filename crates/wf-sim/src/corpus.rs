@@ -240,7 +240,7 @@ impl Corpus {
         let mut stats = SearchStats::default();
         let hits = drain_shard(
             self,
-            &features,
+            &self.measure.prepare(&features),
             &self.ids()[query],
             k,
             &SearchThreshold::new(),
@@ -691,8 +691,8 @@ mod tests {
         assert_eq!(restored.ids(), corpus.ids());
         assert_eq!(restored.token_index(), corpus.token_index());
         assert_eq!(
-            restored.measure().pool().strings(),
-            corpus.measure().pool().strings()
+            restored.measure().with_pool(|pool| pool.strings().to_vec()),
+            corpus.measure().with_pool(|pool| pool.strings().to_vec())
         );
         for query in 0..corpus.len() {
             assert_eq!(

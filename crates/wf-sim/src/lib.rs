@@ -77,7 +77,9 @@ pub use mapping_step::{module_similarity_matrix, ModuleMappingOutcome};
 pub use module_cmp::{ComparisonMethod, ModuleComparisonScheme};
 pub use pipeline::{SimilarityReport, WorkflowSimilarity};
 pub use prior_work::{prior_approaches, PriorApproach};
-pub use profile::{ClassPairTable, ModuleProfile, ProfiledMeasure, QueryFeatures, WorkflowProfile};
+pub use profile::{
+    ClassPairTable, ModuleProfile, PreparedQuery, ProfiledMeasure, QueryFeatures, WorkflowProfile,
+};
 pub use shard::{
     drain_shard, CorpusService, DegradedSearch, SearchParallelism, ShardOrigin, ShardSnapshotError,
     ShardedCorpus,

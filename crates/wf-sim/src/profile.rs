@@ -33,17 +33,19 @@
 //! class*, and every module-pair value (similarity, bound, preselection
 //! verdict) is a function of the two classes.  Corpora repeat modules
 //! heavily (the 10k-workflow benchmark corpus holds ~47,000 module slots
-//! in 4,054 classes), so a build interns every class once into a frozen
-//! `ClassBase` shared by all shards of the corpus, each shard keeps a
-//! flat per-slot class column, and the searches bound a query against
-//! each base class once per query (`BaseBounds`) instead of against every
-//! module slot of every shard.
+//! in 4,054 classes), so each corpus keeps one live registry of its
+//! classes next to its one token pool (`ClassRegistry`, shared by every
+//! shard of the corpus), each shard keeps a flat per-slot class column,
+//! and a search bounds its query against each live class once
+//! ([`PreparedQuery`]) instead of against every module slot of every
+//! shard.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+// Model-checkable lock shim, as for the shard locks (see `crate::shard`).
+use shuttle_mini::sync::{RwLock, RwLockReadGuard};
 use wf_matching::{map_with, SimilarityMatrix};
 use wf_model::{AttributeKey, Module, ModuleId, Workflow, WorkflowId};
 use wf_repo::{CorpusScorer, PreselectionStrategy, TypeClass};
@@ -151,8 +153,6 @@ impl ModuleFeatures {
     /// token lists through `intern` *in that order* — the pool-id
     /// assignment order every profile build has always used, so mutable
     /// binding reproduces the exact pool a pre-refactor build produced.
-    /// Borrows the features: the same extraction binds against any number
-    /// of shard pools without re-cloning the token strings.
     fn bind_with<F: FnMut(&[String]) -> TokenIdSet>(&self, mut intern: F) -> ModuleProfile {
         ModuleProfile {
             label_tokens: intern(&self.label_tokens),
@@ -175,15 +175,15 @@ impl ModuleFeatures {
 
 /// The pool-independent half of one query workflow's profile:
 /// preprocessing, tokenization, signatures, paths and annotation bags —
-/// everything that does *not* depend on which corpus (shard) the query is
-/// scored against.
+/// everything that does *not* depend on the pool the query is scored
+/// against.
 ///
-/// A scatter-gather search extracts the features once per query
-/// ([`ProfiledMeasure::query_features`]) and then *binds* them per shard
-/// ([`ProfiledMeasure::bind_query`]): binding only resolves the token
-/// strings against the shard's frozen [`StringPool`], so the expensive
-/// per-query work is amortized across shards, and no shard's pool is ever
-/// mutated by a read path.
+/// A search extracts the features once per query
+/// ([`ProfiledMeasure::query_features`]), outside any lock, and then
+/// *binds* them once to the corpus pool ([`ProfiledMeasure::prepare`],
+/// [`ProfiledMeasure::bind_query`]): binding only resolves the token
+/// strings against the frozen [`StringPool`], so no read path ever mutates
+/// the pool.
 #[derive(Debug, Clone)]
 pub struct QueryFeatures {
     processed: Arc<Workflow>,
@@ -196,7 +196,8 @@ pub struct QueryFeatures {
 
 impl QueryFeatures {
     /// Extracts every pool-independent feature of `wf` under the measure's
-    /// configuration — the first half of [`profile_workflow`].
+    /// configuration — the first half of profiling a resident, whose
+    /// second is [`QueryFeatures::bind_into`].
     fn extract(inner: &WorkflowSimilarity, wf: &Workflow) -> Self {
         let config = inner.config();
         let processed = if config.measure.is_structural() {
@@ -305,10 +306,8 @@ fn text_chars(text: Option<&str>) -> u32 {
 pub struct WorkflowProfile {
     /// The workflow *after* the configured preprocessing (Importance
     /// Projection applied once, not once per comparison).  Shared, not
-    /// owned: binding one query against every shard of a sharded corpus
-    /// produces one profile per shard, and the `Arc` keeps those binds
-    /// from deep-cloning the workflow (modules, labels, annotations) once
-    /// per shard — only the pool-dependent token ids are rebuilt.
+    /// owned: binding a query's features clones the `Arc`, not the
+    /// workflow (modules, labels, annotations).
     workflow: Arc<Workflow>,
     modules: Vec<ModuleProfile>,
     /// Source-to-sink path decomposition (only populated for Path Sets).
@@ -346,156 +345,144 @@ impl WorkflowProfile {
     }
 }
 
-/// The frozen module classes of a whole corpus: two modules share a class
-/// iff every compared attribute is identical ([`module_class_key`]), so
-/// their similarity, bound and preselection verdict against any third
-/// module are identical under every scheme.
+/// The token pool and the live module classes of one corpus: one per
+/// standalone [`ProfiledMeasure`], and one shared by every shard of a
+/// [`ShardedCorpus`](crate::ShardedCorpus) behind one lock.
 ///
-/// [`ProfiledMeasure::build_shared`] interns every class of every shard
-/// once into one base, which all the shards then share behind an `Arc`:
-/// one representative module per class, its profile bound to the base's
-/// own token pool.  Nothing mutates a base after the build, so searches
-/// read it without a lock, and a class no shard holds any more keeps its
-/// id until the next build.
+/// Two modules share a class iff every compared attribute is identical
+/// ([`module_class_key`]), so their similarity, bound and preselection
+/// verdict against any third module are identical under every scheme.
+/// Each live class keeps one representative module, its profile bound to
+/// the pool, and a count of the module slots holding the class across the
+/// corpus.  When the count falls to zero the class leaves the key
+/// interner, drops its representative and frees its id for the next new
+/// class, so ids, representatives and per-query tables stay bounded by the
+/// live corpus under churn, whether a class was first seen by the build or
+/// by a later add.
 ///
-/// The representatives' token ids come from the base pool, not from any
-/// shard's, which is exact because every value read through a class is
-/// pool-independent: token-set Jaccard counts shared and distinct strings
-/// (any binding that maps equal strings to equal ids and distinct ones to
-/// distinct ids gives the same counts, as [`FrozenInterner`] guarantees),
-/// and the character signatures, lengths, types and raw strings carry no
-/// pool ids at all.  Binding the query to the base pool therefore bounds
-/// it against a class exactly as binding it to a shard's pool bounds it
-/// against that shard's modules of the class.
-pub(crate) struct ClassBase {
+/// The lock is a leaf lock: nothing else is locked while it is held.
+/// Writers ([`ProfiledMeasure::add_workflow`] /
+/// [`ProfiledMeasure::remove_workflow`]) take it while holding their own
+/// corpus mutably, so in a sharded corpus, while a search holds every
+/// shard's guard, the registry cannot change under it.
+#[derive(Default)]
+pub(crate) struct ClassRegistry {
     pool: StringPool,
-    /// Exact class key → base class id.
+    /// Exact class key → class id, for live classes only.
     interner: BTreeMap<String, u32>,
-    /// Indexed by base class id.
-    reps: Vec<ClassRep>,
+    /// Indexed by class id; `None` marks a free id.
+    reps: Vec<Option<ClassRep>>,
+    /// Free ids, reused before new ones are minted.
+    free: Vec<u32>,
 }
 
-impl ClassBase {
-    /// Number of base classes (live in some shard or not).
-    fn len(&self) -> usize {
-        self.reps.len()
+/// One live module class: a representative module (as preprocessed) with
+/// its profile, and the module slots of the corpus holding the class.
+struct ClassRep {
+    module: Module,
+    profile: ModuleProfile,
+    live: u32,
+}
+
+impl ClassRegistry {
+    /// Counts one more module slot of `module`'s class, founding the class
+    /// on a free id (or a new one) when it is not live.
+    fn intern(&mut self, module: &Module, profile: &ModuleProfile) -> u32 {
+        let key = module_class_key(module);
+        if let Some(&class) = self.interner.get(&key) {
+            let rep = self.reps[class as usize].as_mut();
+            rep.expect("interned classes are live").live += 1;
+            return class;
+        }
+        let rep = Some(ClassRep {
+            module: module.clone(),
+            profile: profile.clone(),
+            live: 1,
+        });
+        let class = match self.free.pop() {
+            Some(class) => {
+                self.reps[class as usize] = rep;
+                class
+            }
+            None => {
+                self.reps.push(rep);
+                (self.reps.len() - 1) as u32
+            }
+        };
+        self.interner.insert(key, class);
+        class
+    }
+
+    /// Counts one module slot of `class` less, freeing the id when it held
+    /// the last one.
+    fn release(&mut self, class: u32) {
+        let slot = &mut self.reps[class as usize];
+        let rep = slot.as_mut().expect("released classes are live");
+        rep.live -= 1;
+        if rep.live == 0 {
+            self.interner.remove(&module_class_key(&rep.module));
+            *slot = None;
+            self.free.push(class);
+        }
+    }
+
+    /// Every live class with its id.
+    fn live(&self) -> impl Iterator<Item = (usize, &ClassRep)> {
+        self.reps
+            .iter()
+            .enumerate()
+            .filter_map(|(class, rep)| Some((class, rep.as_ref()?)))
     }
 }
 
-/// One corpus's (one shard's) module classes: a live count per class of
-/// the shared [`ClassBase`], plus a small *overflow* of classes first seen
-/// by an [`add`](ProfiledMeasure::add_workflow) after the build.
-///
-/// Class ids below the base length are base ids; id `base.len() + o` is
-/// overflow class `o`.  Overflow representatives are bound to the
-/// corpus's own pool.  An overflow class whose count falls to zero frees
-/// its id for the next new class, so the overflow stays bounded by the
-/// live corpus under churn; base ids are never freed before the next
-/// build.  The per-slot column is CSR-style: workflow `w`'s modules
-/// (aligned with its preprocessed module list) occupy slots
-/// `starts[w]..starts[w + 1]`.  Derived state, built with the profiles.
-/// Adding or removing a workflow touches only its own modules' classes.
+#[cfg(test)]
+impl ClassRegistry {
+    /// Class ids in use, live or free.
+    pub(crate) fn id_count(&self) -> usize {
+        self.reps.len()
+    }
+
+    /// The free ids, the next to be reused last.
+    pub(crate) fn free_ids(&self) -> &[u32] {
+        &self.free
+    }
+
+    /// True when some module slot of the corpus holds `class`.
+    pub(crate) fn is_live(&self, class: u32) -> bool {
+        self.reps[class as usize].is_some()
+    }
+
+    /// The keys of every live class, sorted.
+    pub(crate) fn live_keys(&self) -> Vec<&str> {
+        self.interner.keys().map(String::as_str).collect()
+    }
+}
+
+/// The class id of every module slot of one corpus (one shard), CSR-style:
+/// workflow `w`'s modules (aligned with its preprocessed module list)
+/// occupy slots `starts[w]..starts[w + 1]`.  Derived state, built with the
+/// profiles; adding or removing a workflow touches only its own slots.
 struct ModuleClasses {
-    base: Arc<ClassBase>,
-    /// Live module slots of this corpus per base class.
-    base_live: Vec<u32>,
-    /// Exact class key → overflow index, for live overflow classes only.
-    interner: BTreeMap<String, u32>,
-    /// Indexed by overflow index; `overflow_live == 0` marks a free index.
-    overflow: Vec<ClassRep>,
-    overflow_live: Vec<u32>,
-    /// Free overflow indices, reused before new ones are minted.
-    free: Vec<u32>,
     starts: Vec<u32>,
     slot_class: Vec<u32>,
 }
 
-/// One module class: a representative module (as preprocessed) with its
-/// profile.
-struct ClassRep {
-    module: Module,
-    profile: ModuleProfile,
-}
-
 impl ModuleClasses {
-    /// The classes of a freshly built corpus, whose slots all hold base
-    /// classes.
-    fn new(base: Arc<ClassBase>, starts: Vec<u32>, slot_class: Vec<u32>) -> Self {
-        let mut base_live = vec![0; base.len()];
-        for &class in &slot_class {
-            base_live[class as usize] += 1;
-        }
-        ModuleClasses {
-            base,
-            base_live,
-            interner: BTreeMap::new(),
-            overflow: Vec::new(),
-            overflow_live: Vec::new(),
-            free: Vec::new(),
-            starts,
-            slot_class,
-        }
-    }
-
-    /// Appends one workflow's module slots: a module of a base class
-    /// counts towards it, any other joins (or founds) an overflow class.
-    fn push_workflow(&mut self, profile: &WorkflowProfile) {
+    /// Appends one workflow's module slots, counting each in `registry`.
+    fn push_workflow(&mut self, registry: &mut ClassRegistry, profile: &WorkflowProfile) {
         for (module, features) in profile.workflow.modules.iter().zip(&profile.modules) {
-            let class = self.intern(module, features);
-            self.slot_class.push(class);
+            self.slot_class.push(registry.intern(module, features));
         }
         self.starts.push(self.slot_class.len() as u32);
     }
 
-    fn intern(&mut self, module: &Module, features: &ModuleProfile) -> u32 {
-        let key = module_class_key(module);
-        if let Some(&class) = self.base.interner.get(&key) {
-            self.base_live[class as usize] += 1;
-            return class;
-        }
-        let local = match self.interner.get(&key) {
-            Some(&local) => local,
-            None => {
-                let rep = ClassRep {
-                    module: module.clone(),
-                    profile: features.clone(),
-                };
-                let local = match self.free.pop() {
-                    Some(local) => {
-                        self.overflow[local as usize] = rep;
-                        local
-                    }
-                    None => {
-                        self.overflow.push(rep);
-                        self.overflow_live.push(0);
-                        (self.overflow.len() - 1) as u32
-                    }
-                };
-                self.interner.insert(key, local);
-                local
-            }
-        };
-        self.overflow_live[local as usize] += 1;
-        (self.base.len() + local as usize) as u32
-    }
-
-    /// Drops one workflow's module slots; later workflows shift down one
-    /// position (mirroring `Vec::remove`).
-    fn remove_workflow(&mut self, workflow: usize) {
+    /// Drops one workflow's module slots, releasing each in `registry`;
+    /// later workflows shift down one position (mirroring `Vec::remove`).
+    fn remove_workflow(&mut self, registry: &mut ClassRegistry, workflow: usize) {
         let slots = self.slots(workflow);
         let removed = slots.len() as u32;
-        let base_len = self.base.len();
         for class in self.slot_class.drain(slots) {
-            let Some(local) = (class as usize).checked_sub(base_len) else {
-                self.base_live[class as usize] -= 1;
-                continue;
-            };
-            self.overflow_live[local] -= 1;
-            if self.overflow_live[local] == 0 {
-                self.interner
-                    .remove(&module_class_key(&self.overflow[local].module));
-                self.free.push(local as u32);
-            }
+            registry.release(class);
         }
         self.starts.remove(workflow + 1);
         for start in &mut self.starts[workflow + 1..] {
@@ -515,39 +502,6 @@ impl ModuleClasses {
         &self.slot_class[self.slots(workflow)]
     }
 
-    /// Number of class ids in use: every base id plus every overflow
-    /// index, live or free.
-    fn id_count(&self) -> usize {
-        self.base.len() + self.overflow.len()
-    }
-
-    /// Every class live in this corpus with its id: base classes first,
-    /// then overflow classes.
-    fn live(&self) -> impl Iterator<Item = (usize, &ClassRep)> {
-        let base_len = self.base.len();
-        let base = self.base.reps.iter().zip(&self.base_live);
-        let overflow = self.overflow.iter().zip(&self.overflow_live);
-        base.enumerate()
-            .chain(
-                overflow
-                    .enumerate()
-                    .map(move |(o, rep)| (base_len + o, rep)),
-            )
-            .filter(|(_, (_, &live))| live > 0)
-            .map(|(class, (rep, _))| (class, rep))
-    }
-
-    /// Every live overflow class with its overflow index.
-    #[cfg(test)]
-    fn live_overflow(&self) -> impl Iterator<Item = (usize, &ClassRep)> {
-        self.overflow
-            .iter()
-            .zip(&self.overflow_live)
-            .enumerate()
-            .filter(|(_, (_, &live))| live > 0)
-            .map(|(o, (rep, _))| (o, rep))
-    }
-
     /// The most module slots any one workflow holds.
     fn widest(&self) -> usize {
         self.starts
@@ -565,12 +519,14 @@ impl ModuleClasses {
 /// profiles, producing bit-identical results to the wrapped pipeline.
 pub struct ProfiledMeasure {
     inner: WorkflowSimilarity,
-    pool: StringPool,
+    /// The corpus's token pool and module classes (shared by every shard
+    /// of a sharded corpus).
+    registry: Arc<RwLock<ClassRegistry>>,
     ids: Vec<WorkflowId>,
     id_index: BTreeMap<WorkflowId, usize>,
     profiles: Vec<WorkflowProfile>,
-    /// The module classes of every profiled module (derived from
-    /// `profiles`, kept in sync by every mutation).
+    /// The class of every profiled module (derived from `profiles`, kept
+    /// in sync by every mutation).
     classes: ModuleClasses,
 }
 
@@ -589,79 +545,64 @@ impl ProfiledMeasure {
             .expect("one measure per shard")
     }
 
-    /// Profiles every shard's workflows, interning the module classes of
-    /// all shards into one shared [`ClassBase`]: each module's class key is
-    /// computed once, and a class seen first gets its representative bound
-    /// to the base's pool.  Each shard keeps its own pool and profiles.
+    /// Profiles every shard's workflows into one shared [`ClassRegistry`]:
+    /// one token pool for the whole corpus, every module class interned
+    /// once.  Each shard keeps its own profiles and class column.
     pub(crate) fn build_shared(inner: &WorkflowSimilarity, shards: &[&[Workflow]]) -> Vec<Self> {
-        let mut base = ClassBase {
-            pool: StringPool::new(),
-            interner: BTreeMap::new(),
-            reps: Vec::new(),
-        };
-        let mut built = Vec::with_capacity(shards.len());
-        for workflows in shards {
-            let mut pool = StringPool::new();
-            let mut profiles = Vec::with_capacity(workflows.len());
-            let mut ids = Vec::with_capacity(workflows.len());
-            let mut id_index = BTreeMap::new();
-            let mut starts = vec![0];
-            let mut slot_class = Vec::new();
-            for (i, wf) in workflows.iter().enumerate() {
-                let features = QueryFeatures::extract(inner, wf);
-                for (module, module_features) in
-                    features.processed.modules.iter().zip(&features.modules)
-                {
-                    let next = base.reps.len() as u32;
-                    let class = *base
-                        .interner
-                        .entry(module_class_key(module))
-                        .or_insert_with(|| {
-                            let profile =
-                                module_features.bind_with(|tokens| base.pool.intern_set(tokens));
-                            base.reps.push(ClassRep {
-                                module: module.clone(),
-                                profile,
-                            });
-                            next
-                        });
-                    slot_class.push(class);
-                }
-                starts.push(slot_class.len() as u32);
-                profiles.push(features.bind_into(&mut pool));
-                ids.push(wf.id.clone());
-                id_index.insert(wf.id.clone(), i);
-            }
-            built.push((pool, ids, id_index, profiles, starts, slot_class));
-        }
-        let base = Arc::new(base);
-        built
-            .into_iter()
-            .map(
-                |(pool, ids, id_index, profiles, starts, slot_class)| ProfiledMeasure {
+        let registry = Arc::new(RwLock::new(ClassRegistry::default()));
+        let mut building = registry.write().expect("a new lock is not poisoned");
+        let measures = shards
+            .iter()
+            .map(|workflows| {
+                let mut classes = ModuleClasses {
+                    starts: vec![0],
+                    slot_class: Vec::new(),
+                };
+                let profiles: Vec<WorkflowProfile> = workflows
+                    .iter()
+                    .map(|wf| {
+                        let profile =
+                            QueryFeatures::extract(inner, wf).bind_into(&mut building.pool);
+                        classes.push_workflow(&mut building, &profile);
+                        profile
+                    })
+                    .collect();
+                let ids: Vec<WorkflowId> = workflows.iter().map(|wf| wf.id.clone()).collect();
+                ProfiledMeasure {
                     inner: inner.clone(),
-                    pool,
+                    registry: Arc::clone(&registry),
+                    id_index: ids.iter().cloned().zip(0..).collect(),
                     ids,
-                    id_index,
                     profiles,
-                    classes: ModuleClasses::new(base.clone(), starts, slot_class),
-                },
-            )
-            .collect()
+                    classes,
+                }
+            })
+            .collect();
+        drop(building);
+        measures
+    }
+
+    /// The corpus registry, read-locked.
+    fn registry(&self) -> RwLockReadGuard<'_, ClassRegistry> {
+        self.registry.read().expect("class registry lock poisoned")
     }
 
     /// Profiles one more workflow (appended at the end of the corpus),
     /// returning its corpus index.  New tokens extend the shared pool;
     /// existing profiles are untouched, so the result scores exactly like a
-    /// from-scratch rebuild over the extended corpus.
+    /// from-scratch rebuild over the extended corpus.  The features are
+    /// extracted before the registry is write-locked.
     ///
     /// The caller must ensure the id is not already profiled (the corpus
     /// layer removes an existing workflow with the same id first); a
     /// duplicate would leave `index_of` pointing at the newest copy only.
     pub fn add_workflow(&mut self, wf: &Workflow) -> usize {
         let index = self.profiles.len();
-        let profile = profile_workflow(&self.inner, &mut self.pool, wf);
-        self.classes.push_workflow(&profile);
+        let features = QueryFeatures::extract(&self.inner, wf);
+        let mut registry = self.registry.write().expect("class registry lock poisoned");
+        let profile = features.bind_into(&mut registry.pool);
+        self.classes.push_workflow(&mut registry, &profile);
+        drop(registry);
         self.profiles.push(profile);
         self.ids.push(wf.id.clone());
         self.id_index.insert(wf.id.clone(), index);
@@ -669,16 +610,19 @@ impl ProfiledMeasure {
     }
 
     /// Forgets the workflow at a corpus index; later workflows shift down
-    /// one position (mirroring `Vec::remove`).  Pool entries interned for
-    /// the removed workflow are retained — stale ids score nothing because
-    /// no surviving profile references them.
+    /// one position (mirroring `Vec::remove`).  Its last modules of a
+    /// class free the class id.  Pool entries interned for the removed
+    /// workflow are retained — stale ids score nothing because no
+    /// surviving profile references them.
     ///
     /// # Panics
     /// Panics when `index >= self.len()`.
     pub fn remove_workflow(&mut self, index: usize) {
         let id = self.ids.remove(index);
         self.profiles.remove(index);
-        self.classes.remove_workflow(index);
+        let mut registry = self.registry.write().expect("class registry lock poisoned");
+        self.classes.remove_workflow(&mut registry, index);
+        drop(registry);
         self.id_index.remove(&id);
         for pos in self.id_index.values_mut() {
             if *pos > index {
@@ -697,9 +641,9 @@ impl ProfiledMeasure {
         self.inner.name()
     }
 
-    /// The corpus-wide token pool.
-    pub fn pool(&self) -> &StringPool {
-        &self.pool
+    /// Runs `f` on the corpus-wide token pool (read-locked for the call).
+    pub fn with_pool<R>(&self, f: impl FnOnce(&StringPool) -> R) -> R {
+        f(&self.registry().pool)
     }
 
     /// Number of profiled workflows.
@@ -745,17 +689,67 @@ impl ProfiledMeasure {
     }
 
     /// Extracts the pool-independent features of an external query — done
-    /// once per query, then bound per corpus with
-    /// [`ProfiledMeasure::bind_query`].
+    /// once per query, then bound to the corpus pool with
+    /// [`ProfiledMeasure::prepare`] or [`ProfiledMeasure::bind_query`].
     pub fn query_features(&self, wf: &Workflow) -> QueryFeatures {
         QueryFeatures::extract(&self.inner, wf)
     }
 
-    /// Binds query features against this corpus's pool *without mutating
+    /// Binds query features against the corpus pool *without mutating
     /// it*, producing a profile that scores against every resident exactly
     /// as a resident profile of the same workflow would.
     pub fn bind_query(&self, features: &QueryFeatures) -> WorkflowProfile {
-        features.bind(&self.pool)
+        features.bind(&self.registry().pool)
+    }
+
+    /// Readies a query for a search of this corpus (every shard of it)
+    /// under one read lock of the registry: binds the features to the
+    /// corpus pool once and, for Module Sets, bounds every query module
+    /// against every live class once — the table behind
+    /// [`ClassBounds::bound`].
+    ///
+    /// A pair the preselection vetoes holds `0.0`, as in the per-pair
+    /// reference.  Each class's column maximum (its best bound over the
+    /// query modules) is stored beside its row, so a candidate's column
+    /// maxima cost one read per module.  Free ids get no row computed.
+    /// The result describes the corpus as it is now: it must be used
+    /// before any shard changes, which a search ensures by holding every
+    /// shard's guard from before this call until its scan ends.
+    pub fn prepare(&self, features: &QueryFeatures) -> PreparedQuery {
+        let registry = self.registry();
+        let profile = features.bind(&registry.pool);
+        let config = self.inner.config();
+        let table = (config.measure == MeasureKind::ModuleSets).then(|| {
+            let query: Vec<(&Module, &ModuleProfile)> = (0..profile.modules.len())
+                .map(|i| profile.side(i))
+                .collect();
+            let rules = config.module_scheme.rules();
+            let na = query.len();
+            let mut rows = vec![0.0; registry.reps.len() * na];
+            let mut col_max = vec![0.0; registry.reps.len()];
+            for (class, rep) in registry.live() {
+                let b = (&rep.module, &rep.profile);
+                let row = &mut rows[class * na..][..na];
+                for (ub, &a) in row.iter_mut().zip(&query) {
+                    if preselects(config.preselection, a, b) {
+                        *ub = pair_upper_bound(rules, a, b);
+                    }
+                }
+                col_max[class] = row.iter().fold(0.0f64, |max, &ub| max.max(ub));
+            }
+            ClassTable {
+                normalization: config.normalization,
+                na,
+                rows,
+                col_max,
+            }
+        });
+        PreparedQuery {
+            registry: Arc::clone(&self.registry),
+            class_ids: registry.reps.len(),
+            profile,
+            table,
+        }
     }
 
     /// The similarity of an externally profiled query (a
@@ -798,29 +792,24 @@ impl ProfiledMeasure {
         }
     }
 
-    /// [`ProfiledMeasure::score_profile`] with every module pair's exact
-    /// similarity looked up in, or added to, a per-query memo keyed by
-    /// (query module, candidate module class) — bit-identical, because a
-    /// pair similarity is a function of the two modules' classes and does
-    /// not depend on the pool the tokens were bound to (see
-    /// [`ClassBase`]).  Entries for base classes go to `base`, which every
-    /// shard over the same base may share; entries for this corpus's
-    /// overflow classes go to `overflow`, which is its own.  Both memos
-    /// must be made for this `query` ([`ProfiledMeasure::base_memo`],
-    /// [`ProfiledMeasure::overflow_memo`]).
+    /// [`ProfiledMeasure::score_profile`] of a prepared query, with every
+    /// module pair's exact similarity looked up in, or added to, a
+    /// per-query memo keyed by (query module, candidate module class) —
+    /// bit-identical, because a pair similarity is a function of the two
+    /// modules' classes.  Class ids are corpus-wide, so one memo
+    /// ([`ProfiledMeasure::pair_memo`]) serves every shard of the corpus.
     pub(crate) fn score_profile_memo(
         &self,
-        query: &WorkflowProfile,
+        query: &PreparedQuery,
         candidate: usize,
-        base: &mut PairMemo,
-        overflow: &mut PairMemo,
+        memo: &mut PairMemo,
     ) -> f64 {
+        let query = &query.profile;
         if !self.inner.config().measure.is_structural() {
             return self.score_profile(query, candidate);
         }
         let resident = &self.profiles[candidate];
         let classes = self.classes.of(candidate);
-        let base_len = self.classes.base.len();
         let swapped = self.swaps_canonically(query, resident);
         let (pa, pb) = if swapped {
             (resident, query)
@@ -831,55 +820,33 @@ impl ProfiledMeasure {
             // The query module and candidate module of pair (i, j), and
             // the orientation the pipeline compares them in.
             let (q, c, orientation) = if swapped { (j, i, 1) } else { (i, j, 0) };
-            let class = classes[c] as usize;
-            let (memo, class) = match class.checked_sub(base_len) {
-                None => (&mut *base, class),
-                Some(o) => (&mut *overflow, o),
-            };
-            memo.get(orientation, class, q, || {
+            memo.get(orientation, classes[c] as usize, q, || {
                 self.pair_similarity(pa.side(i), pb.side(j))
             })
         })
     }
 
-    /// The class base this corpus was built over.
+    /// The registry this corpus shares with the other shards of its corpus.
     #[cfg(test)]
-    pub(crate) fn class_base(&self) -> &Arc<ClassBase> {
-        &self.classes.base
+    pub(crate) fn class_registry(&self) -> &Arc<RwLock<ClassRegistry>> {
+        &self.registry
     }
 
-    /// Overflow class ids in use (live or free).
+    /// The class id of every module of the workflow at `index`.
     #[cfg(test)]
-    pub(crate) fn overflow_class_ids(&self) -> usize {
-        self.classes.overflow.len()
+    pub(crate) fn classes_of(&self, index: usize) -> &[u32] {
+        self.classes.of(index)
     }
 
-    /// Base classes this corpus holds no module of.
-    #[cfg(test)]
-    pub(crate) fn dead_base_classes(&self) -> usize {
-        self.classes
-            .base_live
-            .iter()
-            .filter(|&&live| live == 0)
-            .count()
-    }
-
-    /// An empty scoring memo for `query` over the base classes, to share
-    /// among every shard over this corpus's base (see
-    /// [`ProfiledMeasure::score_profile_memo`]).
-    pub(crate) fn base_memo(&self, query: &WorkflowProfile) -> PairMemo {
-        self.pair_memo(self.classes.base.len(), query)
-    }
-
-    /// An empty scoring memo for `query` over this corpus's own overflow
-    /// classes.
-    pub(crate) fn overflow_memo(&self, query: &WorkflowProfile) -> PairMemo {
-        self.pair_memo(self.classes.overflow.len(), query)
-    }
-
-    /// A memo over `classes` class ids; annotation measures compare no
-    /// modules and get an empty one.
-    fn pair_memo(&self, classes: usize, query: &WorkflowProfile) -> PairMemo {
+    /// An empty scoring memo for a query prepared over this corpus, to
+    /// share among every shard of it (see
+    /// [`ProfiledMeasure::score_profile_memo`]); annotation measures
+    /// compare no modules and get an empty one.
+    pub(crate) fn pair_memo(&self, query: &PreparedQuery) -> PairMemo {
+        assert!(
+            Arc::ptr_eq(&query.registry, &self.registry),
+            "a query prepared for another corpus"
+        );
         let measure = self.inner.config().measure;
         if !measure.is_structural() {
             return PairMemo::new(0, 0, 0);
@@ -892,7 +859,7 @@ impl ProfiledMeasure {
         } else {
             1
         };
-        PairMemo::new(classes, query.modules.len(), orientations)
+        PairMemo::new(query.class_ids, query.profile.modules.len(), orientations)
     }
 
     /// An admissible upper bound on [`ProfiledMeasure::score_indexed`] for
@@ -1048,8 +1015,9 @@ impl ProfiledMeasure {
         })
     }
 
-    /// Precomputes the similarity of every pair of live module classes,
-    /// from each class's representative module.
+    /// Precomputes the similarity of every pair of live module classes of
+    /// the corpus (every shard of it), from each class's representative
+    /// module.
     ///
     /// The corpus-resident observation behind it: real repositories are
     /// full of re-uploaded variants, so the same (label, script, service)
@@ -1058,33 +1026,23 @@ impl ProfiledMeasure {
     /// table therefore replaces the O(Σ |A|·|B|) per-cell text comparisons
     /// of a full clustering matrix.  Both orientations are computed
     /// explicitly, so no symmetry assumption enters the bit-exactness
-    /// argument.  Dead and free class ids get no slot, so the table is
-    /// O(live²).
+    /// argument.  Free class ids get no slot, so the table is O(live²).
     pub fn class_pair_table(&self) -> ClassPairTable {
-        let base_len = self.classes.base.len();
-        let mut remap = vec![u32::MAX; self.classes.id_count()];
-        // Overflow representatives are bound to this corpus's pool; they
-        // are re-bound to the base pool (frozen, like a query), so every
-        // token-set comparison below runs within one binding.
-        let mut interner = FrozenInterner::new(&self.classes.base.pool);
-        let mut representatives: Vec<(&Module, Cow<'_, ModuleProfile>)> = Vec::new();
-        for (class, rep) in self.classes.live() {
-            remap[class] = representatives.len() as u32;
-            let profile = if class < base_len {
-                Cow::Borrowed(&rep.profile)
-            } else {
-                Cow::Owned(
-                    ModuleFeatures::extract(&rep.module)
-                        .bind_with(|tokens| interner.resolve_set(tokens)),
-                )
-            };
-            representatives.push((&rep.module, profile));
-        }
+        let registry = self.registry();
+        let mut remap = vec![u32::MAX; registry.reps.len()];
+        let representatives: Vec<(&Module, &ModuleProfile)> = registry
+            .live()
+            .enumerate()
+            .map(|(slot, (class, rep))| {
+                remap[class] = slot as u32;
+                (&rep.module, &rep.profile)
+            })
+            .collect();
         let live = representatives.len();
         let mut scores = vec![0.0; live * live];
-        for (a, (ma, pa)) in representatives.iter().enumerate() {
-            for (b, (mb, pb)) in representatives.iter().enumerate() {
-                scores[a * live + b] = self.pair_similarity((ma, pa), (mb, pb));
+        for (a, &pa) in representatives.iter().enumerate() {
+            for (b, &pb) in representatives.iter().enumerate() {
+                scores[a * live + b] = self.pair_similarity(pa, pb);
             }
         }
         ClassPairTable {
@@ -1144,137 +1102,66 @@ impl ProfiledMeasure {
         finish_bound(row_best, col_best, normalization)
     }
 
-    /// Bounds every query module against every base class once — the
-    /// per-query table behind [`ClassBounds::bound`], shared by every
-    /// shard built over the same base; `None` for measures without a
-    /// cheap bound (everything but Module Sets).
-    ///
-    /// The query is bound to the base pool here (never mutating it), so
-    /// each entry equals the per-pair bound of the query bound to any
-    /// shard's pool against any module of the class (see [`ClassBase`]).
-    /// A pair the preselection vetoes holds `0.0`, as in the per-pair
-    /// reference.  Each class's column maximum (its best bound over the
-    /// query modules) is stored beside its row, so a candidate's column
-    /// maxima cost one read per module.
-    pub(crate) fn base_bounds(&self, features: &QueryFeatures) -> Option<BaseBounds> {
-        let config = self.inner.config();
-        if config.measure != MeasureKind::ModuleSets {
-            return None;
-        }
-        let base = &self.classes.base;
-        let mut interner = FrozenInterner::new(&base.pool);
-        let query: Vec<ModuleProfile> = features
-            .modules
-            .iter()
-            .map(|m| m.bind_with(|tokens| interner.resolve_set(tokens)))
-            .collect();
-        let query: Vec<(&Module, &ModuleProfile)> =
-            features.processed.modules.iter().zip(&query).collect();
-        let (rows, col_max) = bound_rows(
-            config,
-            &query,
-            base.reps.iter().map(|rep| (&rep.module, &rep.profile)),
+    /// This corpus's view of a prepared query's class table: the Module
+    /// Sets bound of the query against each of its workflows; `None` for
+    /// measures without a cheap bound (everything but Module Sets).
+    pub(crate) fn class_bounds<'a>(&'a self, query: &'a PreparedQuery) -> Option<ClassBounds<'a>> {
+        assert!(
+            Arc::ptr_eq(&query.registry, &self.registry),
+            "a query prepared for another corpus"
         );
-        Some(BaseBounds {
-            base: Arc::clone(base),
-            normalization: config.normalization,
-            na: query.len(),
-            rows,
-            col_max,
+        let table = query.table.as_ref()?;
+        Some(ClassBounds {
+            classes: &self.classes,
+            table,
+            sides: vec![0.0; table.na + self.classes.widest()],
         })
     }
+}
 
-    /// One shard's view of a query's class bounds: the shared base table
-    /// plus rows for the shard's live overflow classes, bounded against
-    /// `query` (the query bound to this corpus's pool, which the overflow
-    /// representatives are bound to).  `base` must come from
-    /// [`ProfiledMeasure::base_bounds`] on a measure sharing this one's
-    /// base.
-    pub(crate) fn class_bounds<'a>(
-        &'a self,
-        base: &'a BaseBounds,
-        query: &WorkflowProfile,
-    ) -> ClassBounds<'a> {
-        debug_assert!(
-            Arc::ptr_eq(&base.base, &self.classes.base),
-            "base bounds of another corpus"
-        );
-        let query: Vec<(&Module, &ModuleProfile)> =
-            (0..query.modules.len()).map(|i| query.side(i)).collect();
-        // Free overflow ids keep their last representative: bounding it is
-        // harmless (no slot reads the row) and keeps the rows dense.
-        let (overflow_rows, overflow_max) = bound_rows(
-            self.inner.config(),
-            &query,
-            self.classes
-                .overflow
-                .iter()
-                .map(|rep| (&rep.module, &rep.profile)),
-        );
-        ClassBounds {
-            classes: &self.classes,
-            base,
-            overflow_rows,
-            overflow_max,
-            sides: vec![0.0; base.na + self.classes.widest()],
-        }
+/// A query ready to search one corpus: its features bound once to the
+/// corpus pool and, for Module Sets, its bound against every live class
+/// of the corpus ([`ProfiledMeasure::prepare`]).  Every shard of a sharded
+/// corpus reads the same one.
+pub struct PreparedQuery {
+    /// The registry it was prepared under (checked against each reader's).
+    registry: Arc<RwLock<ClassRegistry>>,
+    /// Class ids in use (live or free) when prepared: a memo's span.
+    class_ids: usize,
+    profile: WorkflowProfile,
+    table: Option<ClassTable>,
+}
+
+impl PreparedQuery {
+    /// The query profile, bound to the corpus pool.
+    pub fn profile(&self) -> &WorkflowProfile {
+        &self.profile
+    }
+
+    /// Query module `i`'s pair bound against every class id (row-major by
+    /// class) and each class's column maximum.
+    #[cfg(test)]
+    pub(crate) fn class_rows(&self) -> Option<(&[f64], &[f64])> {
+        let table = self.table.as_ref()?;
+        Some((&table.rows, &table.col_max))
     }
 }
 
-/// The (query module × class) pair bounds of `query` against each listed
-/// class representative, row-major by class, and each class's column
-/// maximum.  Vetoed pairs hold `0.0`; the maxima start at `0.0`.
-fn bound_rows<'m>(
-    config: &SimilarityConfig,
-    query: &[(&Module, &ModuleProfile)],
-    classes: impl IntoIterator<Item = (&'m Module, &'m ModuleProfile)>,
-) -> (Vec<f64>, Vec<f64>) {
-    let rules = config.module_scheme.rules();
-    let mut rows = Vec::new();
-    let mut col_max = Vec::new();
-    for b in classes {
-        let mut max = 0.0f64;
-        for &a in query {
-            let ub = if preselects(config.preselection, a, b) {
-                pair_upper_bound(rules, a, b)
-            } else {
-                0.0
-            };
-            max = max.max(ub);
-            rows.push(ub);
-        }
-        col_max.push(max);
-    }
-    (rows, col_max)
-}
-
-/// One query's Module Sets pair bounds against every class of a
-/// [`ClassBase`], built once per query by [`ProfiledMeasure::base_bounds`]
-/// and read by every shard's [`ClassBounds`].
-pub(crate) struct BaseBounds {
-    /// The base the rows cover (checked against each shard's).
-    base: Arc<ClassBase>,
+/// One query's Module Sets pair bounds against every class id of a
+/// corpus, read by every shard's [`ClassBounds`].
+struct ClassTable {
     normalization: Normalization,
     /// Query module count: the row stride of `rows`.
     na: usize,
     /// `rows[class * na + i]`: query module `i`'s pair bound against
-    /// base class `class` (`0.0` when vetoed).
+    /// class `class` (`0.0` when vetoed, and for every free id).
     rows: Vec<f64>,
     /// `col_max[class]`: the largest of the class's row.
     col_max: Vec<f64>,
 }
 
-impl BaseBounds {
-    /// Number of base classes the table bounds (one row each).
-    #[cfg(test)]
-    pub(crate) fn row_count(&self) -> usize {
-        self.col_max.len()
-    }
-}
-
-/// One query's Module Sets bound against every workflow of one corpus,
-/// read from the shared [`BaseBounds`] for base classes and from the
-/// corpus's own overflow rows for classes first seen after the build.
+/// One query's Module Sets bound against every workflow of one corpus
+/// (one shard), read from the query's [`ClassTable`].
 ///
 /// [`ClassBounds::bound`] takes a candidate's row maxima from the rows of
 /// its classes and its column maxima straight from the stored class
@@ -1283,11 +1170,7 @@ impl BaseBounds {
 /// two bounds are equal bit for bit.
 pub(crate) struct ClassBounds<'m> {
     classes: &'m ModuleClasses,
-    base: &'m BaseBounds,
-    /// `overflow_rows[o * na + i]`: query module `i` against overflow
-    /// class `o` (never read for free ids).
-    overflow_rows: Vec<f64>,
-    overflow_max: Vec<f64>,
+    table: &'m ClassTable,
     /// Per-side maxima scratch, sized for the widest workflow.
     sides: Vec<f64>,
 }
@@ -1299,25 +1182,20 @@ impl ClassBounds<'_> {
     // table reads over the candidate's class ids, no allocation.
     pub(crate) fn bound(&mut self, candidate: usize) -> f64 {
         let classes = self.classes.of(candidate);
-        let base = self.base;
-        let na = base.na;
-        let base_len = base.col_max.len();
+        let table = self.table;
+        let na = table.na;
         let (row_best, col_best) = self.sides[..na + classes.len()].split_at_mut(na);
         row_best.fill(0.0);
         for (col, &class) in col_best.iter_mut().zip(classes) {
             let class = class as usize;
-            let (row, max) = match class.checked_sub(base_len) {
-                None => (&base.rows[class * na..][..na], base.col_max[class]),
-                Some(o) => (&self.overflow_rows[o * na..][..na], self.overflow_max[o]),
-            };
-            *col = max;
+            *col = table.col_max[class];
             // `f64::max` equals the reference's `>` chain bit for bit: the
             // pair bounds are never NaN or -0.0.
-            for (best, &ub) in row_best.iter_mut().zip(row) {
+            for (best, &ub) in row_best.iter_mut().zip(&table.rows[class * na..][..na]) {
                 *best = best.max(ub);
             }
         }
-        finish_bound(row_best, col_best, base.normalization)
+        finish_bound(row_best, col_best, table.normalization)
     }
 }
 
@@ -1458,20 +1336,6 @@ fn module_class_key(module: &Module) -> String {
         }
     }
     key
-}
-
-/// Builds the full profile of one workflow against a measure and a shared
-/// pool — the profiling path of incremental insertion
-/// ([`ProfiledMeasure::add_workflow`]).  Batch construction
-/// ([`ProfiledMeasure::build_shared`]) runs the same two halves with the
-/// class interning in between, and external query profiling the frozen
-/// [`QueryFeatures::bind`] half.
-fn profile_workflow(
-    inner: &WorkflowSimilarity,
-    pool: &mut StringPool,
-    wf: &Workflow,
-) -> WorkflowProfile {
-    QueryFeatures::extract(inner, wf).bind_into(pool)
 }
 
 /// The canonical Graph Edit ordering key of the pipeline, computed on the
@@ -1886,7 +1750,7 @@ mod tests {
         ] {
             let name = config.name();
             let profiled = ProfiledMeasure::new(config, &wfs);
-            let pool_before = profiled.pool().len();
+            let pool_before = profiled.with_pool(StringPool::len);
             for (qi, query_wf) in wfs.iter().enumerate() {
                 let features = profiled.query_features(query_wf);
                 let bound_query = profiled.bind_query(&features);
@@ -1904,7 +1768,7 @@ mod tests {
                 }
             }
             assert_eq!(
-                profiled.pool().len(),
+                profiled.with_pool(StringPool::len),
                 pool_before,
                 "{name}: binding a query must never intern into the pool"
             );
@@ -1960,7 +1824,7 @@ mod tests {
         assert_eq!(profiled.workflow_id(2).as_str(), "kegg");
         assert!(!profiled.label_token_ids(0).is_empty());
         assert!(profiled.label_token_ids(3).is_empty(), "empty workflow");
-        assert!(!profiled.pool().is_empty());
+        assert!(!profiled.with_pool(StringPool::is_empty));
         assert_eq!(profiled.name(), "MS_ip_te_pll");
         // Token ids are sorted and distinct.
         let tokens = profiled.label_token_ids(0);
@@ -2013,15 +1877,14 @@ mod tests {
     /// The class-table bound of `query` against every workflow of
     /// `measure`, each compared by bits with the per-pair reference.
     fn assert_table_bound_matches(measure: &ProfiledMeasure, query: &Workflow, what: &str) {
-        let features = measure.query_features(query);
-        let base = measure
-            .base_bounds(&features)
+        let prepared = measure.prepare(&measure.query_features(query));
+        let mut table = measure
+            .class_bounds(&prepared)
             .expect("module sets is bounded");
-        let query = measure.bind_query(&features);
-        let mut table = measure.class_bounds(&base, &query);
+        let query = prepared.profile();
         for candidate in 0..measure.len() {
             let want = measure
-                .upper_bound_profile(&query, candidate)
+                .upper_bound_profile(query, candidate)
                 .expect("module sets is bounded");
             assert_eq!(
                 table.bound(candidate).to_bits(),
@@ -2031,6 +1894,13 @@ mod tests {
                 measure.ids()[candidate]
             );
         }
+    }
+
+    /// Class ids in use (live or free) and the free ones, in free-list
+    /// order.
+    fn ids_and_free(measure: &ProfiledMeasure) -> (usize, Vec<u32>) {
+        let registry = measure.registry();
+        (registry.reps.len(), registry.free.clone())
     }
 
     #[test]
@@ -2044,9 +1914,8 @@ mod tests {
         for config in bound_configs() {
             let name = format!("{} {:?}", config.name(), config.normalization);
             let mut measure = ProfiledMeasure::new(config, residents);
-            assert_eq!(
-                measure.classes.overflow.len(),
-                0,
+            assert!(
+                ids_and_free(&measure).1.is_empty(),
                 "{name}: built from scratch"
             );
             for query in residents {
@@ -2055,16 +1924,14 @@ mod tests {
             for query in &externals {
                 assert_table_bound_matches(&measure, query, &format!("{name} external"));
             }
-            // Churn: removals leave the base classes only they held dead
-            // (their ids stay), and the additions that follow bring
-            // classes the base has never seen into the overflow.
+            // Churn: removals free the ids of the classes only they held,
+            // and the additions that follow found classes the corpus has
+            // never seen on those ids first.
             for at in [20, 7, 0] {
                 measure.remove_workflow(at);
             }
-            assert!(
-                measure.dead_base_classes() > 0,
-                "{name}: no base class died"
-            );
+            let (_, freed) = ids_and_free(&measure);
+            assert!(!freed.is_empty(), "{name}: no class freed");
             for query in residents.iter().step_by(5) {
                 assert_table_bound_matches(&measure, query, &format!("{name} churned"));
             }
@@ -2072,27 +1939,31 @@ mod tests {
                 measure.add_workflow(wf);
             }
             assert!(
-                measure.classes.live_overflow().count() > 0,
-                "{name}: no overflow class"
+                freed
+                    .iter()
+                    .all(|&class| measure.registry().reps[class as usize].is_some()),
+                "{name}: a freed id was not reused"
             );
             for query in residents.iter().step_by(5).chain(&externals) {
                 assert_table_bound_matches(&measure, query, &format!("{name} re-added"));
             }
-            // Dropping the additions frees overflow ids; adding them back
-            // reuses those ids.
-            let overflow_ids = measure.classes.overflow.len();
+            // Dropping the additions frees the ids of the classes only they
+            // held; adding them back reuses exactly those ids.
+            let (ids, free) = ids_and_free(&measure);
             for wf in &externals {
                 let at = measure.index_of(&wf.id).expect("added above");
                 measure.remove_workflow(at);
             }
-            assert_eq!(measure.classes.free.len(), overflow_ids, "{name}");
+            let (after_ids, after_free) = ids_and_free(&measure);
+            assert_eq!(after_ids, ids, "{name}: a removal minted an id");
+            assert!(after_free.len() > free.len(), "{name}: nothing freed");
             for query in residents.iter().step_by(5) {
                 assert_table_bound_matches(&measure, query, &format!("{name} freed"));
             }
             for wf in externals.iter().rev() {
                 measure.add_workflow(wf);
             }
-            assert_eq!(measure.classes.overflow.len(), overflow_ids, "{name}");
+            assert_eq!(ids_and_free(&measure), (ids, free), "{name}");
             for query in residents.iter().step_by(5).chain(&externals) {
                 assert_table_bound_matches(&measure, query, &format!("{name} reused"));
             }
@@ -2108,10 +1979,11 @@ mod tests {
         for at in [23, 11, 2, 2] {
             measure.remove_workflow(at);
         }
+        let (_, freed) = ids_and_free(&measure);
+        assert!(!freed.is_empty(), "no class freed");
         for wf in &workflows[24..] {
             measure.add_workflow(wf);
         }
-        assert!(measure.classes.live_overflow().count() > 0);
         let survivors: Vec<Workflow> = measure
             .profiles()
             .iter()
@@ -2124,21 +1996,38 @@ mod tests {
             })
             .collect();
         let rebuilt = ProfiledMeasure::new(config, &survivors);
-        let classes = &measure.classes;
-        assert_eq!(classes.live().count(), rebuilt.classes.live().count());
-        assert_eq!(classes.interner.len(), classes.live_overflow().count());
-        assert_eq!(
-            classes.overflow.len(),
-            classes.live_overflow().count() + classes.free.len(),
-            "every overflow id is live or free"
+        let (registry, rebuilt_registry) = (measure.registry(), rebuilt.registry());
+        assert!(
+            freed
+                .iter()
+                .any(|&class| registry.reps[class as usize].is_some()),
+            "no freed id was reused"
         );
+        assert_eq!(registry.live().count(), rebuilt_registry.live().count());
+        assert!(
+            registry
+                .interner
+                .keys()
+                .eq(rebuilt_registry.interner.keys()),
+            "the live classes differ from a rebuild's"
+        );
+        assert_eq!(registry.interner.len(), registry.live().count());
+        assert_eq!(
+            registry.reps.len(),
+            registry.live().count() + registry.free.len(),
+            "every id is live or free"
+        );
+        for &class in &registry.free {
+            assert!(registry.reps[class as usize].is_none(), "free id {class}");
+        }
+        let classes = &measure.classes;
         assert_eq!(classes.starts, rebuilt.classes.starts);
         // Same partition of module slots into classes, up to relabeling.
         let mut relabel = BTreeMap::new();
         for (&a, &b) in classes.slot_class.iter().zip(&rebuilt.classes.slot_class) {
             assert_eq!(*relabel.entry(a).or_insert(b), b, "class {a} split");
         }
-        let live: u32 = classes.base_live.iter().chain(&classes.overflow_live).sum();
+        let live: u32 = registry.live().map(|(_, rep)| rep.live).sum();
         assert_eq!(live as usize, classes.slot_class.len());
     }
 
@@ -2149,17 +2038,17 @@ mod tests {
     fn assert_memo_matches(measure: &ProfiledMeasure, queries: &[Workflow], what: &str) -> usize {
         let mut swapped = 0;
         for query in queries {
-            let query = measure.bind_query(&measure.query_features(query));
-            let mut base = measure.base_memo(&query);
-            let mut overflow = measure.overflow_memo(&query);
+            let prepared = measure.prepare(&measure.query_features(query));
+            let query = prepared.profile();
+            let mut memo = measure.pair_memo(&prepared);
             for candidate in (0..measure.len()).chain(0..measure.len()) {
-                if measure.swaps_canonically(&query, measure.profile(candidate)) {
+                if measure.swaps_canonically(query, measure.profile(candidate)) {
                     swapped += 1;
                 }
-                let got = measure.score_profile_memo(&query, candidate, &mut base, &mut overflow);
+                let got = measure.score_profile_memo(&prepared, candidate, &mut memo);
                 assert_eq!(
                     got.to_bits(),
-                    measure.score_profile(&query, candidate).to_bits(),
+                    measure.score_profile(query, candidate).to_bits(),
                     "{what}: {} vs {}",
                     query.workflow().id,
                     measure.ids()[candidate]
@@ -2172,8 +2061,8 @@ mod tests {
     /// The memo reproduces `score_profile` for the six module comparison
     /// schemes under Module Sets (both preselections), for Path Sets, for
     /// an annotation measure, and for Graph Edit, whose canonical swap
-    /// compares pairs candidate first.  Every corpus holds overflow
-    /// classes next to its base ones.
+    /// compares pairs candidate first.  Every corpus holds classes first
+    /// seen by an add next to the build's, and a freed id.
     #[test]
     fn memoized_scoring_is_bit_identical_to_score_profile() {
         let (workflows, _) =
@@ -2190,11 +2079,13 @@ mod tests {
         for config in configs {
             let name = config.name();
             let mut measure = ProfiledMeasure::new(config, residents);
+            let (built, _) = ids_and_free(&measure);
             for wf in strangers {
                 measure.add_workflow(wf);
             }
             measure.remove_workflow(3);
-            assert!(measure.classes.live_overflow().count() > 0, "{name}");
+            let (ids, free) = ids_and_free(&measure);
+            assert!(ids > built && !free.is_empty(), "{name}");
             assert_memo_matches(&measure, &queries, &name);
         }
         // Graph Edit is costly to score: the small fixture corpus.
@@ -2260,7 +2151,7 @@ mod tests {
                 measure.add_workflow(wf);
             }
             let table = measure.class_pair_table();
-            assert_eq!(table.class_count(), measure.classes.live().count());
+            assert_eq!(table.class_count(), measure.registry().live().count());
             for a in 0..measure.len() {
                 for b in 0..measure.len() {
                     let (pa, pb) = (measure.profile(a), measure.profile(b));

@@ -12,37 +12,38 @@
 //! module partitions the corpus instead:
 //!
 //! * [`ShardedCorpus`] — N shards, each a complete [`Corpus`] owning its
-//!   own pool, profiles and token index, all sharing one frozen base of
-//!   module classes built with them; each workflow lives in the shard
-//!   the FNV-1a hash of its id picks, so routing is stateless and an id
-//!   never lives in two shards.  A top-k query **scatters** by building one
-//!   candidate *cursor* per shard (the shard's candidates with their
-//!   bounds, read from one per-query table over the shared class base;
-//!   nothing scored yet), then
-//!   runs **one global best-bound-first scan** over the cursors merged by
-//!   a [`RankedFrontier`](wf_repo::RankedFrontier): the scan always scores
-//!   the globally best-bound candidate and tightens a single shared
-//!   [`SearchThreshold`], so the pruning power of the admissible-bound
-//!   search is independent of how many shards the corpus is split into.
-//!   The **gather** is the shared [`merge_top_k`](wf_repo::merge_top_k)
-//!   canonicalization of the one scan's hits.
+//!   own profiles, class column and token index, all sharing the corpus's
+//!   one token pool and one live registry of module classes; each
+//!   workflow lives in the shard the FNV-1a hash of its id picks, so
+//!   routing is stateless and an id never lives in two shards.  A top-k
+//!   query **scatters** by binding the query once to the corpus pool and
+//!   bounding it once against every live class (a [`PreparedQuery`]),
+//!   then bounding every shard's candidates from that one table (nothing
+//!   scored yet), and runs **one global best-bound-first scan** over all
+//!   of them in one [`RankedFrontier`](wf_repo::RankedFrontier): the scan
+//!   always scores the globally best-bound candidate and tightens a single
+//!   shared [`SearchThreshold`], so the pruning power of the
+//!   admissible-bound search is independent of how many shards the corpus
+//!   is split into.  The **gather** is the shared
+//!   [`merge_top_k`](wf_repo::merge_top_k) canonicalization of the one
+//!   scan's hits.
 //! * [`CorpusService`] — the concurrent wrapper: one `RwLock` per shard,
 //!   so searches proceed on all shards concurrently with churn that only
 //!   write-locks the single owning shard, plus a parallel batch-query API.
-//!   Hash routing needs no shared route table, so the shard locks are the
-//!   service's only locks.
+//!   Hash routing needs no shared route table; besides the shard locks,
+//!   the only lock is the class registry's, a leaf lock.
 //!
 //! ## Why sharded search stays bit-identical
 //!
 //! Every shard scores the query with exactly the shared
 //! [`ProfiledMeasure`] code path: the query's pool-independent features are
-//! extracted once ([`QueryFeatures`]) and bound per shard against a
+//! extracted once ([`QueryFeatures`]) and bound once against the corpus's
 //! *frozen* pool ([`wf_text::FrozenInterner`]), which reproduces every
-//! token-set comparison bit-for-bit without mutating the shard.  Pruning
+//! token-set comparison bit-for-bit without mutating it.  Pruning
 //! only ever skips a candidate whose admissible upper bound falls
 //! *strictly* below the shared threshold floor — and the floor is always a
 //! true k-th best score of `k` distinct candidates, so no pruned candidate
-//! can enter the merged top-k, under any cursor merge order or thread
+//! can enter the merged top-k, under any scan order or thread
 //! interleaving.  The gather step sorts by the canonical `(score desc, id
 //! asc)` hit ordering, so ids, scores *and* tie order equal the
 //! single-corpus [`IndexedSearchEngine`](wf_repo::IndexedSearchEngine).
@@ -70,7 +71,7 @@ use crate::corpus::{
     config_fingerprint, dedup_last_wins, fnv1a64, sync_dir, write_atomic, Corpus, SnapshotError,
 };
 use crate::pipeline::WorkflowSimilarity;
-use crate::profile::{BaseBounds, ProfiledMeasure, QueryFeatures, WorkflowProfile};
+use crate::profile::{PreparedQuery, ProfiledMeasure, QueryFeatures};
 
 /// First token of a shard-manifest header line.
 pub const SHARD_MANIFEST_MAGIC: &str = "wfsim-shard-manifest";
@@ -90,8 +91,8 @@ pub const SHARD_MANIFEST_FILE: &str = "manifest";
 /// the knob only sets the worker count the scatter is planned with:
 ///
 /// * [`Sequential`](SearchParallelism::Sequential) is one worker, inline
-///   on the calling thread.  Without a shard gate every shard's ranked
-///   cursor is merged into one global best-bound-first frontier, so
+///   on the calling thread.  Without a shard gate every shard's
+///   candidates go into one global best-bound-first frontier, so
 ///   scoring order is globally optimal and this mode does the *least*
 ///   total work; the number of candidates scored is flat in shard count.
 ///   This is the path the fault-free `wf-serve` server runs, and the only
@@ -201,9 +202,9 @@ fn save_shards<R: std::ops::Deref<Target = Corpus>>(
 /// # Invariants
 ///
 /// * every shard is a complete [`Corpus`] for the same
-///   [`SimilarityConfig`]; pool, profiles and index are per shard, and the
-///   only thing shards share is the immutable module-class base they were
-///   built with (read without a lock);
+///   [`SimilarityConfig`]; profiles, class columns and token indexes are
+///   per shard, and all shards share one token pool and one live
+///   module-class registry behind one lock;
 /// * a workflow id lives in at most one shard, and always in the shard the
 ///   hash of the id routes it to ([`ShardedCorpus::add`] replaces through
 ///   the owning shard, never across shards);
@@ -261,10 +262,9 @@ impl ShardedCorpus {
     }
 
     /// Builds one shard per bucket of distinct-id workflows.  The shards'
-    /// profiles are built together, so that every module class of the
-    /// corpus is interned once into one class base, which all the shards
-    /// share (a search then bounds its query against each class once, not
-    /// once per shard holding it).
+    /// profiles are built together into one token pool and one class
+    /// registry, which all the shards share (a search then binds its query
+    /// once and bounds it against each class once, not once per shard).
     fn from_buckets(config: SimilarityConfig, buckets: Vec<Vec<Workflow>>) -> Self {
         let slices: Vec<&[Workflow]> = buckets.iter().map(Vec::as_slice).collect();
         let measures =
@@ -346,7 +346,8 @@ impl ShardedCorpus {
 
     /// Inserts a workflow into its owning shard (replacing any resident
     /// with the same id in place), returning the shard index.  Only that
-    /// shard's pool, profiles and index are touched.
+    /// shard's profiles and index, and the shared pool and registry, are
+    /// touched.
     pub fn add(&mut self, wf: Workflow) -> usize {
         let shard = hash_route(&wf.id, self.shards.len());
         self.shards[shard].add(wf);
@@ -390,8 +391,8 @@ impl ShardedCorpus {
     /// Answers a batch of queries on `threads` worker threads, one full
     /// scatter per query (queries are the work-stealing unit, so every
     /// query keeps the full pruning power of [`ShardedCorpus::search`]).
-    /// Query profiling is amortized: each query's pool-independent
-    /// features are extracted once and only *bound* per shard.  Unknown
+    /// Each query's features are extracted once and bound once to the
+    /// corpus pool, as for a single search.  Unknown
     /// ids yield `None`; results align with `queries` and are individually
     /// bit-identical to [`ShardedCorpus::search`].
     pub fn search_batch(
@@ -488,7 +489,7 @@ impl ShardedCorpus {
 
     /// Restores a sharded corpus saved by [`ShardedCorpus::save`]: decodes
     /// every shard's workflows, then rebuilds all shards together, as
-    /// [`ShardedCorpus::build`] does (one shared class base).  The
+    /// [`ShardedCorpus::build`] does (one shared class registry).  The
     /// manifest must carry the current layout version and the fingerprint
     /// of exactly `config`; every shard snapshot must load intact (each is
     /// version- and checksum-validated individually) and carry the
@@ -693,68 +694,6 @@ impl Error for ShardSnapshotError {
     }
 }
 
-/// Builds one shard's *cursor* of a global best-bound-first search: binds
-/// the query to the shard's pool, counts label-token overlaps through the
-/// inverted index and bounds every candidate (admissible, `INFINITY` when
-/// unboundable) — bit-identical to the per-pair bound of
-/// [`wf_repo::IndexedSearchEngine`].  Returns the bound query and the
-/// candidates in corpus order, neither sorted nor scored; the scatter loop
-/// merges the cursors through a [`RankedFrontier`].
-///
-/// The bounds read the query's table over the corpus-wide class base
-/// (`base`, built once per query by the scatter and shared by every
-/// shard); only the shard's overflow classes, first seen by an `add` after
-/// the build, get rows of their own here.  The base rows were bounded with
-/// the query bound to the base's pool, the overflow rows with it bound to
-/// the shard's: every pair bound is pool-independent (token-set Jaccard
-/// counts strings, not ids, and the other features carry no ids), so both
-/// equal the per-pair bound against the shard's own modules.
-///
-/// Candidate indices are pre-encoded for the frontier: a local corpus
-/// index `local` of cursor `front` (of `num_fronts` total) is stored as
-/// `local * num_fronts + front`, which keeps the encoding monotone in
-/// `local` — so the per-cursor [`sort_best_bound_first`] tie order is the
-/// same order the un-encoded local indices would produce.
-///
-/// [`sort_best_bound_first`]: wf_repo::sort_best_bound_first
-fn shard_cursor(
-    corpus: &Corpus,
-    features: &QueryFeatures,
-    base: Option<&BaseBounds>,
-    exclude: &WorkflowId,
-    front: usize,
-    num_fronts: usize,
-    stats: &mut SearchStats,
-) -> (WorkflowProfile, Vec<RankedCandidate>) {
-    let measure: &ProfiledMeasure = corpus.measure();
-    let query: WorkflowProfile = measure.bind_query(features);
-    let overlaps = corpus
-        .token_index()
-        .overlap_counts(query.label_tokens().ids());
-    // Corpus ids are unique, so the excluded id is at most one index.
-    let excluded = measure.index_of(exclude);
-    let mut bounds = base.map(|base| measure.class_bounds(base, &query));
-    let mut candidates: Vec<RankedCandidate> = Vec::with_capacity(measure.len());
-    for (index, &overlap) in overlaps.iter().enumerate() {
-        if Some(index) == excluded {
-            continue;
-        }
-        if overlap > 0 {
-            stats.shared_token_candidates += 1;
-        }
-        let bound = bounds
-            .as_mut()
-            .map_or(f64::INFINITY, |bounds| bounds.bound(index));
-        candidates.push(RankedCandidate {
-            index: index * num_fronts + front,
-            bound,
-            overlap,
-        });
-    }
-    stats.candidates += candidates.len();
-    (query, candidates)
-}
-
 /// The outcome of every sharded search: hits, stats, per-shard answered
 /// bits and the degraded flag.
 ///
@@ -790,55 +729,76 @@ impl DegradedSearch {
     }
 }
 
-/// The frontier core: build one ranked cursor per listed corpus and run
-/// **one** [`scan_ranked_candidates`] over the cursors merged by a
-/// [`RankedFrontier`].  The scan always scores the globally best-bound
-/// candidate across every cursor, tightens the caller's shared threshold,
-/// and stops when the best remaining bound *anywhere* falls below the
-/// floor — so pruning power is that of the single-corpus engine,
-/// independent of how many fronts the corpus is split into.  Scoring goes
-/// through a per-query memo of exact module-pair similarities, shared by
-/// every front for the base classes.
+/// The frontier core: bound every candidate of the listed corpora from a
+/// query prepared for them all and run **one** [`scan_ranked_candidates`]
+/// over them, merged by a [`RankedFrontier`].  The scan always scores the
+/// globally best-bound candidate across every corpus, tightens the
+/// caller's shared threshold, and stops when the best remaining bound
+/// *anywhere* falls below the floor — so pruning power is that of the
+/// single-corpus engine, independent of how many fronts the corpus is
+/// split into.  Scoring goes through one per-query memo of exact
+/// module-pair similarities, shared by every front.
+///
+/// Each candidate is keyed by its shard-major position: the candidates
+/// of the fronts before it plus its local corpus index.  The frontier's
+/// index-ascending tie order on that key is front ascending, then local
+/// ascending.  Bounds are admissible, or `INFINITY` for measures without
+/// one, and bit-identical to the per-pair bound of
+/// [`wf_repo::IndexedSearchEngine`].
 ///
 /// Returns the scan's heap-order hits (callers canonicalize through
 /// [`merge_top_k`]).  A fired `cancel` abandons the merged stream
 /// mid-scan; the hits proven up to that point are exact (the frontier
 /// only reorders *scoring*, and top-k content is insertion-order
 /// independent).
-#[allow(clippy::too_many_arguments)] // the scan's contract plus the shared base table
 fn frontier_scan(
     fronts: &[&Corpus],
-    features: &QueryFeatures,
-    base: Option<&BaseBounds>,
+    query: &PreparedQuery,
     exclude: &WorkflowId,
     k: usize,
     threshold: &SearchThreshold,
     cancel: &CancelToken,
     stats: &mut SearchStats,
 ) -> Vec<SearchHit> {
-    let num_fronts = fronts.len();
-    let mut queries: Vec<WorkflowProfile> = Vec::with_capacity(num_fronts);
-    let mut lists: Vec<Vec<RankedCandidate>> = Vec::with_capacity(num_fronts);
-    let mut measures: Vec<&ProfiledMeasure> = Vec::with_capacity(num_fronts);
-    for (front, corpus) in fronts.iter().enumerate() {
-        let (query, candidates) =
-            shard_cursor(corpus, features, base, exclude, front, num_fronts, stats);
-        queries.push(query);
-        lists.push(candidates);
-        measures.push(corpus.measure());
+    let mut offsets = Vec::with_capacity(fronts.len());
+    let mut candidates: Vec<RankedCandidate> =
+        Vec::with_capacity(fronts.iter().map(|corpus| corpus.len()).sum());
+    for corpus in fronts {
+        let offset = offsets.last().map_or(0, |&(start, len)| start + len);
+        offsets.push((offset, corpus.len()));
+        let measure = corpus.measure();
+        let overlaps = corpus
+            .token_index()
+            .overlap_counts(query.profile().label_tokens().ids());
+        // Corpus ids are unique, so the excluded id is at most one index.
+        let excluded = measure.index_of(exclude);
+        let mut bounds = measure.class_bounds(query);
+        for (index, &overlap) in overlaps.iter().enumerate() {
+            if Some(index) == excluded {
+                continue;
+            }
+            if overlap > 0 {
+                stats.shared_token_candidates += 1;
+            }
+            let bound = bounds
+                .as_mut()
+                .map_or(f64::INFINITY, |bounds| bounds.bound(index));
+            candidates.push(RankedCandidate {
+                index: offset + index,
+                bound,
+                overlap,
+            });
+        }
     }
-    // A unit holds at least one front, and all fronts share one class
-    // base: one base memo for every front, one overflow memo per front.
-    let mut base_memo = measures[0].base_memo(&queries[0]);
-    let mut overflow_memos: Vec<_> = measures
-        .iter()
-        .zip(&queries)
-        .map(|(measure, query)| measure.overflow_memo(query))
-        .collect();
-    // Every candidate index was encoded as `local * num_fronts + front`
-    // by `shard_cursor`, monotone in `local` for a fixed front, so each
-    // cursor's canonical tie order survives the merge.
-    let frontier = RankedFrontier::new(lists);
+    stats.candidates += candidates.len();
+    // The front holding a shard-major position, and the local index there.
+    let locate = |position: usize| {
+        let front = offsets.partition_point(|&(start, len)| start + len <= position);
+        (fronts[front], position - offsets[front].0)
+    };
+    // A unit holds at least one front, and all fronts share one registry.
+    let mut memo = fronts[0].measure().pair_memo(query);
+    let frontier = RankedFrontier::new(candidates);
     let total = frontier.total();
     scan_ranked_candidates(
         frontier,
@@ -847,57 +807,41 @@ fn frontier_scan(
         threshold,
         cancel,
         stats,
-        |encoded| {
-            let (front, local) = (encoded % num_fronts, encoded / num_fronts);
-            measures[front].score_profile_memo(
-                &queries[front],
-                local,
-                &mut base_memo,
-                &mut overflow_memos[front],
-            )
+        |position| {
+            let (corpus, local) = locate(position);
+            corpus.measure().score_profile_memo(query, local, &mut memo)
         },
-        |encoded| {
-            let (front, local) = (encoded % num_fronts, encoded / num_fronts);
-            measures[front].ids()[local].clone()
+        |position| {
+            let (corpus, local) = locate(position);
+            corpus.ids()[local].clone()
         },
     )
 }
 
-/// Drains one shard's ranked cursor against a caller-shared threshold:
-/// bounds the query against the shard's class base, builds the shard's
-/// cursor ([`shard_cursor`]) and runs the canonical prune-and-score loop
-/// over it, publishing every new worst-of-k into `threshold` and pruning
-/// strictly below its floor.
+/// Drains one shard's candidates against a caller-shared threshold: the
+/// one-shard [`frontier_scan`], pruning strictly below the threshold's
+/// floor and publishing every new worst-of-k into it.
 ///
-/// This is what a one-shard unit of the scatter runs (gated or racing
-/// searches), except that the scatter builds the base table once for all
-/// its units: each unit owns one shard's drain, and all units share one
+/// `query` must be prepared ([`ProfiledMeasure::prepare`]) on this
+/// corpus, or on any shard of the sharded corpus it belongs to, while no
+/// shard has changed since.  This is what each one-shard unit of the
+/// scatter runs (gated or racing searches): each unit owns one shard's
+/// drain, and all units share one prepared query, one
 /// [`SearchThreshold`] and one [`CancelToken`] (polled between
 /// candidates, so a fired deadline abandons the drain mid-stream with
-/// exact partial hits).  It is public so the `wf-analyze`
-/// model-check suite can race real shard drains under the deterministic
-/// scheduler; hits come back in heap order — gather them with
-/// [`merge_top_k`].
+/// exact partial hits).  It is public so the `wf-analyze` model-check
+/// suite can race real shard drains under the deterministic scheduler;
+/// hits come back in heap order — gather them with [`merge_top_k`].
 pub fn drain_shard(
     corpus: &Corpus,
-    features: &QueryFeatures,
+    query: &PreparedQuery,
     exclude: &WorkflowId,
     k: usize,
     threshold: &SearchThreshold,
     cancel: &CancelToken,
     stats: &mut SearchStats,
 ) -> Vec<SearchHit> {
-    let base = corpus.measure().base_bounds(features);
-    frontier_scan(
-        &[corpus],
-        features,
-        base.as_ref(),
-        exclude,
-        k,
-        threshold,
-        cancel,
-        stats,
-    )
+    frontier_scan(&[corpus], query, exclude, k, threshold, cancel, stats)
 }
 
 /// A gate run on a shard before its scan: `false` vetoes the visit, and
@@ -957,11 +901,10 @@ fn scatter<R: std::ops::Deref<Target = Corpus>>(
         1
     };
     let units: Vec<&[&Corpus]> = fronts.chunks(unit_len).collect();
-    // Every shard was built over one class base, so the query is bounded
-    // against it once, for all units.
-    let base = fronts
-        .first()
-        .and_then(|corpus| corpus.measure().base_bounds(features));
+    // Every shard shares one class registry, read-locked here once, after
+    // every shard guard: the query is bound and bounded for all units,
+    // and the lock is released before any scan.
+    let query = fronts[0].measure().prepare(features);
     let threshold = SearchThreshold::new();
     let outcomes = claim_units(units.len(), plan.workers, |unit| {
         let mut stats = SearchStats::default();
@@ -977,8 +920,7 @@ fn scatter<R: std::ops::Deref<Target = Corpus>>(
         }
         let hits = frontier_scan(
             units[unit],
-            features,
-            base.as_ref(),
+            &query,
             exclude,
             k,
             &threshold,
@@ -1063,18 +1005,24 @@ fn claim_units<T: Send>(units: usize, workers: usize, job: impl Fn(usize) -> T +
 /// * An id hashes to exactly one shard, for the service's lifetime: churn
 ///   never migrates a workflow between shards, so an id has exactly one
 ///   owner lock.
-/// * Deadlock freedom: the shard locks are the only locks.  Every
-///   multi-lock path takes them in ascending index order, and a writer
-///   holds exactly one shard write lock.
+/// * Deadlock freedom: shard locks are taken in ascending index order,
+///   then the shared class registry's lock, a leaf lock: nothing else is
+///   locked while it is held.  A writer holds exactly one shard write
+///   lock and takes the registry for writing inside it, only to intern or
+///   release its workflow's tokens and classes (features are extracted
+///   before), so writers to different shards serialize on the registry.
 /// * A search read-locks the owner shard to extract query features and
 ///   releases it; then it takes **all** shard read locks up front, in
-///   ascending index order, and only then runs any shard gate.  The locks
-///   are held to the gather, so every search — plain, deadline, gated or
-///   racing — sees one consistent cut of the corpus, and a workflow
-///   removed (or added) *before* the search started is guaranteed
-///   excluded (or visible): the churn invariant the stress tests assert.
-///   A gate that stalls therefore stalls with every read lock held:
-///   writers to any shard wait for it.
+///   ascending index order, reads the registry once to prepare the query
+///   (bind it, build its class table), releases the registry, and only
+///   then runs any shard gate and scans.  With every shard read-locked no
+///   writer can hold the registry, so a search never waits on it.  The
+///   shard locks are held to the gather, so every search — plain,
+///   deadline, gated or racing — sees one consistent cut of the corpus,
+///   and a workflow removed (or added) *before* the search started is
+///   guaranteed excluded (or visible): the churn invariant the stress
+///   tests assert.  A gate that stalls therefore stalls with every read
+///   lock held: writers to any shard wait for it.
 /// * On a quiescent corpus, results are bit-identical to
 ///   [`ShardedCorpus::search`] and hence to the single-corpus engine.
 pub struct CorpusService {
@@ -1994,12 +1942,12 @@ mod tests {
         }
     }
 
-    /// A build and a load both intern every class once into one base
-    /// that all shards share, leaving no overflow; and a query is bounded
-    /// against the same number of base classes at 8 shards as at 1.
+    /// A build and a load both profile every shard into one pool and one
+    /// class registry that all shards share, with no id freed; and a query
+    /// is bounded against the same number of classes at 8 shards as at 1.
     #[test]
-    fn shards_share_one_class_base_after_build_and_load() {
-        let dir = std::env::temp_dir().join("wfsim-shard-class-base-test");
+    fn shards_share_one_class_registry_after_build_and_load() {
+        let dir = std::env::temp_dir().join("wfsim-shard-class-registry-test");
         let _ = std::fs::remove_dir_all(&dir);
         let (workflows, _) =
             wf_corpus::generate_taverna_corpus(&wf_corpus::TavernaCorpusConfig::small(40, 3));
@@ -2008,19 +1956,18 @@ mod tests {
         let loaded = ShardedCorpus::load(&dir, config()).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         for sharded in [&eight, &loaded] {
-            let base = sharded.shards()[0].measure().class_base();
+            let registry = sharded.shards()[0].measure().class_registry();
             for shard in sharded.shards() {
-                assert!(Arc::ptr_eq(base, shard.measure().class_base()));
-                assert_eq!(shard.measure().overflow_class_ids(), 0);
+                assert!(Arc::ptr_eq(registry, shard.measure().class_registry()));
             }
+            assert!(registry.read().unwrap().free_ids().is_empty());
         }
         let one = ShardedCorpus::build(config(), 1, workflows.clone());
         let rows = |sharded: &ShardedCorpus, wf: &Workflow| {
-            sharded.shards()[0]
+            let query = sharded.shards()[0]
                 .measure()
-                .base_bounds(&sharded.query_features(wf))
-                .expect("module sets is bounded")
-                .row_count()
+                .prepare(&sharded.query_features(wf));
+            query.class_rows().expect("module sets is bounded").1.len()
         };
         for wf in &workflows {
             assert_eq!(rows(&eight, wf), rows(&one, wf), "query {}", wf.id);
@@ -2028,10 +1975,26 @@ mod tests {
         }
     }
 
-    /// After removes that leave base classes dead and adds that bring
-    /// classes the base never saw (overflow), search at every shard count
-    /// equals a single corpus built over the survivors and the brute-force
-    /// scan, bit for bit.
+    /// Searches at every shard count equal a single corpus built over the
+    /// survivors and the brute-force scan, bit for bit.
+    fn assert_matches_single_and_scan(sharded: &ShardedCorpus, what: &str) {
+        let single = Corpus::build(config(), sharded_workflows(sharded));
+        for id in sharded.ids() {
+            let got = sharded.search(&id, 6).expect("resident");
+            assert_eq!(got, single.top_k(&id, 6).unwrap(), "{what}: {id}");
+            let index = single.index_of(&id).expect("resident");
+            let oracle = wf_repo::scan_top_k(single.measure(), index, 6);
+            assert_eq!(got.len(), oracle.len(), "{what}: {id}");
+            for (g, o) in got.iter().zip(&oracle) {
+                assert_eq!(g.id, o.id, "{what}: {id}");
+                assert_eq!(g.score.to_bits(), o.score.to_bits(), "{what}: {id}");
+            }
+        }
+    }
+
+    /// After removes that free class ids and adds that bring classes the
+    /// corpus never saw, search at every shard count equals a single
+    /// corpus built over the survivors and the brute-force scan.
     #[test]
     fn churned_shards_search_like_a_single_corpus_and_the_scan_oracle() {
         let (workflows, _) =
@@ -2041,27 +2004,113 @@ mod tests {
         additions.push(wf("unseen", &["zq xylophone", "kw lookup", "run blast"]));
         for shards in [1, 3, 8] {
             let mut sharded = ShardedCorpus::build(config(), shards, initial.to_vec());
+            let ids = |sharded: &ShardedCorpus| {
+                let registry = sharded.shards()[0].measure().class_registry();
+                let registry = registry.read().unwrap();
+                (registry.id_count(), registry.free_ids().len())
+            };
+            let (built, _) = ids(&sharded);
             for wf in initial.iter().step_by(3) {
                 assert!(sharded.remove(&wf.id).is_some());
             }
+            assert!(ids(&sharded).1 > 0, "{shards}: no class freed");
             for wf in &additions {
                 sharded.add(wf.clone());
             }
-            let measures = || sharded.shards().iter().map(Corpus::measure);
-            assert!(measures().any(|m| m.dead_base_classes() > 0), "{shards}");
-            assert!(measures().any(|m| m.overflow_class_ids() > 0), "{shards}");
-            let single = Corpus::build(config(), sharded_workflows(&sharded));
-            for id in sharded.ids() {
-                let got = sharded.search(&id, 6).expect("resident");
-                assert_eq!(got, single.top_k(&id, 6).unwrap(), "{shards}: {id}");
-                let index = single.index_of(&id).expect("resident");
-                let oracle = wf_repo::scan_top_k(single.measure(), index, 6);
-                assert_eq!(got.len(), oracle.len(), "{shards}: {id}");
-                for (g, o) in got.iter().zip(&oracle) {
-                    assert_eq!(g.id, o.id, "{shards}: {id}");
-                    assert_eq!(g.score.to_bits(), o.score.to_bits(), "{shards}: {id}");
-                }
+            assert!(ids(&sharded).0 > built, "{shards}: no class minted");
+            assert_matches_single_and_scan(&sharded, &format!("{shards} shards"));
+        }
+    }
+
+    /// The class id of every module of every workflow, shard-major.
+    fn class_ids(sharded: &ShardedCorpus) -> Vec<(WorkflowId, Vec<u32>)> {
+        sharded
+            .shards()
+            .iter()
+            .flat_map(|shard| {
+                let measure = shard.measure();
+                (0..shard.len())
+                    .map(move |i| (measure.ids()[i].clone(), measure.classes_of(i).to_vec()))
+            })
+            .collect()
+    }
+
+    /// Removing every holder of a class anywhere in the corpus frees its id:
+    /// the live classes equal a rebuild's, the next query's table has no
+    /// row for the id, and the next class never seen before takes it.
+    #[test]
+    fn a_class_with_no_holder_left_is_freed_and_its_id_reused() {
+        let (workflows, _) =
+            wf_corpus::generate_taverna_corpus(&wf_corpus::TavernaCorpusConfig::small(40, 13));
+        for shards in [1, 2, 8] {
+            let what = format!("{shards} shards");
+            let mut sharded = ShardedCorpus::build(config(), shards, workflows.clone());
+            // The class of a module held by more than one workflow.
+            let holders = |sharded: &ShardedCorpus, class: u32| -> Vec<WorkflowId> {
+                class_ids(sharded)
+                    .into_iter()
+                    .filter(|(_, classes)| classes.contains(&class))
+                    .map(|(id, _)| id)
+                    .collect()
+            };
+            let class = class_ids(&sharded)
+                .iter()
+                .flat_map(|(_, classes)| classes.iter().copied())
+                .find(|&class| holders(&sharded, class).len() > 1)
+                .expect("some class is shared");
+            for id in holders(&sharded, class) {
+                assert!(sharded.remove(&id).is_some(), "{what}");
             }
+            let registry = Arc::clone(sharded.shards()[0].measure().class_registry());
+            let rebuilt = ShardedCorpus::build(config(), shards, sharded_workflows(&sharded));
+            {
+                let (live, want) = (
+                    registry.read().unwrap(),
+                    rebuilt.shards()[0]
+                        .measure()
+                        .class_registry()
+                        .read()
+                        .unwrap(),
+                );
+                assert_eq!(live.live_keys(), want.live_keys(), "{what}");
+                assert!(live.free_ids().contains(&class), "{what}");
+            }
+            let probe = sharded.get(&sharded.ids()[0]).unwrap().clone();
+            let query = sharded.shards()[0]
+                .measure()
+                .prepare(&sharded.query_features(&probe));
+            let (rows, col_max) = query.class_rows().expect("module sets is bounded");
+            let na = rows.len() / col_max.len();
+            assert!(!registry.read().unwrap().is_live(class), "{what}");
+            assert!(rows[class as usize * na..][..na]
+                .iter()
+                .all(|&ub| ub == 0.0));
+            assert_eq!(col_max[class as usize], 0.0, "{what}");
+            assert_matches_single_and_scan(&sharded, &format!("{what}, freed"));
+            // Modules no workflow ever held found classes on the freed ids,
+            // one each, before any new id is minted.
+            let (ids, mut freed) = {
+                let registry = registry.read().unwrap();
+                (registry.id_count(), registry.free_ids().to_vec())
+            };
+            let labels: Vec<String> = (0..freed.len())
+                .map(|i| format!("zq never seen xylophone {i}"))
+                .collect();
+            let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+            let stranger = wf("stranger", &labels);
+            sharded.add(stranger.clone());
+            let (_, mut classes) = class_ids(&sharded)
+                .into_iter()
+                .find(|(id, _)| *id == stranger.id)
+                .expect("added");
+            classes.sort_unstable();
+            freed.sort_unstable();
+            assert_eq!(classes, freed, "{what}");
+            let registry = registry.read().unwrap();
+            assert!(registry.free_ids().is_empty(), "{what}");
+            assert_eq!(registry.id_count(), ids, "{what}");
+            drop(registry);
+            assert_matches_single_and_scan(&sharded, &format!("{what}, reused"));
         }
     }
 
