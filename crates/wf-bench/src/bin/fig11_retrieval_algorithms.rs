@@ -29,7 +29,6 @@ fn main() {
         corpus_size: env_param("WFSIM_CORPUS_SIZE", 300),
         queries: env_param("WFSIM_QUERIES", 8),
         top_k: 10,
-        threads: 8,
         seed: env_param("WFSIM_SEED", 42) as u64,
     };
     println!("Figure 11: retrieval precision@k of annotational and structural algorithms");

@@ -3,7 +3,7 @@
 //! Usage:
 //! ```text
 //! wfsim_search <corpus.json | --demo> <query-workflow-id> [k] [algorithm]
-//!              [--engine scan|indexed] [--threads N] [--demo-size N]
+//!              [--engine scan|indexed] [--demo-size N]
 //! wfsim_search <corpus.json | --demo> --bench-json BENCH_retrieval.json
 //!              [--quick] [--queries N] [algorithm]
 //! ```
@@ -17,10 +17,11 @@
 //!   (default `ensemble` = BW + MS_ip_te_pll for interactive search, `ms`
 //!   for benchmark mode).
 //! * `--engine` — `indexed` (default) profiles the corpus once and answers
-//!   through the inverted-index engine with upper-bound pruning; `scan`
-//!   exhaustively scores every workflow per query (the seed path).  Both
-//!   return identical hit lists.
-//! * `--bench-json PATH` — benchmark mode: time both engines over a query
+//!   through the path the server runs (`Corpus::top_k_with_stats`:
+//!   class-table bounds, a best-bound-first scan with pruning); `scan`
+//!   exhaustively scores every workflow per query (the seed path) on every
+//!   core.  Both return identical hit lists.
+//! * `--bench-json PATH` — benchmark mode: time both paths over a query
 //!   set and write a machine-readable report (used by CI to track the perf
 //!   trajectory); `--quick` shrinks the corpus for smoke runs.
 
@@ -44,7 +45,6 @@ struct Options {
     k: usize,
     algorithm: String,
     engine: Engine,
-    threads: usize,
     demo_size: usize,
     bench_json: Option<String>,
     quick: bool,
@@ -53,7 +53,7 @@ struct Options {
 
 const USAGE: &str =
     "usage: wfsim_search <corpus.json | --demo> <query-workflow-id> [k] [algorithm] \
-                     [--engine scan|indexed] [--threads N] [--demo-size N] \
+                     [--engine scan|indexed] [--demo-size N] \
                      [--bench-json PATH [--quick] [--queries N]]";
 
 fn flag_value(args: &[String], i: &mut usize, name: &str) -> Result<String, String> {
@@ -66,7 +66,6 @@ fn flag_value(args: &[String], i: &mut usize, name: &str) -> Result<String, Stri
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut positional: Vec<&str> = Vec::new();
     let mut engine = Engine::Indexed;
-    let mut threads = 8usize;
     let mut demo_size = 0usize; // 0 = pick by mode
     let mut bench_json = None;
     let mut quick = false;
@@ -83,11 +82,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     "indexed" => Engine::Indexed,
                     other => return Err(format!("unknown engine '{other}' (scan | indexed)")),
                 }
-            }
-            "--threads" => {
-                threads = flag_value(args, &mut i, "--threads")?
-                    .parse()
-                    .map_err(|_| "invalid --threads value".to_string())?
             }
             "--demo-size" => {
                 demo_size = flag_value(args, &mut i, "--demo-size")?
@@ -147,7 +141,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         k,
         algorithm,
         engine,
-        threads: threads.max(1),
         demo_size,
         bench_json,
         quick,
@@ -246,8 +239,7 @@ fn run_search(options: &Options, repository: &Repository) -> Result<(), String> 
                 );
             }
             let score = scorer(&options.algorithm)?;
-            let engine = SearchEngine::new(repository, score).with_threads(options.threads);
-            let hits = engine.top_k_parallel(&query, options.k);
+            let hits = SearchEngine::new(repository, score).top_k(&query, options.k);
             print_hits(
                 repository,
                 &query,
@@ -271,7 +263,7 @@ fn run_benchmark(options: &Options, repository: &Repository) -> Result<(), Strin
         return Err("benchmark needs a non-empty corpus".to_string());
     }
 
-    // Seed scan path: re-derives everything per pair.
+    // Seed scan path: re-derives everything per pair, on every core.
     let plain = WorkflowSimilarity::new(config.clone());
     let scan_engine = SearchEngine::new(repository, |a: &Workflow, b: &Workflow| {
         plain.similarity(a, b)
@@ -284,23 +276,18 @@ fn run_benchmark(options: &Options, repository: &Repository) -> Result<(), Strin
     let scan_ms = scan_started.elapsed().as_secs_f64() * 1e3;
     let scan_comparisons = queries.len() * n.saturating_sub(1);
 
-    // Corpus-resident path: one shared Corpus (profiles + index), prune per
-    // query through an engine that borrows the corpus-resident index.
+    // Corpus-resident path: one shared Corpus (profiles + index), each
+    // query answered by the path the server runs.
     let build_started = Instant::now();
     let corpus = Corpus::build(config, repository.workflows().to_vec());
     let build_ms = build_started.elapsed().as_secs_f64() * 1e3;
-    let indexed_engine = corpus.search_engine();
     let indexed_started = Instant::now();
     let mut stats_total = SearchStats::default();
     let mut indexed_lists = Vec::new();
     for &q in &queries {
-        let (hits, stats) = indexed_engine.top_k_with_stats(q, options.k);
+        let (hits, stats) = corpus.top_k_with_stats(q, options.k);
         indexed_lists.push(hits);
-        stats_total.candidates += stats.candidates;
-        stats_total.scored += stats.scored;
-        stats_total.pruned += stats.pruned;
-        stats_total.zero_bound += stats.zero_bound;
-        stats_total.shared_token_candidates += stats.shared_token_candidates;
+        stats_total.merge(&stats);
     }
     let indexed_ms = indexed_started.elapsed().as_secs_f64() * 1e3;
 

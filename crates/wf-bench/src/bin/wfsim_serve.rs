@@ -14,12 +14,14 @@
 //!
 //! * Builds the demo corpus (250 workflows by default, 60 with
 //!   `--smoke`/`--quick`) once, answers a query batch through the
-//!   single-corpus indexed engine as the baseline, then through
-//!   `ShardedCorpus::search_batch` for each shard count, verifying every
-//!   hit list is bit-identical to the baseline.  `--corpus-size` repeats
-//!   the whole q/s × shard-count sweep for each listed demo-corpus size
-//!   (`2k` = 2000), each timed as the median of `--reps` batches (default
-//!   3), producing one scaling curve per size in the JSON report.
+//!   single-corpus served path (`Corpus::top_k_index`) as the timed
+//!   baseline, then through `ShardedCorpus::search_batch` for each shard
+//!   count, verifying every hit list, the baseline's included, is
+//!   bit-identical to the brute-force `scan_top_k` oracle.
+//!   `--corpus-size` repeats the whole q/s × shard-count sweep for each
+//!   listed demo-corpus size (`2k` = 2000), each timed as the median of
+//!   `--reps` batches (default 3), producing one scaling curve per size in
+//!   the JSON report.
 //!   `--assert-scaling` then fails the run if, on the largest corpus,
 //!   batch q/s at the highest shard count falls more than 15% below the
 //!   lowest — a regression guard pinning down the global-frontier
@@ -208,16 +210,16 @@ struct SizeCurve {
     runs: Vec<ShardRun>,
 }
 
-/// Runs the shard-count sweep for one workflow set: a single-corpus
-/// indexed-engine baseline, then `ShardedCorpus::search_batch_with_stats`
-/// per shard count — batch wall time the median of `reps`, pruning stats
-/// folded from the workers of the final rep, and every hit list checked
-/// bit-identical against the baseline.
+/// Runs the shard-count sweep for one workflow set: a timed single-corpus
+/// baseline on the served path, then
+/// `ShardedCorpus::search_batch_with_stats` per shard count — batch wall
+/// time the median of `reps`, pruning stats from the first rep, and every
+/// hit list checked bit-identical against the (untimed) exhaustive
+/// `scan_top_k` oracle.
 fn sweep_shard_counts(workflows: &[Workflow], options: &Options) -> SizeCurve {
     let config = SimilarityConfig::best_module_sets();
     let n = workflows.len();
     let single = Corpus::build(config.clone(), workflows.to_vec());
-    let engine = single.search_engine();
     let query_ids: Vec<WorkflowId> = single
         .ids()
         .iter()
@@ -229,12 +231,17 @@ fn sweep_shard_counts(workflows: &[Workflow], options: &Options) -> SizeCurve {
         .iter()
         .map(|id| single.index_of(id).expect("query resident"))
         .collect();
+    let oracle: Vec<Vec<wf_repo::SearchHit>> = query_indices
+        .iter()
+        .map(|&qi| wf_repo::scan_top_k(single.measure(), qi, options.k))
+        .collect();
     let baseline_started = Instant::now();
     let baseline: Vec<Vec<wf_repo::SearchHit>> = query_indices
         .iter()
-        .map(|&qi| engine.top_k(qi, options.k))
+        .map(|&qi| single.top_k_index(qi, options.k))
         .collect();
     let baseline_ms = baseline_started.elapsed().as_secs_f64() * 1e3;
+    let baseline_identical = baseline == oracle;
 
     // Build every shard count up front, then time them in interleaved
     // rounds (one rep of each count per round) and take the per-count
@@ -273,10 +280,11 @@ fn sweep_shard_counts(workflows: &[Workflow], options: &Options) -> SizeCurve {
         times.sort_by(|a, b| a.partial_cmp(b).expect("batch timings are finite"));
         let median_ms = times[times.len() / 2];
         let (batch, stats) = &outcomes[slot];
-        let identical = batch
-            .iter()
-            .zip(&baseline)
-            .all(|(got, expected)| got.as_deref() == Some(expected.as_slice()));
+        let identical = baseline_identical
+            && batch
+                .iter()
+                .zip(&oracle)
+                .all(|(got, expected)| got.as_deref() == Some(expected.as_slice()));
         runs.push(ShardRun {
             shards: *shards,
             batch_ms: median_ms,
@@ -591,8 +599,8 @@ fn run() -> Result<(), String> {
     for curve in &curves {
         if let Some(diverged) = curve.runs.iter().find(|run| !run.identical) {
             return Err(format!(
-                "sharded batch hits diverged from the single-corpus engine at {} shards \
-                 (corpus {}) — this is a bug",
+                "single-corpus or sharded batch hits diverged from the brute-force scan \
+                 at {} shards (corpus {}) — this is a bug",
                 diverged.shards, curve.corpus_size
             ));
         }

@@ -30,8 +30,6 @@ pub struct RetrievalExperimentConfig {
     pub queries: usize,
     /// Result list depth (the paper evaluates the top 10).
     pub top_k: usize,
-    /// Number of worker threads for scoring.
-    pub threads: usize,
     /// Master RNG seed.
     pub seed: u64,
 }
@@ -42,7 +40,6 @@ impl Default for RetrievalExperimentConfig {
             corpus_size: 500,
             queries: 8,
             top_k: 10,
-            threads: 8,
             seed: 42,
         }
     }
@@ -55,7 +52,6 @@ impl RetrievalExperimentConfig {
             corpus_size: 80,
             queries: 3,
             top_k: 5,
-            threads: 4,
             seed: 42,
         }
     }
@@ -114,13 +110,12 @@ impl RetrievalExperiment {
         let engine = SearchEngine::new(
             &self.repository,
             move |a: &wf_model::Workflow, b: &wf_model::Workflow| score(a, b).unwrap_or(0.0),
-        )
-        .with_threads(self.config.threads);
+        );
         self.queries
             .iter()
             .map(|q| {
                 let query_wf = self.repository.get(q).expect("query exists");
-                let hits = engine.top_k_parallel(query_wf, self.config.top_k);
+                let hits = engine.top_k(query_wf, self.config.top_k);
                 (q.clone(), hits.into_iter().map(|h| h.id).collect())
             })
             .collect()

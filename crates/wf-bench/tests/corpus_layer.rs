@@ -196,7 +196,7 @@ proptest! {
         let restored = Corpus::from_snapshot_str(&corpus.to_snapshot_string(), config)
             .expect("churned snapshot loads");
         for query in 0..corpus.len() {
-            let expected = rebuilt.top_k_index(query, k);
+            let expected = wf_repo::scan_top_k(rebuilt.measure(), query, k);
             prop_assert_eq!(&corpus.top_k_index(query, k), &expected, "churned, query {}", query);
             prop_assert_eq!(&restored.top_k_index(query, k), &expected, "restored, query {}", query);
         }

@@ -1,12 +1,14 @@
-//! End-to-end equivalence of the corpus-resident engine with the seed
-//! scan path.
+//! End-to-end equivalence of the served corpus path with the seed scan
+//! path.
 //!
-//! The indexed engine is only allowed to be *fast*, never *different*: its
-//! hit lists (ids, scores and tie-order) must be bit-identical to an
-//! exhaustive [`SearchEngine::top_k`] scan, for every module comparison
-//! scheme, and the lock-free parallel matrix builder must reproduce the
-//! sequential matrix exactly.  These tests check both on the deterministic
-//! synthetic Taverna corpus and on randomized mutated corpora.
+//! [`Corpus::top_k_with_stats`] — what `wf-serve` runs on every shard — is
+//! only allowed to be *fast*, never *different*: its hit lists (ids,
+//! scores and tie-order) must be bit-identical to an exhaustive
+//! [`SearchEngine::top_k`] scan of the unprofiled pipeline, for every
+//! module comparison scheme, and the lock-free parallel matrix builder
+//! must reproduce the sequential matrix exactly.  These tests check both
+//! on the deterministic synthetic Taverna corpus and on randomized mutated
+//! corpora.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -14,10 +16,11 @@ use rand::SeedableRng;
 use wf_cluster::PairwiseSimilarities;
 use wf_corpus::{generate_taverna_corpus, mutate, TavernaCorpusConfig};
 use wf_model::Workflow;
-use wf_repo::{IndexedSearchEngine, Repository, SearchEngine};
+use wf_repo::{Repository, SearchEngine};
 use wf_sim::config::Preprocessing;
 use wf_sim::{
-    MeasureKind, ModuleComparisonScheme, ProfiledMeasure, SimilarityConfig, WorkflowSimilarity,
+    Corpus, MeasureKind, ModuleComparisonScheme, ProfiledMeasure, SimilarityConfig,
+    WorkflowSimilarity,
 };
 
 fn six_schemes() -> Vec<ModuleComparisonScheme> {
@@ -42,11 +45,11 @@ fn mutated_corpus(size: usize, seed: u64) -> Vec<Workflow> {
     corpus
 }
 
-/// The dedicated equivalence check of the acceptance criteria: indexed
+/// The dedicated equivalence check of the acceptance criteria: the served
 /// top-k returns bit-identical hit lists to exhaustive `top_k` for all six
-/// module comparison schemes.
+/// module comparison schemes, and accounts for every candidate.
 #[test]
-fn indexed_topk_is_bit_identical_for_all_six_schemes() {
+fn served_topk_is_bit_identical_for_all_six_schemes() {
     let corpus = mutated_corpus(80, 17);
     let repository = Repository::from_workflows(corpus.clone());
     assert_eq!(repository.len(), corpus.len(), "generator ids are unique");
@@ -66,22 +69,22 @@ fn indexed_topk_is_bit_identical_for_all_six_schemes() {
             );
             let name = config.name();
             let plain = WorkflowSimilarity::new(config.clone());
-            let profiled = ProfiledMeasure::new(config, repository.workflows());
+            let served = Corpus::build(config, repository.workflows().to_vec());
             let scan = SearchEngine::new(&repository, |a: &Workflow, b: &Workflow| {
                 plain.similarity(a, b)
             });
-            let indexed = IndexedSearchEngine::new(&profiled);
             for query_index in [0usize, 33, 79] {
                 let query = &repository.workflows()[query_index];
                 let expected = scan.top_k(query, 10);
-                let (hits, stats) = indexed.top_k_with_stats(query_index, 10);
+                let (hits, stats) = served.top_k_with_stats(query_index, 10);
                 assert_eq!(hits, expected, "{name}, query {}", query.id);
                 assert_eq!(
-                    indexed.top_k(query_index, 10),
+                    served.top_k_index(query_index, 10),
                     expected,
                     "{name} top_k, query {}",
                     query.id
                 );
+                assert_eq!(stats.candidates, repository.len() - 1);
                 assert_eq!(
                     stats.scored + stats.pruned + stats.zero_bound,
                     stats.candidates,
@@ -94,16 +97,17 @@ fn indexed_topk_is_bit_identical_for_all_six_schemes() {
 }
 
 #[test]
-fn indexed_search_prunes_on_the_family_corpus() {
+fn served_search_prunes_on_the_family_corpus() {
     let corpus = mutated_corpus(120, 5);
     let repository = Repository::from_workflows(corpus);
-    let profiled =
-        ProfiledMeasure::new(SimilarityConfig::best_module_sets(), repository.workflows());
-    let indexed = IndexedSearchEngine::new(&profiled);
+    let served = Corpus::build(
+        SimilarityConfig::best_module_sets(),
+        repository.workflows().to_vec(),
+    );
     let mut scored_total = 0usize;
     let mut candidates_total = 0usize;
     for query_index in 0..8 {
-        let (_, stats) = indexed.top_k_with_stats(query_index, 10);
+        let (_, stats) = served.top_k_with_stats(query_index, 10);
         scored_total += stats.scored;
         candidates_total += stats.candidates;
     }
@@ -116,20 +120,19 @@ fn indexed_search_prunes_on_the_family_corpus() {
 
 #[test]
 fn unbounded_measures_still_match_the_scan_engine() {
-    // Path Sets has no cheap bound: the indexed engine must degrade to an
+    // Path Sets has no cheap bound: the served path must degrade to an
     // exhaustive profiled scan with identical results.
     let corpus = mutated_corpus(50, 23);
     let repository = Repository::from_workflows(corpus);
     let config = SimilarityConfig::best_path_sets();
     let plain = WorkflowSimilarity::new(config.clone());
-    let profiled = ProfiledMeasure::new(config, repository.workflows());
+    let served = Corpus::build(config, repository.workflows().to_vec());
     let scan = SearchEngine::new(&repository, |a: &Workflow, b: &Workflow| {
         plain.similarity(a, b)
     });
-    let indexed = IndexedSearchEngine::new(&profiled);
     let query = &repository.workflows()[7];
     let expected = scan.top_k(query, 10);
-    let (hits, stats) = indexed.top_k_with_stats(7, 10);
+    let (hits, stats) = served.top_k_with_stats(7, 10);
     assert_eq!(hits, expected);
     assert_eq!(stats.scored, stats.candidates, "no pruning without bounds");
 }
@@ -137,10 +140,10 @@ fn unbounded_measures_still_match_the_scan_engine() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Indexed top-k ≡ brute-force top-k on randomized mutated corpora of
+    /// Served top-k ≡ brute-force top-k on randomized mutated corpora of
     /// 50–200 workflows, across schemes, queries and k.
     #[test]
-    fn indexed_topk_equals_bruteforce_on_random_corpora(
+    fn served_topk_equals_bruteforce_on_random_corpora(
         size in 50usize..=200,
         seed in 0u64..10_000,
         scheme_index in 0usize..6,
@@ -156,16 +159,17 @@ proptest! {
             Preprocessing::ImportanceProjection,
         );
         let plain = WorkflowSimilarity::new(config.clone());
-        let profiled = ProfiledMeasure::new(config, repository.workflows());
+        let served = Corpus::build(config, repository.workflows().to_vec());
         let scan = SearchEngine::new(&repository, |a: &Workflow, b: &Workflow| {
             plain.similarity(a, b)
         });
-        let indexed = IndexedSearchEngine::new(&profiled);
         let query_index = query_offset % repository.len();
         let query = &repository.workflows()[query_index];
         let expected = scan.top_k(query, k);
-        prop_assert_eq!(indexed.top_k(query_index, k), expected.clone());
-        prop_assert_eq!(indexed.top_k_with_stats(query_index, k).0, expected);
+        prop_assert_eq!(served.top_k_index(query_index, k), expected.clone());
+        let (hits, stats) = served.top_k_with_stats(query_index, k);
+        prop_assert_eq!(hits, expected);
+        prop_assert_eq!(stats.scored + stats.pruned + stats.zero_bound, stats.candidates);
     }
 
     /// Parallel matrix ≡ sequential matrix on randomized mutated corpora

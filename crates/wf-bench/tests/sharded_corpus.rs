@@ -2,8 +2,8 @@
 //!
 //! A `ShardedCorpus` is only allowed to be *partitioned* and *concurrent*,
 //! never *different*: scatter-gather top-k must be bit-identical — ids,
-//! scores, tie order — to the single-corpus `IndexedSearchEngine` for every
-//! shard count and module comparison scheme; arbitrary `add` / `remove` /
+//! scores, tie order — to the exhaustive `scan_top_k` over a single corpus
+//! for every shard count and module comparison scheme; arbitrary `add` / `remove` /
 //! `search` / `search_batch` interleavings must keep answering exactly like
 //! a from-scratch single corpus rebuilt after each step; and a
 //! `CorpusService` racing real churn threads must never surface a workflow
@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 use wf_bench::demo_workflows;
 use wf_model::{Workflow, WorkflowId};
-use wf_repo::{CancelToken, PreselectionStrategy};
+use wf_repo::{scan_top_k, CancelToken, PreselectionStrategy};
 use wf_sim::config::Preprocessing;
 use wf_sim::{
     Corpus, CorpusService, MeasureKind, ModuleComparisonScheme, SearchParallelism, ShardedCorpus,
@@ -43,8 +43,9 @@ fn scheme_config(scheme: ModuleComparisonScheme) -> SimilarityConfig {
 }
 
 /// The acceptance-criteria equivalence: sharded scatter-gather top-k over
-/// shard counts {1, 2, 4, 8} is bit-identical to the single-corpus indexed
-/// engine for all six module comparison schemes, tie order included.
+/// shard counts {1, 2, 4, 8} is bit-identical to the exhaustive scan over
+/// a single corpus for all six module comparison schemes, tie order
+/// included.
 #[test]
 fn sharded_topk_is_bit_identical_for_all_schemes_and_shard_counts() {
     let workflows = demo_workflows(40, 17);
@@ -52,13 +53,12 @@ fn sharded_topk_is_bit_identical_for_all_schemes_and_shard_counts() {
         let config = scheme_config(scheme);
         let name = config.name();
         let single = Corpus::build(config.clone(), workflows.clone());
-        let engine = single.search_engine();
         for shards in [1usize, 2, 4, 8] {
             let sharded = ShardedCorpus::build(config.clone(), shards, workflows.clone());
             assert_eq!(sharded.shard_count(), shards);
             for (qi, id) in single.ids().iter().enumerate().step_by(4) {
                 for k in [1usize, 10] {
-                    let expected = engine.top_k(qi, k);
+                    let expected = scan_top_k(single.measure(), qi, k);
                     let got = sharded.search(id, k).expect("query is resident");
                     assert_eq!(got, expected, "{name}: {shards} shards, query {id}, k {k}");
                 }
@@ -69,8 +69,8 @@ fn sharded_topk_is_bit_identical_for_all_schemes_and_shard_counts() {
 
 /// The same acceptance criterion for the *racing* scatter-gather: shard
 /// workers draining their shards in parallel against the shared
-/// threshold must stay bit-identical to the single-corpus indexed engine
-/// — ids, scores, tie order — for every shard count and scheme.  Pruning
+/// threshold must stay bit-identical to the exhaustive scan over a single
+/// corpus — ids, scores, tie order — for every shard count and scheme.  Pruning
 /// is strictly below a floor that is always a true worst-of-k, so thread
 /// interleaving can change work done, never results.
 #[test]
@@ -80,13 +80,12 @@ fn racing_topk_is_bit_identical_for_all_schemes_and_shard_counts() {
         let config = scheme_config(scheme);
         let name = config.name();
         let single = Corpus::build(config.clone(), workflows.clone());
-        let engine = single.search_engine();
         for shards in [1usize, 2, 4, 8] {
             let racing = ShardedCorpus::build(config.clone(), shards, workflows.clone())
                 .with_parallelism(SearchParallelism::Racing);
             for (qi, id) in single.ids().iter().enumerate().step_by(4) {
                 for k in [1usize, 10] {
-                    let expected = engine.top_k(qi, k);
+                    let expected = scan_top_k(single.measure(), qi, k);
                     let got = racing.search(id, k).expect("query is resident");
                     assert_eq!(
                         got.len(),
@@ -154,14 +153,13 @@ fn sharding_does_not_inflate_scored_comparisons() {
     }
 }
 
-/// Batched queries are individually bit-identical to single searches — and
-/// therefore to the single-corpus engine — regardless of worker count.
+/// Batched queries are individually bit-identical to the exhaustive scan
+/// over a single corpus, regardless of worker count.
 #[test]
 fn batch_queries_match_single_queries_under_parallel_fanout() {
     let workflows = demo_workflows(60, 19);
     let config = SimilarityConfig::best_module_sets();
     let single = Corpus::build(config.clone(), workflows.clone());
-    let engine = single.search_engine();
     let sharded = ShardedCorpus::build(config, 4, workflows);
     let queries: Vec<WorkflowId> = single.ids().to_vec();
     for threads in [1usize, 4, 9] {
@@ -169,7 +167,7 @@ fn batch_queries_match_single_queries_under_parallel_fanout() {
         for (qi, (id, hits)) in queries.iter().zip(&batch).enumerate() {
             assert_eq!(
                 hits.as_deref().expect("resident"),
-                engine.top_k(qi, 10),
+                scan_top_k(single.measure(), qi, 10),
                 "threads {threads}, query {id}"
             );
         }
@@ -246,7 +244,7 @@ proptest! {
                     let qi = rebuilt.index_of(id).unwrap();
                     prop_assert_eq!(
                         hits.as_deref().expect("resident"),
-                        rebuilt.top_k_index(qi, k),
+                        scan_top_k(rebuilt.measure(), qi, k),
                         "batch after step {}, query {}", step, id
                     );
                 }
@@ -255,7 +253,7 @@ proptest! {
                 let qi = rebuilt.index_of(id).unwrap();
                 prop_assert_eq!(
                     sharded.search(id, k).expect("resident"),
-                    rebuilt.top_k_index(qi, k),
+                    scan_top_k(rebuilt.measure(), qi, k),
                     "search after step {}, query {}", step, id
                 );
             }
@@ -458,7 +456,7 @@ fn service_queries_racing_churn_never_surface_stale_workflows_hash() {
         let qi = rebuilt.index_of(id).unwrap();
         assert_eq!(
             sharded.search(id, 10).unwrap(),
-            rebuilt.top_k_index(qi, 10),
+            scan_top_k(rebuilt.measure(), qi, 10),
             "post-churn query {id}"
         );
     }

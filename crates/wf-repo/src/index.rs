@@ -8,22 +8,27 @@
 //! features are precomputed once, indexed, and candidates are pruned by a
 //! cheap *admissible* upper bound before the expensive measure runs.
 //!
-//! The engine is exact: because every bound is admissible (`bound(q, c) >=
-//! score(q, c)` and scores are non-negative), a candidate is skipped only
-//! when it provably cannot enter the result list, and a candidate whose
-//! bound is `0` is known to score exactly `0` without running the measure.
-//! The returned hit lists are therefore bit-identical — ids, scores and
-//! tie-order — to an exhaustive [`crate::SearchEngine::top_k`] scan.
-//! Measures that cannot provide a bound (`upper_bound` returning `None`)
-//! degrade gracefully to an exhaustive — but still corpus-resident — scan.
+//! This module holds the measure-independent pieces: [`TokenIndex`]
+//! counts the label tokens a candidate shares with the query,
+//! [`RankedFrontier`] yields candidates best bound first, and
+//! [`scan_ranked_candidates`] is the one prune-and-score loop every
+//! bounded search runs (the corpus layer of `wf-sim` feeds it bounds from
+//! its per-query class table).  The scan is exact: because every bound is
+//! admissible (`bound >= score` and scores are non-negative), a candidate
+//! is skipped only when it provably cannot enter the result list, and a
+//! candidate whose bound is `0` is known to score exactly `0` without
+//! running the measure.  Its hit lists are therefore bit-identical — ids,
+//! scores and tie-order — to the exhaustive [`scan_top_k`] over the same
+//! [`CorpusScorer`].  A candidate without a bound ranks at
+//! `f64::INFINITY` and is always scored, so a measure that cannot bound
+//! degrades to an exhaustive — but still corpus-resident — scan.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use wf_model::WorkflowId;
 
-use crate::search::{hit_ordering, merge_top_k, SearchHit, SearchThreshold, TopK};
+use crate::search::{hit_ordering, SearchHit, SearchThreshold, TopK};
 
 /// A corpus-resident similarity measure addressable by corpus index.
 ///
@@ -31,9 +36,6 @@ use crate::search::{hit_ordering, merge_top_k, SearchHit, SearchThreshold, TopK}
 /// score pairs from those features.  Contract:
 ///
 /// * `score` is non-negative and deterministic;
-/// * `upper_bound`, when `Some`, is *admissible*: `upper_bound(q, c) >=
-///   score(q, c)` for every pair — the indexed search relies on this for
-///   exactness;
 /// * `label_token_ids` returns the distinct interned label tokens of a
 ///   workflow, sorted ascending.
 pub trait CorpusScorer: Sync {
@@ -45,10 +47,6 @@ pub trait CorpusScorer: Sync {
 
     /// The exact similarity of two corpus workflows.
     fn score(&self, query: usize, candidate: usize) -> f64;
-
-    /// A cheap admissible upper bound on [`CorpusScorer::score`], or `None`
-    /// when the measure cannot bound this pair (forcing it to be scored).
-    fn upper_bound(&self, query: usize, candidate: usize) -> Option<f64>;
 
     /// The distinct interned module-label token ids of a workflow, sorted.
     fn label_token_ids(&self, index: usize) -> &[u32];
@@ -235,10 +233,10 @@ pub fn sort_best_bound_first(candidates: &mut [RankedCandidate]) {
     candidates.sort_unstable_by(scan_order);
 }
 
-/// The one prune-and-score loop behind every bound-pruned top-k scan — the
-/// indexed engine and every unit of a sharded scatter-gather search walk
-/// their candidates through here, so the zero-bound short-circuit, the strict-below-floor pruning
-/// and the stats accounting can never drift apart between engines.
+/// The one prune-and-score loop behind every bound-pruned top-k scan —
+/// every unit of a (possibly one-shard) scatter-gather search walks its
+/// candidates through here, so the zero-bound short-circuit, the
+/// strict-below-floor pruning and the stats accounting live in one place.
 ///
 /// `candidates` must arrive in [`sort_best_bound_first`] order, or as a
 /// [`RankedFrontier`] (`total` is its length, needed for prune
@@ -247,16 +245,17 @@ pub fn sort_best_bound_first(candidates: &mut [RankedCandidate]) {
 /// new worst-of-k is published to `threshold`, and the loop stops as soon
 /// as the best remaining bound falls *strictly* below the threshold floor
 /// — admissible, so the kept hits (returned in heap order; gather them
-/// with [`merge_top_k`]) are exactly the true top-k contributions of this
-/// candidate stream.
+/// with [`merge_top_k`](crate::search::merge_top_k)) are exactly the true
+/// top-k contributions of this candidate stream.
 ///
 /// `cancel` is polled between candidates: once it fires, the remaining
 /// stream is abandoned (`stats.abandoned`, `stats.cancelled`) and the hits
 /// gathered so far are returned — each still an exact score, so a
 /// deadline-bound caller can serve them as an honest *partial* result.
-/// Non-deadline callers pass [`CancelToken::never`], which reduces the
-/// poll to one relaxed load.
-// lint:hot this loop runs once per candidate of every indexed search;
+/// Non-deadline callers pass
+/// [`CancelToken::never`](crate::search::CancelToken::never), which
+/// reduces the poll to one relaxed load.
+// lint:hot this loop runs once per candidate of every bounded search;
 // wfsim_lint forbids lock acquisition and heap allocation inside it.
 #[allow(clippy::too_many_arguments)] // the scan's full contract: stream + budget + cancellation
 pub fn scan_ranked_candidates<I, F, G>(
@@ -393,104 +392,8 @@ impl Iterator for RankedFrontier {
     }
 }
 
-/// The index-accelerated top-k search engine.
-pub struct IndexedSearchEngine<'s, S: CorpusScorer + ?Sized> {
-    scorer: &'s S,
-    index: Cow<'s, TokenIndex>,
-}
-
-impl<'s, S: CorpusScorer + ?Sized> IndexedSearchEngine<'s, S> {
-    /// Builds the inverted index and wraps the measure.
-    pub fn new(scorer: &'s S) -> Self {
-        IndexedSearchEngine {
-            index: Cow::Owned(TokenIndex::build(scorer)),
-            scorer,
-        }
-    }
-
-    /// Wraps a measure around an index built (or incrementally maintained)
-    /// elsewhere — e.g. the corpus-resident index of a `Corpus` — making
-    /// engine construction free of any per-query or per-engine index work.
-    ///
-    /// The index must cover exactly the scorer's corpus
-    /// (`index.workflow_count() == scorer.corpus_len()`, asserted).
-    pub fn with_index(scorer: &'s S, index: &'s TokenIndex) -> Self {
-        assert_eq!(
-            index.workflow_count(),
-            scorer.corpus_len(),
-            "index and corpus cover a different number of workflows"
-        );
-        IndexedSearchEngine {
-            index: Cow::Borrowed(index),
-            scorer,
-        }
-    }
-
-    /// The underlying inverted index.
-    pub fn index(&self) -> &TokenIndex {
-        &self.index
-    }
-
-    /// The `k` workflows most similar to the corpus workflow at
-    /// `query` (which is itself excluded), best first.
-    pub fn top_k(&self, query: usize, k: usize) -> Vec<SearchHit> {
-        self.top_k_with_stats(query, k).0
-    }
-
-    /// [`IndexedSearchEngine::top_k`] plus pruning instrumentation.
-    pub fn top_k_with_stats(&self, query: usize, k: usize) -> (Vec<SearchHit>, SearchStats) {
-        let (candidates, mut stats) = self.ranked_candidates(query);
-        // A fresh threshold makes the shared scan prune exactly on the
-        // running worst-of-k, as a dedicated sequential loop would.
-        let total = candidates.len();
-        let hits = scan_ranked_candidates(
-            candidates,
-            total,
-            k,
-            &SearchThreshold::new(),
-            &crate::search::CancelToken::never(),
-            &mut stats,
-            |i| self.scorer.score(query, i),
-            |i| self.scorer.workflow_id(i).clone(),
-        );
-        (merge_top_k([hits], k), stats)
-    }
-
-    /// All candidates (corpus minus query) with their bounds and token
-    /// overlaps, sorted best-bound-first.
-    fn ranked_candidates(&self, query: usize) -> (Vec<RankedCandidate>, SearchStats) {
-        let n = self.scorer.corpus_len();
-        let overlaps = self
-            .index
-            .overlap_counts(self.scorer.label_token_ids(query));
-        let query_id = self.scorer.workflow_id(query);
-        let mut stats = SearchStats::default();
-        let mut candidates = Vec::with_capacity(n.saturating_sub(1));
-        for (i, &overlap) in overlaps.iter().enumerate().take(n) {
-            if i == query || self.scorer.workflow_id(i) == query_id {
-                continue;
-            }
-            if overlap > 0 {
-                stats.shared_token_candidates += 1;
-            }
-            // Unbounded measures sort first (infinite bound) and are always
-            // scored: the search degrades to an exhaustive profiled scan.
-            let bound = self.scorer.upper_bound(query, i).unwrap_or(f64::INFINITY);
-            candidates.push(RankedCandidate {
-                index: i,
-                bound,
-                overlap,
-            });
-        }
-        stats.candidates = candidates.len();
-        sort_best_bound_first(&mut candidates);
-        (candidates, stats)
-    }
-}
-
 /// Exhaustively scores a corpus query with a [`CorpusScorer`] — the
-/// reference the indexed engine is validated against, and the fallback for
-/// callers that want profiled scoring without index construction.
+/// brute-force oracle every bounded search is held to, bit for bit.
 pub fn scan_top_k<S: CorpusScorer + ?Sized>(scorer: &S, query: usize, k: usize) -> Vec<SearchHit> {
     let query_id = scorer.workflow_id(query);
     let mut hits: Vec<SearchHit> = (0..scorer.corpus_len())
@@ -508,6 +411,7 @@ pub fn scan_top_k<S: CorpusScorer + ?Sized>(scorer: &S, query: usize, k: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::{merge_top_k, CancelToken};
 
     /// A toy corpus-resident measure: workflows are token-id sets, the
     /// similarity is the exact Jaccard index, the bound the size quotient.
@@ -536,6 +440,24 @@ mod tests {
             let inter = ta.iter().filter(|t| tb.contains(t)).count();
             inter as f64 / (ta.len() + tb.len() - inter) as f64
         }
+
+        /// An admissible bound on the Jaccard index, `None` for an
+        /// unbounded toy.
+        fn bound(&self, query: usize, candidate: usize) -> Option<f64> {
+            if !self.bounded {
+                return None;
+            }
+            let (a, b) = (self.tokens[query].len(), self.tokens[candidate].len());
+            Some(if a == 0 && b == 0 {
+                1.0
+            } else if a == 0 || b == 0 {
+                0.0
+            } else {
+                // The intersection is at most min(a, b) and the union at
+                // least max(a, b): the size quotient dominates the Jaccard.
+                a.min(b) as f64 / a.max(b) as f64
+            })
+        }
     }
 
     impl CorpusScorer for ToyScorer {
@@ -549,23 +471,6 @@ mod tests {
 
         fn score(&self, query: usize, candidate: usize) -> f64 {
             self.jaccard(query, candidate)
-        }
-
-        fn upper_bound(&self, query: usize, candidate: usize) -> Option<f64> {
-            if !self.bounded {
-                return None;
-            }
-            let (a, b) = (self.tokens[query].len(), self.tokens[candidate].len());
-            Some(if a == 0 && b == 0 {
-                1.0
-            } else if a == 0 || b == 0 {
-                0.0
-            } else {
-                // Tighter and still admissible: intersection can be at most
-                // min(a, b), but with *zero* shared tokens it is zero; use
-                // the size quotient, which dominates the true Jaccard.
-                a.min(b) as f64 / a.max(b) as f64
-            })
         }
 
         fn label_token_ids(&self, index: usize) -> &[u32] {
@@ -588,19 +493,62 @@ mod tests {
         )
     }
 
+    /// A best-bound-first search over the toy: every other workflow
+    /// ranked by the toy bound (`INFINITY` when unbounded) and its token
+    /// overlap in a [`RankedFrontier`], then the one shared scan.
+    fn frontier_top_k(scorer: &ToyScorer, query: usize, k: usize) -> (Vec<SearchHit>, SearchStats) {
+        let overlaps = TokenIndex::build(scorer).overlap_counts(scorer.label_token_ids(query));
+        let candidates: Vec<RankedCandidate> = (0..scorer.corpus_len())
+            .filter(|&i| i != query)
+            .map(|i| RankedCandidate {
+                index: i,
+                bound: scorer.bound(query, i).unwrap_or(f64::INFINITY),
+                overlap: overlaps[i],
+            })
+            .collect();
+        let mut stats = SearchStats {
+            candidates: candidates.len(),
+            shared_token_candidates: candidates.iter().filter(|c| c.overlap > 0).count(),
+            ..SearchStats::default()
+        };
+        let frontier = RankedFrontier::new(candidates);
+        let total = frontier.total();
+        let hits = scan_ranked_candidates(
+            frontier,
+            total,
+            k,
+            &SearchThreshold::new(),
+            &CancelToken::never(),
+            &mut stats,
+            |i| scorer.score(query, i),
+            |i| scorer.workflow_id(i).clone(),
+        );
+        (merge_top_k([hits], k), stats)
+    }
+
+    /// The frontier scan returns the exhaustive scan's hits and accounts
+    /// for every candidate exactly once — scored, pruned or resolved by a
+    /// zero bound — at every k, bounded or not.
     #[test]
-    fn indexed_matches_exhaustive_scan_for_every_query_and_k() {
-        let scorer = corpus();
-        let engine = IndexedSearchEngine::new(&scorer);
-        for query in 0..scorer.corpus_len() {
-            for k in [0, 1, 3, 6, 10] {
-                let expected = scan_top_k(&scorer, query, k);
-                assert_eq!(engine.top_k(query, k), expected, "q={query} k={k}");
-                assert_eq!(
-                    engine.top_k_with_stats(query, k).0,
-                    expected,
-                    "with stats q={query} k={k}"
-                );
+    fn frontier_scan_matches_exhaustive_scan_for_every_query_and_k() {
+        for bounded in [true, false] {
+            let mut scorer = corpus();
+            scorer.bounded = bounded;
+            for query in 0..scorer.corpus_len() {
+                for k in [0, 1, 3, 6, 10] {
+                    let (hits, stats) = frontier_top_k(&scorer, query, k);
+                    let what = format!("bounded={bounded} q={query} k={k}");
+                    assert_eq!(hits, scan_top_k(&scorer, query, k), "{what}");
+                    assert_eq!(stats.candidates, scorer.corpus_len() - 1, "{what}");
+                    assert_eq!(
+                        stats.scored + stats.pruned + stats.zero_bound,
+                        stats.candidates,
+                        "{what}: {stats:?}"
+                    );
+                    if k == 0 {
+                        assert_eq!(stats.pruned, stats.candidates, "{what}: scores nothing");
+                    }
+                }
             }
         }
     }
@@ -608,8 +556,7 @@ mod tests {
     #[test]
     fn pruning_actually_skips_candidates() {
         let scorer = corpus();
-        let engine = IndexedSearchEngine::new(&scorer);
-        let (hits, stats) = engine.top_k_with_stats(0, 2);
+        let (hits, stats) = frontier_top_k(&scorer, 0, 2);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].id.as_str(), "w01");
         assert_eq!(stats.candidates, 6);
@@ -627,8 +574,7 @@ mod tests {
     fn unbounded_measures_fall_back_to_an_exhaustive_scan() {
         let tokens: Vec<&[u32]> = vec![&[1, 2], &[1], &[3], &[2, 3]];
         let scorer = ToyScorer::new(&tokens, false);
-        let engine = IndexedSearchEngine::new(&scorer);
-        let (hits, stats) = engine.top_k_with_stats(0, 3);
+        let (hits, stats) = frontier_top_k(&scorer, 0, 3);
         assert_eq!(hits, scan_top_k(&scorer, 0, 3));
         assert_eq!(stats.scored, stats.candidates, "nothing can be pruned");
     }
@@ -688,17 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_with_external_index_matches_engine_with_built_index() {
-        let scorer = corpus();
-        let index = TokenIndex::build(&scorer);
-        let external = IndexedSearchEngine::with_index(&scorer, &index);
-        let built = IndexedSearchEngine::new(&scorer);
-        for query in 0..scorer.corpus_len() {
-            assert_eq!(external.top_k(query, 3), built.top_k(query, 3));
-        }
-    }
-
-    #[test]
     fn stats_fraction_is_sane() {
         let stats = SearchStats {
             candidates: 10,
@@ -720,12 +655,12 @@ mod tests {
         for i in 1..scorer.corpus_len() {
             candidates.push(RankedCandidate {
                 index: i,
-                bound: scorer.upper_bound(0, i).unwrap_or(1.0),
+                bound: scorer.bound(0, i).unwrap_or(1.0),
                 overlap: 1,
             });
         }
         sort_best_bound_first(&mut candidates);
-        let token = crate::search::CancelToken::never();
+        let token = CancelToken::never();
         token.cancel();
         let mut stats = SearchStats::default();
         let total = candidates.len();
@@ -748,12 +683,11 @@ mod tests {
     #[test]
     fn never_token_scan_is_identical_to_uncancelled_scan() {
         let scorer = corpus();
-        let engine = IndexedSearchEngine::new(&scorer);
         for query in 0..scorer.corpus_len() {
-            let (hits, stats) = engine.top_k_with_stats(query, 3);
+            let (hits, stats) = frontier_top_k(&scorer, query, 3);
             assert!(!stats.cancelled, "the never token must not fire");
             assert_eq!(stats.abandoned, 0);
-            assert_eq!(hits, engine.top_k(query, 3));
+            assert_eq!(hits, scan_top_k(&scorer, query, 3));
         }
     }
 
@@ -769,7 +703,7 @@ mod tests {
         };
         let frontier = RankedFrontier::new(vec![rc(0, 0.9), rc(2, 0.5), rc(1, 0.8), rc(3, 0.4)]);
         let bounds = [0.9, 0.8, 0.5, 0.4];
-        let token = crate::search::CancelToken::never();
+        let token = CancelToken::never();
         let scored = std::cell::Cell::new(0usize);
         let mut stats = SearchStats::default();
         let total = frontier.total();
@@ -795,7 +729,7 @@ mod tests {
         assert!(stats.cancelled);
         assert_eq!(stats.scored, 3);
         assert_eq!(stats.abandoned, 1);
-        let mut hits = crate::search::merge_top_k(vec![hits], 4);
+        let mut hits = merge_top_k(vec![hits], 4);
         hits.sort_by(|x, y| x.id.cmp(&y.id));
         let got: Vec<(String, u64)> = hits
             .iter()

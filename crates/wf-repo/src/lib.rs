@@ -22,12 +22,13 @@
 //! * [`projection`] — the *Importance Projection* (`ip`) preprocessing:
 //!   projecting a workflow onto its important modules while preserving the
 //!   paths between them as edges of the transitive reduction.
-//! * [`search`] — a top-k similarity search engine over a repository,
-//!   generic over the similarity measure and optionally parallelised
-//!   (lock-free: per-thread bounded heaps merged at join).
-//! * [`index`] — the index-accelerated search path: a token inverted index
-//!   over module labels plus an exact upper-bound pruning top-k search over
-//!   any corpus-resident measure ([`CorpusScorer`]).
+//! * [`search`] — the exhaustive top-k search over a repository, generic
+//!   over the similarity measure and run on every core (lock-free: per-chunk
+//!   bounded heaps merged at the end), plus the shared top-k machinery.
+//! * [`index`] — the pieces of the bound-pruned search path: a token
+//!   inverted index over module labels, a best-bound-first frontier and
+//!   the one prune-and-score scan, held to the exhaustive [`scan_top_k`]
+//!   over a corpus-resident measure ([`CorpusScorer`]).
 //! * [`mining`] — Apriori frequent itemset mining over module and tag sets,
 //!   the repository-level ingredient of the *frequent module / tag set*
 //!   similarity of Stoyanovich et al. \[36\].
@@ -46,8 +47,8 @@ pub mod usage;
 
 pub use importance::{ImportanceConfig, ImportanceScorer};
 pub use index::{
-    scan_ranked_candidates, scan_top_k, sort_best_bound_first, CorpusScorer, IndexedSearchEngine,
-    RankedCandidate, RankedFrontier, SearchStats, TokenIndex,
+    scan_ranked_candidates, scan_top_k, sort_best_bound_first, CorpusScorer, RankedCandidate,
+    RankedFrontier, SearchStats, TokenIndex,
 };
 pub use mining::{mine_repository, mine_transactions, FrequentItemsets, ItemSource, MiningConfig};
 pub use preselect::{
@@ -55,6 +56,8 @@ pub use preselect::{
 };
 pub use projection::importance_projection;
 pub use repository::Repository;
-pub use search::{merge_top_k, CancelToken, SearchEngine, SearchHit, SearchThreshold, TopK};
+pub use search::{
+    claim_units, merge_top_k, CancelToken, SearchEngine, SearchHit, SearchThreshold, TopK,
+};
 pub use type_classes::TypeClass;
 pub use usage::UsageStatistics;

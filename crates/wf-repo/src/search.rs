@@ -4,19 +4,19 @@
 //! "to each retrieve the top-10 similar workflows from our complete dataset
 //! of 1483 Taverna workflows".  [`SearchEngine`] implements exactly that
 //! operation, generic over the similarity measure (any
-//! `Fn(&Workflow, &Workflow) -> f64`), with a lock-free multi-threaded
-//! scoring path for large corpora: every worker keeps its own bounded
-//! top-k heap and the per-thread winners are merged once at join, so no
-//! mutex sits on the scoring hot path.
+//! `Fn(&Workflow, &Workflow) -> f64`): an exhaustive scan that scores
+//! fixed-size chunks of the repository on every core ([`claim_units`]),
+//! each chunk into its own bounded top-k heap, merged once at the end, so
+//! no lock sits on the scoring path.  It is the reference the pipeline's
+//! measures are held to.
 //!
-//! For corpus-resident measures that can *bound* scores cheaply, the
-//! index-accelerated engine in [`crate::index`] prunes candidates before
-//! scoring them; this module provides the exhaustive baseline and the
-//! shared top-k machinery.
+//! The corpus-resident search in [`crate::index`] prunes candidates with
+//! admissible bounds before scoring them; this module provides the
+//! exhaustive reference and the shared top-k machinery.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::Ordering as AtomicOrdering;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
 // The model-checkable atomic shim: `std::sync::atomic::AtomicU64` outside
 // a model run, a deterministic scheduling point inside one (see
@@ -284,12 +284,70 @@ impl CancelToken {
     }
 }
 
+/// Runs `job` once for every index in `0..units`, returning the results in
+/// index order.  One worker runs the jobs inline on the calling thread and
+/// spawns nothing, which keeps shuttle-mini model runs legal; more workers
+/// are plain `std` scoped threads that claim indices off one shared
+/// ticket, so a slow job pins only the worker that claimed it.  A job that
+/// panics re-raises its panic on the calling thread.
+pub fn claim_units<T: Send>(
+    units: usize,
+    workers: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    // At least one worker, and no more than there are units to claim.
+    let workers = workers.max(1).min(units.max(1));
+    if workers == 1 {
+        return (0..units).map(job).collect();
+    }
+    let ticket = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..units).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let (ticket, job) = (&ticket, &job);
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        // ordering: Relaxed — a pure work-stealing ticket:
+                        // fetch_add's atomicity hands each index to exactly
+                        // one worker, and the scope join below is the
+                        // synchronization edge for the results.
+                        let unit = ticket.fetch_add(1, AtomicOrdering::Relaxed);
+                        if unit >= units {
+                            return done;
+                        }
+                        done.push((unit, job(unit)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            // A worker's panic is re-raised on the caller with its own
+            // payload, so a panic boundary above reports the real cause.
+            let done = handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            for (unit, result) in done {
+                slots[unit] = Some(result);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every unit is claimed exactly once"))
+        .collect()
+}
+
+/// Candidates one [`SearchEngine::top_k`] work unit scores: small enough
+/// that a repository of a few hundred workflows spreads over every core,
+/// large enough that claiming a unit costs nothing next to scoring it.
+const SCAN_CHUNK: usize = 64;
+
 /// A top-k similarity search engine over one repository.
 pub struct SearchEngine<'r, F> {
     repository: &'r Repository,
     similarity: F,
-    /// Number of worker threads used by [`SearchEngine::top_k_parallel`].
-    threads: usize,
 }
 
 impl<'r, F> SearchEngine<'r, F>
@@ -302,75 +360,37 @@ where
         SearchEngine {
             repository,
             similarity,
-            threads: 4,
         }
-    }
-
-    /// Sets the number of worker threads for parallel search (at least 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Scores every workflow in the repository against the query and returns
     /// the `k` most similar ones, best first.  The query workflow itself
     /// (same id) is excluded — retrieving the query is trivially perfect and
     /// the paper's result lists do not contain it.
+    ///
+    /// The candidates are scored in chunks of `SCAN_CHUNK` (64) on
+    /// `available_parallelism()` workers ([`claim_units`]; inline when
+    /// there is one), each chunk into its own bounded [`TopK`].  The
+    /// merge is canonical, so the hits equal a full sort of every score.
     pub fn top_k(&self, query: &Workflow, k: usize) -> Vec<SearchHit> {
-        let mut hits: Vec<SearchHit> = self
-            .repository
-            .iter()
-            .filter(|wf| wf.id != query.id)
-            .map(|wf| SearchHit {
-                id: wf.id.clone(),
-                score: (self.similarity)(query, wf),
-            })
-            .collect();
-        sort_and_truncate(&mut hits, k);
-        hits
-    }
-
-    /// Like [`SearchEngine::top_k`] but scoring workflows on several threads
-    /// (std scoped threads, so the similarity closure only needs to be
-    /// `Sync`, not `'static`).  Each worker fills a private bounded top-k
-    /// heap over its slice of the corpus; the per-thread winners are merged
-    /// after the workers join — no locks anywhere on the scoring path, and
-    /// the result is identical to the sequential [`SearchEngine::top_k`].
-    pub fn top_k_parallel(&self, query: &Workflow, k: usize) -> Vec<SearchHit> {
         let candidates: Vec<&Workflow> = self
             .repository
             .iter()
             .filter(|wf| wf.id != query.id)
             .collect();
-        if candidates.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let threads = self.threads.min(candidates.len());
-        let chunk_size = candidates.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = candidates
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    let similarity = &self.similarity;
-                    scope.spawn(move || {
-                        let mut local = TopK::new(k);
-                        for wf in chunk {
-                            local.insert(SearchHit {
-                                id: wf.id.clone(),
-                                score: similarity(query, wf),
-                            });
-                        }
-                        local.into_hits()
-                    })
-                })
-                .collect();
-            merge_top_k(
-                workers
-                    .into_iter()
-                    .map(|w| w.join().expect("search worker panicked")),
-                k,
-            )
-        })
+        let chunks: Vec<&[&Workflow]> = candidates.chunks(SCAN_CHUNK).collect();
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let parts = claim_units(chunks.len(), workers, |chunk| {
+            let mut local = TopK::new(k);
+            for wf in chunks[chunk] {
+                local.insert(SearchHit {
+                    id: wf.id.clone(),
+                    score: (self.similarity)(query, wf),
+                });
+            }
+            local.into_hits()
+        });
+        merge_top_k(parts, k)
     }
 
     /// Ranks an explicit candidate list (by id) against the query — the
@@ -474,21 +494,52 @@ mod tests {
         assert_eq!(engine.top_k(query, 0).len(), 0);
     }
 
+    /// The chunked, multi-worker scan against one full sort, on a
+    /// repository spanning several chunks whose scores repeat every four
+    /// workflows, so most of the order is decided by id.
     #[test]
-    fn parallel_search_matches_sequential_search() {
-        let repo = repository();
-        let engine = SearchEngine::new(&repo, label_overlap).with_threads(3);
+    fn top_k_over_several_chunks_equals_a_full_sort() {
+        let labels: [&[&str]; 4] = [&["fetch"], &["fetch", "blast"], &["render"], &[]];
+        let n = 3 * SCAN_CHUNK + 5;
+        let mut workflows = vec![wf("q", &["fetch", "blast", "plot"])];
+        workflows.extend((0..n).map(|i| wf(&format!("w{:03}", n - i), labels[i % 4])));
+        let repo = Repository::from_workflows(workflows);
+        let engine = SearchEngine::new(&repo, label_overlap);
         let query = repo.get_str("q").unwrap();
-        assert_eq!(engine.top_k(query, 10), engine.top_k_parallel(query, 10));
-        assert_eq!(engine.top_k(query, 2), engine.top_k_parallel(query, 2));
+        let mut expected: Vec<SearchHit> = repo
+            .iter()
+            .filter(|wf| wf.id != query.id)
+            .map(|wf| SearchHit {
+                id: wf.id.clone(),
+                score: label_overlap(query, wf),
+            })
+            .collect();
+        expected.sort_by(hit_ordering);
+        assert_eq!(expected.len(), n);
+        for k in [0, 1, 10, n] {
+            assert_eq!(engine.top_k(query, k), expected[..k], "k = {k}");
+        }
     }
 
     #[test]
-    fn parallel_search_on_empty_repository() {
+    fn top_k_on_an_empty_repository_returns_no_hits() {
         let repo = Repository::from_workflows(vec![wf("q", &["a"])]);
         let engine = SearchEngine::new(&repo, label_overlap);
         let query = repo.get_str("q").unwrap().clone();
-        assert!(engine.top_k_parallel(&query, 5).is_empty());
+        assert!(engine.top_k(&query, 5).is_empty(), "only the query itself");
+        let empty = Repository::from_workflows(Vec::new());
+        assert!(SearchEngine::new(&empty, label_overlap)
+            .top_k(&query, 5)
+            .is_empty());
+    }
+
+    #[test]
+    fn claim_units_returns_every_result_in_index_order() {
+        for workers in [0, 1, 2, 5, 64] {
+            let squares = claim_units(7, workers, |i| i * i);
+            assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36], "{workers} workers");
+            assert!(claim_units(0, workers, |i| i).is_empty());
+        }
     }
 
     #[test]

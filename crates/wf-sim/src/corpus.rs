@@ -41,8 +41,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 use wf_model::{CorpusStats, Workflow, WorkflowId};
 use wf_repo::{
-    merge_top_k, CancelToken, CorpusScorer, IndexedSearchEngine, SearchHit, SearchStats,
-    SearchThreshold, TokenIndex,
+    merge_top_k, CancelToken, CorpusScorer, SearchHit, SearchStats, SearchThreshold, TokenIndex,
 };
 
 use crate::config::SimilarityConfig;
@@ -213,16 +212,9 @@ impl Corpus {
         }
     }
 
-    /// The generic [`CorpusScorer`] engine over this corpus, bounding
-    /// every pair afresh — the reference the equivalence suites hold
-    /// [`Corpus::top_k`] to.  Construction is free: the engine borrows the
-    /// corpus-resident index instead of rebuilding one.
-    pub fn search_engine(&self) -> IndexedSearchEngine<'_, ProfiledMeasure> {
-        IndexedSearchEngine::with_index(&self.measure, &self.index)
-    }
-
     /// The `k` workflows most similar to the workflow with id `query`
     /// (itself excluded), best first; `None` for an unknown query id.
+    /// Bit-identical to [`wf_repo::scan_top_k`] over [`Corpus::measure`].
     pub fn top_k(&self, query: &WorkflowId, k: usize) -> Option<Vec<SearchHit>> {
         Some(self.top_k_index(self.index_of(query)?, k))
     }
@@ -631,20 +623,75 @@ mod tests {
         assert_eq!(corpus.index_of(&"b".into()), Some(1));
     }
 
-    #[test]
-    fn top_k_matches_a_fresh_indexed_engine() {
-        let corpus = Corpus::build(config(), sample());
-        let fresh = IndexedSearchEngine::new(corpus.measure());
-        for query in 0..corpus.len() {
-            assert_eq!(corpus.top_k_index(query, 3), fresh.top_k(query, 3));
-            // The class-table bound and the lazy heap order must walk the
-            // candidates exactly as the per-pair, fully sorted engine does.
-            assert_eq!(
-                corpus.top_k_with_stats(query, 3),
-                fresh.top_k_with_stats(query, 3),
-                "with stats, query {query}"
-            );
+    /// The served search rebuilt from its parts the slow way: every pair
+    /// bounded afresh with [`ProfiledMeasure::upper_bound_profile`], all
+    /// candidates fully sorted, one scan with a fresh threshold.  The
+    /// class-table bound and the lazy frontier must walk the candidates
+    /// exactly like this, so hits *and* stats are compared.
+    fn per_pair_top_k(corpus: &Corpus, query: usize, k: usize) -> (Vec<SearchHit>, SearchStats) {
+        let measure = corpus.measure();
+        let overlaps = corpus
+            .token_index()
+            .overlap_counts(measure.label_token_ids(query));
+        let mut candidates: Vec<wf_repo::RankedCandidate> = (0..corpus.len())
+            .filter(|&i| i != query)
+            .map(|i| wf_repo::RankedCandidate {
+                index: i,
+                bound: measure
+                    .upper_bound_profile(measure.profile(query), i)
+                    .unwrap_or(f64::INFINITY),
+                overlap: overlaps[i],
+            })
+            .collect();
+        let mut stats = SearchStats {
+            candidates: candidates.len(),
+            shared_token_candidates: candidates.iter().filter(|c| c.overlap > 0).count(),
+            ..SearchStats::default()
+        };
+        wf_repo::sort_best_bound_first(&mut candidates);
+        let total = candidates.len();
+        let hits = wf_repo::scan_ranked_candidates(
+            candidates,
+            total,
+            k,
+            &SearchThreshold::new(),
+            &CancelToken::never(),
+            &mut stats,
+            |i| measure.score(query, i),
+            |i| measure.workflow_id(i).clone(),
+        );
+        (merge_top_k([hits], k), stats)
+    }
+
+    /// Hits equal the exhaustive scan, and hits plus stats equal the
+    /// per-pair reference, for every query and k.
+    fn assert_served_matches_references(corpus: &Corpus, queries: &[usize], what: &str) {
+        for &query in queries {
+            for k in [0, 1, 3, 10, corpus.len()] {
+                let expected = wf_repo::scan_top_k(corpus.measure(), query, k);
+                let (hits, stats) = corpus.top_k_with_stats(query, k);
+                assert_eq!(hits, expected, "{what}: query {query}, k {k}");
+                assert_eq!(corpus.top_k_index(query, k), expected);
+                assert_eq!(
+                    (hits, stats),
+                    per_pair_top_k(corpus, query, k),
+                    "{what}: per-pair reference, query {query}, k {k}"
+                );
+                assert_eq!(stats.candidates, corpus.len() - 1);
+                assert_eq!(
+                    stats.scored + stats.pruned + stats.zero_bound,
+                    stats.candidates,
+                    "{what}: accounting, query {query}, k {k}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn top_k_matches_the_exhaustive_scan_and_the_per_pair_reference() {
+        let corpus = Corpus::build(config(), sample());
+        let queries: Vec<usize> = (0..corpus.len()).collect();
+        assert_served_matches_references(&corpus, &queries, "sample");
         assert_eq!(
             corpus.top_k(&"a".into(), 2).unwrap(),
             corpus.top_k_index(0, 2)
@@ -652,6 +699,90 @@ mod tests {
         assert!(corpus.top_k(&"zzz".into(), 2).is_none());
         let (_, stats) = corpus.top_k_with_stats(0, 2);
         assert_eq!(stats.candidates, 4);
+    }
+
+    /// The same references for all six module comparison schemes under
+    /// both preselection/preprocessing settings, plus an unbounded
+    /// measure, on a generated corpus large enough to prune.
+    #[test]
+    fn served_stats_match_the_per_pair_reference_for_every_scheme() {
+        use crate::{MeasureKind, ModuleComparisonScheme, Preprocessing};
+        use wf_repo::PreselectionStrategy;
+
+        let (workflows, _) =
+            wf_corpus::generate_taverna_corpus(&wf_corpus::TavernaCorpusConfig::small(40, 17));
+        let mut configs = vec![SimilarityConfig::best_path_sets()];
+        for scheme in [
+            ModuleComparisonScheme::pw0(),
+            ModuleComparisonScheme::pw3(),
+            ModuleComparisonScheme::pll(),
+            ModuleComparisonScheme::plm(),
+            ModuleComparisonScheme::gw1(),
+            ModuleComparisonScheme::gll(),
+        ] {
+            for (preselection, preprocessing) in [
+                (PreselectionStrategy::AllPairs, Preprocessing::None),
+                (
+                    PreselectionStrategy::TypeEquivalence,
+                    Preprocessing::ImportanceProjection,
+                ),
+            ] {
+                configs.push(SimilarityConfig::new(
+                    MeasureKind::ModuleSets,
+                    scheme.clone(),
+                    preselection,
+                    preprocessing,
+                ));
+            }
+        }
+        let mut pruned = 0;
+        for config in configs {
+            let name = config.name();
+            let corpus = Corpus::build(config, workflows.clone());
+            assert_served_matches_references(&corpus, &[0, 13, 39], &name);
+            pruned += corpus.top_k_with_stats(0, 3).1.pruned;
+        }
+        assert!(pruned > 0, "the generated corpus exercises pruning");
+    }
+
+    /// A write that finds the shared class registry poisoned panics before
+    /// it touches anything: ids, profiles, class columns, id index,
+    /// originals and token index all stay as they were.
+    #[test]
+    fn a_write_on_a_poisoned_registry_leaves_the_corpus_unchanged() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::Arc;
+
+        let mut corpus = Corpus::build(config(), sample());
+        let registry = Arc::clone(corpus.measure().class_registry());
+        let poisoner = std::thread::spawn(move || {
+            let _guard = registry.write().expect("not poisoned yet");
+            panic!("a write panics while holding the class registry");
+        });
+        assert!(poisoner.join().is_err(), "the poisoning thread panicked");
+        let state = |corpus: &Corpus| {
+            let measure = corpus.measure();
+            let at: Vec<_> = corpus.ids().iter().map(|id| corpus.index_of(id)).collect();
+            let classes: Vec<Vec<u32>> = (0..measure.len())
+                .map(|i| measure.classes_of(i).to_vec())
+                .collect();
+            (
+                (corpus.len(), measure.len(), corpus.ids().to_vec(), at),
+                classes,
+                corpus.workflows().to_vec(),
+                corpus.token_index().clone(),
+            )
+        };
+        let before = state(&corpus);
+        let removed = catch_unwind(AssertUnwindSafe(|| corpus.remove(&"b".into())));
+        assert!(removed.is_err(), "a remove needs the registry");
+        assert!(
+            state(&corpus) == before,
+            "a failed remove changed the corpus"
+        );
+        let added = catch_unwind(AssertUnwindSafe(|| corpus.add(wf("f", &["run blast"]))));
+        assert!(added.is_err(), "an add needs the registry");
+        assert!(state(&corpus) == before, "a failed add changed the corpus");
     }
 
     /// The churn invariant: any interleaving of `add` / `remove` leaves the

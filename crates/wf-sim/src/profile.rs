@@ -616,13 +616,19 @@ impl ProfiledMeasure {
     /// surviving profile references them.
     ///
     /// # Panics
-    /// Panics when `index >= self.len()`.
+    /// Panics when `index >= self.len()` or the registry is poisoned, in
+    /// both cases before anything is removed (and without poisoning it).
     pub fn remove_workflow(&mut self, index: usize) {
-        let id = self.ids.remove(index);
-        self.profiles.remove(index);
+        assert!(
+            index < self.len(),
+            "workflow index {index} out of bounds for {} profiles",
+            self.len()
+        );
         let mut registry = self.registry.write().expect("class registry lock poisoned");
         self.classes.remove_workflow(&mut registry, index);
         drop(registry);
+        let id = self.ids.remove(index);
+        self.profiles.remove(index);
         self.id_index.remove(&id);
         for pos in self.id_index.values_mut() {
             if *pos > index {
@@ -862,22 +868,12 @@ impl ProfiledMeasure {
         PairMemo::new(query.class_ids, query.profile.modules.len(), orientations)
     }
 
-    /// An admissible upper bound on [`ProfiledMeasure::score_indexed`] for
-    /// the Module Sets measure; `None` for measures without a cheap bound
-    /// (Path Sets, Graph Edit, annotations), which then fall back to an
-    /// exhaustive profiled scan in the indexed engine.
-    pub fn upper_bound_indexed(&self, query: usize, candidate: usize) -> Option<f64> {
-        let config = self.inner.config();
-        if config.measure != MeasureKind::ModuleSets {
-            return None;
-        }
-        Some(self.module_sets_upper_bound(&self.profiles[query], candidate, config.normalization))
-    }
-
-    /// [`ProfiledMeasure::upper_bound_indexed`] for an externally profiled
-    /// query — the same bound computation, so it dominates
-    /// [`ProfiledMeasure::score_profile`] whenever it dominates the
-    /// by-index score.
+    /// An admissible upper bound on [`ProfiledMeasure::score_profile`] for
+    /// the Module Sets measure, every module pair bounded afresh; `None`
+    /// for measures without a cheap bound (Path Sets, Graph Edit,
+    /// annotations), whose candidates are then all scored.  Pass a
+    /// resident's own [`ProfiledMeasure::profile`] to bound two corpus
+    /// workflows.
     pub fn upper_bound_profile(&self, query: &WorkflowProfile, candidate: usize) -> Option<f64> {
         let config = self.inner.config();
         if config.measure != MeasureKind::ModuleSets {
@@ -1054,10 +1050,10 @@ impl ProfiledMeasure {
 
     /// The Module Sets upper bound of one (query, candidate) pair, every
     /// module pair bounded afresh — the reference the class-table bound
-    /// ([`ClassBounds::bound`]) must equal bit for bit, and what
-    /// [`CorpusScorer::upper_bound`] answers.
-    // lint:hot evaluated once per (query, candidate) pair by the generic
-    // CorpusScorer engine; stack buffers keep the common case
+    /// ([`ClassBounds::bound`]) must equal bit for bit.
+    // lint:hot the per-pair reference bound: no search evaluates it, but
+    // the bound tests and the benchmark's bound probe run it once per
+    // (query, candidate) pair; stack buffers keep the common case
     // allocation-free (the >STACK_MODULES fallback may allocate).
     fn module_sets_upper_bound(
         &self,
@@ -1569,10 +1565,6 @@ impl CorpusScorer for ProfiledMeasure {
         self.score_indexed(query, candidate)
     }
 
-    fn upper_bound(&self, query: usize, candidate: usize) -> Option<f64> {
-        self.upper_bound_indexed(query, candidate)
-    }
-
     fn label_token_ids(&self, index: usize) -> &[u32] {
         self.profiles[index].label_tokens.ids()
     }
@@ -1711,7 +1703,7 @@ mod tests {
             for i in 0..wfs.len() {
                 for j in 0..wfs.len() {
                     let bound = profiled
-                        .upper_bound_indexed(i, j)
+                        .upper_bound_profile(profiled.profile(i), j)
                         .expect("module sets is bounded");
                     let score = profiled.score_indexed(i, j);
                     // Strict float domination: the best-bound-first scans
@@ -1730,9 +1722,9 @@ mod tests {
     fn non_module_set_measures_are_unbounded() {
         let wfs = corpus();
         let ps = ProfiledMeasure::new(SimilarityConfig::best_path_sets(), &wfs);
-        assert_eq!(ps.upper_bound_indexed(0, 1), None);
+        assert_eq!(ps.upper_bound_profile(ps.profile(0), 1), None);
         let bw = ProfiledMeasure::new(SimilarityConfig::bag_of_words(), &wfs);
-        assert_eq!(bw.upper_bound_indexed(0, 1), None);
+        assert_eq!(bw.upper_bound_profile(bw.profile(0), 1), None);
     }
 
     /// The sharded-search contract: an external query profile, bound
@@ -1762,7 +1754,7 @@ mod tests {
                     );
                     assert_eq!(
                         profiled.upper_bound_profile(&bound_query, candidate),
-                        profiled.upper_bound_indexed(qi, candidate),
+                        profiled.upper_bound_profile(profiled.profile(qi), candidate),
                         "{name}: bound, query {qi} vs {candidate}"
                     );
                 }

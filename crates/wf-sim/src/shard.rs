@@ -46,13 +46,13 @@
 //! can enter the merged top-k, under any scan order or thread
 //! interleaving.  The gather step sorts by the canonical `(score desc, id
 //! asc)` hit ordering, so ids, scores *and* tie order equal the
-//! single-corpus [`IndexedSearchEngine`](wf_repo::IndexedSearchEngine).
+//! exhaustive [`scan_top_k`](wf_repo::scan_top_k) over one corpus holding
+//! every shard's workflows.
 
 use std::error::Error;
 use std::fmt;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 // Model-checkable lock shims: plain `std::sync` locks outside a model run,
 // deterministic scheduling points inside one (see `vendor/shuttle-mini`
@@ -62,8 +62,8 @@ use shuttle_mini::sync::{RwLock, RwLockReadGuard};
 
 use wf_model::{Workflow, WorkflowId};
 use wf_repo::{
-    merge_top_k, scan_ranked_candidates, CancelToken, RankedCandidate, RankedFrontier, SearchHit,
-    SearchStats, SearchThreshold,
+    claim_units, merge_top_k, scan_ranked_candidates, CancelToken, RankedCandidate, RankedFrontier,
+    SearchHit, SearchStats, SearchThreshold,
 };
 
 use crate::config::SimilarityConfig;
@@ -87,7 +87,7 @@ pub const SHARD_MANIFEST_FILE: &str = "manifest";
 /// How many workers one query's scatter runs on.
 ///
 /// Both modes are **bit-identical** — ids, scores, tie order — to the
-/// single-corpus [`IndexedSearchEngine`](wf_repo::IndexedSearchEngine);
+/// exhaustive [`scan_top_k`](wf_repo::scan_top_k) over the whole corpus;
 /// the knob only sets the worker count the scatter is planned with:
 ///
 /// * [`Sequential`](SearchParallelism::Sequential) is one worker, inline
@@ -209,8 +209,8 @@ fn save_shards<R: std::ops::Deref<Target = Corpus>>(
 ///   hash of the id routes it to ([`ShardedCorpus::add`] replaces through
 ///   the owning shard, never across shards);
 /// * [`ShardedCorpus::search`] results — ids, scores, tie order — are
-///   bit-identical to a single-corpus
-///   [`IndexedSearchEngine`](wf_repo::IndexedSearchEngine) over the union
+///   bit-identical to the exhaustive
+///   [`scan_top_k`](wf_repo::scan_top_k) over one corpus holding the union
 ///   of all shards, for every shard count.
 ///
 /// ```
@@ -363,7 +363,7 @@ impl ShardedCorpus {
 
     /// The `k` workflows most similar to the resident workflow with id
     /// `query` (itself excluded), best first; `None` for an unknown id.
-    /// Bit-identical to the single-corpus indexed engine.
+    /// Bit-identical to [`scan_top_k`](wf_repo::scan_top_k).
     pub fn search(&self, query: &WorkflowId, k: usize) -> Option<Vec<SearchHit>> {
         Some(self.search_with_stats(query, k)?.0)
     }
@@ -381,7 +381,7 @@ impl ShardedCorpus {
 
     /// Query by example: the `k` workflows most similar to an arbitrary
     /// (not necessarily resident) workflow.  Residents sharing the query's
-    /// id are excluded, mirroring the single-corpus engines.
+    /// id are excluded, mirroring the single-corpus search.
     pub fn search_workflow(&self, wf: &Workflow, k: usize) -> Vec<SearchHit> {
         let features = self.query_features(wf);
         self.scatter(&features, &wf.id, k, &CancelToken::never())
@@ -734,17 +734,17 @@ impl DegradedSearch {
 /// over them, merged by a [`RankedFrontier`].  The scan always scores the
 /// globally best-bound candidate across every corpus, tightens the
 /// caller's shared threshold, and stops when the best remaining bound
-/// *anywhere* falls below the floor — so pruning power is that of the
-/// single-corpus engine, independent of how many fronts the corpus is
-/// split into.  Scoring goes through one per-query memo of exact
+/// *anywhere* falls below the floor — so pruning power is that of one
+/// scan over the whole corpus, independent of how many fronts the corpus
+/// is split into.  Scoring goes through one per-query memo of exact
 /// module-pair similarities, shared by every front.
 ///
 /// Each candidate is keyed by its shard-major position: the candidates
 /// of the fronts before it plus its local corpus index.  The frontier's
 /// index-ascending tie order on that key is front ascending, then local
 /// ascending.  Bounds are admissible, or `INFINITY` for measures without
-/// one, and bit-identical to the per-pair bound of
-/// [`wf_repo::IndexedSearchEngine`].
+/// one, and bit-identical to the per-pair bound
+/// [`ProfiledMeasure::upper_bound_profile`].
 ///
 /// Returns the scan's heap-order hits (callers canonicalize through
 /// [`merge_top_k`]).  A fired `cancel` abandons the merged stream
@@ -879,8 +879,8 @@ struct ScatterPlan<'p> {
 /// passed and its scan was not cut.  Units run through [`claim_units`]:
 /// inline for one worker, off one ticket for more.
 ///
-/// Bit-identical to the single-corpus engine under every plan and
-/// interleaving: pruning is *strictly below* a floor that is always a
+/// Bit-identical to [`scan_top_k`](wf_repo::scan_top_k) under every plan
+/// and interleaving: pruning is *strictly below* a floor that is always a
 /// true worst-of-k of `k` distinct exactly-scored candidates, so no pruned
 /// candidate can enter the merged top-k, and the gather
 /// ([`merge_top_k`]) canonicalizes order.  The plan changes only the work
@@ -945,57 +945,6 @@ fn scatter<R: std::ops::Deref<Target = Corpus>>(
     }
 }
 
-/// Runs `job` once for every index in `0..units`, returning the results in
-/// index order.  One worker runs the jobs inline on the calling thread and
-/// spawns nothing, which keeps shuttle-mini model runs legal; more workers
-/// are plain `std` scoped threads that claim indices off one shared
-/// ticket, so a slow job pins only the worker that claimed it.  A job that
-/// panics re-raises its panic on the calling thread.
-fn claim_units<T: Send>(units: usize, workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    // At least one worker, and no more than there are units to claim.
-    let workers = workers.max(1).min(units.max(1));
-    if workers == 1 {
-        return (0..units).map(job).collect();
-    }
-    let ticket = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..units).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (ticket, job) = (&ticket, &job);
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        // ordering: Relaxed — a pure work-stealing ticket:
-                        // fetch_add's atomicity hands each index to exactly
-                        // one worker, and the scope join below is the
-                        // synchronization edge for the results.
-                        let unit = ticket.fetch_add(1, Ordering::Relaxed);
-                        if unit >= units {
-                            return done;
-                        }
-                        done.push((unit, job(unit)));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            // A worker's panic is re-raised on the caller with its own
-            // payload, so a panic boundary above reports the real cause.
-            let done = handle
-                .join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            for (unit, result) in done {
-                slots[unit] = Some(result);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every unit is claimed exactly once"))
-        .collect()
-}
-
 /// A concurrent serving wrapper around a [`ShardedCorpus`]: one `RwLock`
 /// per shard, so any number of searches proceed in parallel and churn
 /// (`add` / `remove`) only write-locks the single shard owning the id.
@@ -1024,7 +973,8 @@ fn claim_units<T: Send>(units: usize, workers: usize, job: impl Fn(usize) -> T +
 ///   tests assert.  A gate that stalls therefore stalls with every read
 ///   lock held: writers to any shard wait for it.
 /// * On a quiescent corpus, results are bit-identical to
-///   [`ShardedCorpus::search`] and hence to the single-corpus engine.
+///   [`ShardedCorpus::search`] and hence to
+///   [`scan_top_k`](wf_repo::scan_top_k).
 pub struct CorpusService {
     config: SimilarityConfig,
     shards: Vec<RwLock<Corpus>>,
@@ -1931,15 +1881,6 @@ mod tests {
         assert_eq!(service.parallelism, SearchParallelism::Racing);
         let back = service.into_sharded();
         assert_eq!(back.parallelism, SearchParallelism::Racing);
-    }
-
-    #[test]
-    fn claim_units_returns_every_result_in_index_order() {
-        for workers in [0, 1, 2, 5, 64] {
-            let squares = claim_units(7, workers, |i| i * i);
-            assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36], "{workers} workers");
-            assert!(claim_units(0, workers, |i| i).is_empty());
-        }
     }
 
     /// A build and a load both profile every shard into one pool and one

@@ -87,7 +87,7 @@ fn main() {
     assert!(origin.is_snapshot(), "fresh snapshot was rejected");
     let _ = std::fs::remove_file(&snapshot_path);
 
-    // The ensemble has no profiled form: exhaustive parallel scan.
+    // The ensemble has no profiled form: exhaustive scan on every core.
     let repository = Repository::from_workflows(workflows);
     let query = repository.get(&query_id).expect("query exists").clone();
     let ensemble = Ensemble::bw_plus_module_sets();
@@ -95,8 +95,7 @@ fn main() {
     let engine = SearchEngine::new(
         &repository,
         move |a: &wfsim::model::Workflow, b: &wfsim::model::Workflow| ensemble.similarity(a, b),
-    )
-    .with_threads(8);
-    let hits = engine.top_k_parallel(&query, 10);
+    );
+    let hits = engine.top_k(&query, 10);
     print_hits(&name, &hits, &query_id, &meta);
 }

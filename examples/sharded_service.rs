@@ -1,5 +1,5 @@
 //! The serving architecture end to end: partition a corpus into shards
-//! (each workflow in the shard its id hashes to), prove scatter-gather search equals the single-corpus engine, persist
+//! (each workflow in the shard its id hashes to), prove scatter-gather search equals `Corpus::top_k` over one corpus, persist
 //! and restore the sharded snapshot, then serve concurrent queries while
 //! a churn thread uploads and deletes workflows.
 //!
@@ -25,7 +25,7 @@ fn main() {
     let got = sharded.search(&query, 5).expect("resident");
     assert_eq!(got, expected);
     println!(
-        "scatter-gather over {} shards ({} workflows) equals the single-corpus engine:",
+        "scatter-gather over {} shards ({} workflows) equals one unsharded corpus:",
         sharded.shard_count(),
         sharded.len()
     );

@@ -41,7 +41,7 @@ fn sharded_service_is_wired_through_the_facade() {
     let sharded = ShardedCorpus::build(SimilarityConfig::best_module_sets(), 4, workflows);
     assert_eq!(sharded.len(), 30);
 
-    // Scatter-gather equals the single-corpus engine through the facade.
+    // Scatter-gather equals `Corpus::top_k` over one corpus through the facade.
     let query = single.ids()[7].clone();
     let expected = single.top_k(&query, 5).expect("resident");
     assert_eq!(sharded.search(&query, 5).expect("resident"), expected);

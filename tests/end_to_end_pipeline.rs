@@ -78,10 +78,9 @@ fn retrieval_pipeline_finds_family_members_first() {
     let engine = SearchEngine::new(
         &repository,
         |a: &wfsim::model::Workflow, b: &wfsim::model::Workflow| measure.similarity(a, b),
-    )
-    .with_threads(4);
+    );
 
-    let hits = engine.top_k_parallel(&query, 10);
+    let hits = engine.top_k(&query, 10);
     assert_eq!(hits.len(), 10);
     assert!(hits.iter().all(|h| h.id != query.id));
     // Scores are sorted descending.
