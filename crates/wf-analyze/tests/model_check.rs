@@ -376,100 +376,6 @@ fn service_search_racing_class_freeing_and_minting_writers_matches_a_quiescent_s
 }
 
 // ---------------------------------------------------------------------
-// Racing scatter-gather: per-shard drains against the shared floor.
-// ---------------------------------------------------------------------
-
-/// The racing scatter-gather's worker unit — [`wf_sim::drain_shard`], the
-/// *real* per-shard frontier scan — run from two threads over the two
-/// shards of a real corpus, publishing into one shared `SearchThreshold`.
-/// Under every interleaving the merged gather must be bit-identical to
-/// the sequential scatter-gather: pruning is strictly below a floor that
-/// is always a true worst-of-k of exactly-scored candidates, so the race
-/// can only change which worker does the pruning work, never the result.
-///
-/// (The production racing path spawns plain `std` scoped threads, which
-/// shuttle-mini cannot instrument — so the model check races the drains
-/// directly on shuttle threads instead.)
-#[test]
-fn racing_shard_drains_are_schedule_independent() {
-    const K: usize = 3;
-    const QUERY: &str = "a";
-    let sharded = Arc::new(ShardedCorpus::build(
-        SimilarityConfig::best_module_sets(),
-        2,
-        base_workflows(),
-    ));
-    assert_eq!(sharded.shard_count(), 2);
-    assert!(
-        sharded.shards().iter().all(|s| !s.is_empty()),
-        "both shards must have candidates for the race to mean anything"
-    );
-    let reference = sharded
-        .search(&WorkflowId::new(QUERY), K)
-        .expect("query resident");
-    assert!(!reference.is_empty());
-
-    // Both drains read one query prepared (bound, class table built)
-    // before any thread spawns, as the scatter prepares once for all its
-    // racing units.
-    let measure = sharded.shards()[0].measure();
-    let wf = sharded
-        .get(&WorkflowId::new(QUERY))
-        .expect("query resident");
-    let query = Arc::new(measure.prepare(&measure.query_features(wf)));
-    let corpus = Arc::clone(&sharded);
-    let report = check_exhaustive(500_000, move || {
-        let threshold = Arc::new(SearchThreshold::new());
-        let worker = {
-            let (corpus, query, threshold) = (
-                Arc::clone(&corpus),
-                Arc::clone(&query),
-                Arc::clone(&threshold),
-            );
-            thread::spawn(move || {
-                let mut stats = wf_repo::SearchStats::default();
-                wf_sim::drain_shard(
-                    &corpus.shards()[1],
-                    &query,
-                    &WorkflowId::new(QUERY),
-                    K,
-                    &threshold,
-                    &wf_repo::CancelToken::never(),
-                    &mut stats,
-                )
-            })
-        };
-        let mut stats = wf_repo::SearchStats::default();
-        let part_0 = wf_sim::drain_shard(
-            &corpus.shards()[0],
-            &query,
-            &WorkflowId::new(QUERY),
-            K,
-            &threshold,
-            &wf_repo::CancelToken::never(),
-            &mut stats,
-        );
-        let part_1 = worker.join().expect("shard drain worker panicked");
-        let merged = merge_top_k([part_0, part_1], K);
-        assert_eq!(merged.len(), reference.len(), "hit count must not race");
-        for (got, want) in merged.iter().zip(&reference) {
-            assert_eq!(got.id, want.id, "ids and tie order must not race");
-            assert_eq!(
-                got.score.to_bits(),
-                want.score.to_bits(),
-                "scores must be bit-identical under every schedule"
-            );
-        }
-    });
-    report.assert_ok();
-    assert!(
-        report.complete,
-        "racing drain schedule tree must be fully explored, ran {} schedules",
-        report.schedules
-    );
-}
-
-// ---------------------------------------------------------------------
 // Mutation test: the checker must catch the un-fixed threshold.
 // ---------------------------------------------------------------------
 

@@ -1,15 +1,14 @@
 //! `wfsim_serve` — the shard-count benchmark: scatter-gather batch-query
-//! throughput vs shard count, and per-query latency of the sequential
-//! frontier vs racing shard workers.  Serving under churn and over the
-//! network is measured by the `wfsim-bench` loopback benchmark (its
-//! `churn` workload) and tested by the `wf-serve` integration suite.
+//! throughput vs shard count.  Serving under churn and over the network is
+//! measured by the `wfsim-bench` loopback benchmark (its `churn` workload)
+//! and tested by the `wf-serve` integration suite.
 //!
 //! Usage:
 //! ```text
 //! wfsim_serve [corpus.json | --demo] [--bench-json BENCH_serving.json]
 //!             [--smoke | --quick] [--demo-size N] [--queries N] [--k N]
 //!             [--threads N] [--shards a,b,c] [--corpus-size 250,2k,10k]
-//!             [--reps N] [--assert-scaling] [--assert-latency FACTOR]
+//!             [--reps N] [--assert-scaling]
 //! ```
 //!
 //! * Builds the demo corpus (250 workflows by default, 60 with
@@ -27,11 +26,6 @@
 //!   lowest — a regression guard pinning down the global-frontier
 //!   scheduling guarantee (the old per-shard-heap design lost >4× here;
 //!   the allowance absorbs scheduler/allocator noise on one-core runners).
-//! * Then times every query individually on the largest corpus at each
-//!   shard count, sequential frontier against racing shard workers, and
-//!   checks the racing hits bit-identical.  `--assert-latency FACTOR`
-//!   fails the run if, at the highest shard count, the racing p50 exceeds
-//!   `FACTOR` times the sequential p50.
 //! * `--bench-json PATH` writes the machine-readable report CI uploads
 //!   next to the retrieval and clustering benches.
 
@@ -40,7 +34,7 @@ use std::time::Instant;
 
 use wf_bench::table::TextTable;
 use wf_model::{Workflow, WorkflowId};
-use wf_sim::{Corpus, SearchParallelism, ShardedCorpus, SimilarityConfig};
+use wf_sim::{Corpus, ShardedCorpus, SimilarityConfig};
 
 struct Options {
     source: String,
@@ -54,13 +48,12 @@ struct Options {
     corpus_sizes: Vec<usize>,
     reps: usize,
     assert_scaling: bool,
-    assert_latency: Option<f64>,
 }
 
 const USAGE: &str = "usage: wfsim_serve [corpus.json | --demo] [--bench-json PATH] \
                      [--smoke | --quick] [--demo-size N] [--queries N] [--k N] \
                      [--threads N] [--shards a,b,c] [--corpus-size 250,2k,10k] \
-                     [--reps N] [--assert-scaling] [--assert-latency FACTOR]";
+                     [--reps N] [--assert-scaling]";
 
 /// Parses a corpus size that may carry a `k`/`K` thousands suffix.
 fn parse_size(raw: &str) -> Result<usize, String> {
@@ -96,7 +89,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut corpus_sizes = Vec::new();
     let mut reps = 3usize;
     let mut assert_scaling = false;
-    let mut assert_latency = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -138,15 +130,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| "invalid --reps value".to_string())?
             }
             "--assert-scaling" => assert_scaling = true,
-            "--assert-latency" => {
-                let factor: f64 = flag_value(args, &mut i, "--assert-latency")?
-                    .parse()
-                    .map_err(|_| "invalid --assert-latency value".to_string())?;
-                if !factor.is_finite() || factor <= 0.0 {
-                    return Err("--assert-latency needs a positive factor".to_string());
-                }
-                assert_latency = Some(factor);
-            }
             "--shards" => {
                 shard_counts = flag_value(args, &mut i, "--shards")?
                     .split(',')
@@ -188,7 +171,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         corpus_sizes,
         reps: reps.max(1),
         assert_scaling,
-        assert_latency,
     })
 }
 
@@ -303,118 +285,6 @@ fn sweep_shard_counts(workflows: &[Workflow], options: &Options) -> SizeCurve {
     }
 }
 
-/// Per-query latency at one shard count, sequential global frontier vs
-/// racing per-shard workers (one per shard), exact percentiles over every
-/// individually timed query.
-struct LatencyRun {
-    shards: usize,
-    seq_p50_us: u64,
-    seq_p95_us: u64,
-    par_p50_us: u64,
-    par_p95_us: u64,
-    identical: bool,
-}
-
-impl LatencyRun {
-    /// Sequential-over-racing p50 ratio: > 1 means racing is faster.
-    fn speedup_p50(&self) -> f64 {
-        self.seq_p50_us as f64 / (self.par_p50_us as f64).max(1.0)
-    }
-}
-
-/// Exact percentile over raw per-query samples (nearest-rank on the
-/// sorted vector) — no histogram buckets, since the curve's whole point
-/// is sub-bucket differences between the two scan strategies.
-fn exact_percentile_us(samples: &mut [u64], q: f64) -> u64 {
-    samples.sort_unstable();
-    if samples.is_empty() {
-        return 0;
-    }
-    let idx = ((q * (samples.len() - 1) as f64).round() as usize).min(samples.len() - 1);
-    samples[idx]
-}
-
-/// The per-query latency-vs-shard-count curve: every query individually
-/// timed under the sequential frontier and under racing shard workers on
-/// the *same* `ShardedCorpus` (its strategy swapped by value before each
-/// query), interleaved query-by-query so allocator and cache drift hit
-/// both strategies evenly.  Racing hits are checked bit-identical to
-/// sequential on every query.
-fn sweep_query_latency(workflows: &[Workflow], options: &Options) -> Vec<LatencyRun> {
-    let config = SimilarityConfig::best_module_sets();
-    let n = workflows.len();
-    let query_ids: Vec<WorkflowId> = workflows
-        .iter()
-        .map(|w| w.id.clone())
-        .step_by((n / options.queries.min(n)).max(1))
-        .take(options.queries)
-        .collect();
-    options
-        .shard_counts
-        .iter()
-        .map(|&shards| {
-            let mut sharded = ShardedCorpus::build(config.clone(), shards, workflows.to_vec());
-            let mut seq_us: Vec<u64> = Vec::with_capacity(query_ids.len() * options.reps);
-            let mut par_us: Vec<u64> = Vec::with_capacity(query_ids.len() * options.reps);
-            let mut identical = true;
-            for _ in 0..options.reps {
-                for id in &query_ids {
-                    sharded = sharded.with_parallelism(SearchParallelism::Sequential);
-                    let started = Instant::now();
-                    let seq_hits = sharded.search(id, options.k).expect("query resident");
-                    seq_us.push(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-                    sharded = sharded.with_parallelism(SearchParallelism::Racing);
-                    let started = Instant::now();
-                    let par_hits = sharded.search(id, options.k).expect("query resident");
-                    par_us.push(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-                    identical &= seq_hits == par_hits;
-                }
-            }
-            LatencyRun {
-                shards,
-                seq_p50_us: exact_percentile_us(&mut seq_us, 0.50),
-                seq_p95_us: exact_percentile_us(&mut seq_us, 0.95),
-                par_p50_us: exact_percentile_us(&mut par_us, 0.50),
-                par_p95_us: exact_percentile_us(&mut par_us, 0.95),
-                identical,
-            }
-        })
-        .collect()
-}
-
-/// The honest one-line summary of what the latency curve measured on
-/// *this* host, judged at the highest shard count (the only run where
-/// racing actually fans out — at 1 shard it degenerates to the
-/// sequential path and any delta is noise).  A speedup is claimed only
-/// when one was actually observed.
-fn latency_statement(runs: &[LatencyRun]) -> String {
-    let last = match runs.last() {
-        Some(run) => run,
-        None => return "no latency runs".to_string(),
-    };
-    let speedup = last.speedup_p50();
-    if speedup >= 1.05 {
-        format!(
-            "racing workers cut per-query p50 latency {speedup:.2}x at {} shards \
-             ({} us -> {} us) on this host",
-            last.shards, last.seq_p50_us, last.par_p50_us
-        )
-    } else if speedup >= 0.80 {
-        format!(
-            "no per-query p50 speedup measured at {} shards on this host ({speedup:.2}x, \
-             {} us -> {} us): worker spawn overhead cancels the parallel scan at this \
-             corpus size / core count; results stay bit-identical",
-            last.shards, last.seq_p50_us, last.par_p50_us
-        )
-    } else {
-        format!(
-            "racing workers COST per-query latency at {} shards on this host ({speedup:.2}x, \
-             {} us -> {} us): thread spawn dominates the scan at this corpus size",
-            last.shards, last.seq_p50_us, last.par_p50_us
-        )
-    }
-}
-
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse_options(&args)?;
@@ -444,17 +314,6 @@ fn run() -> Result<(), String> {
         .iter()
         .max_by_key(|c| c.corpus_size)
         .expect("at least one curve");
-
-    // Per-query latency vs shard count on the headline corpus: the
-    // sequential frontier against racing per-shard workers, bit-identity
-    // checked on every query.
-    let latency_workflows = if options.corpus_sizes.is_empty() || headline.corpus_size == n {
-        workflows.clone()
-    } else {
-        wf_bench::demo_workflows(headline.corpus_size, wf_bench::corpus::DEMO_SEED)
-    };
-    let latency_runs = sweep_query_latency(&latency_workflows, &options);
-    let latency_summary = latency_statement(&latency_runs);
 
     // Human-readable summary.
     println!(
@@ -488,35 +347,6 @@ fn run() -> Result<(), String> {
         }
     }
     println!("{}", table.render());
-    let mut latency_table = TextTable::new(vec![
-        "shards",
-        "seq p50 us",
-        "seq p95 us",
-        "racing p50 us",
-        "racing p95 us",
-        "p50 speedup",
-        "identical",
-    ]);
-    for run in &latency_runs {
-        latency_table.row(vec![
-            run.shards.to_string(),
-            run.seq_p50_us.to_string(),
-            run.seq_p95_us.to_string(),
-            run.par_p50_us.to_string(),
-            run.par_p95_us.to_string(),
-            format!("{:.2}x", run.speedup_p50()),
-            run.identical.to_string(),
-        ]);
-    }
-    println!(
-        "  per-query latency vs shard count ({} workflows, {} queries x {} reps):",
-        latency_workflows.len(),
-        options.queries.min(latency_workflows.len()),
-        options.reps
-    );
-    println!("{}", latency_table.render());
-    println!("  {latency_summary}");
-
     if let Some(path) = &options.bench_json {
         let shard_reports = |runs: &[ShardRun], indent: &str| -> String {
             runs.iter()
@@ -536,23 +366,6 @@ fn run() -> Result<(), String> {
                 .collect::<Vec<_>>()
                 .join(",\n")
         };
-        let latency_reports: Vec<String> = latency_runs
-            .iter()
-            .map(|run| {
-                format!(
-                    "    {{\"shards\": {}, \"sequential_p50_us\": {}, \
-                     \"sequential_p95_us\": {}, \"racing_p50_us\": {}, \"racing_p95_us\": {}, \
-                     \"p50_speedup\": {:.3}, \"identical_hits\": {}}}",
-                    run.shards,
-                    run.seq_p50_us,
-                    run.seq_p95_us,
-                    run.par_p50_us,
-                    run.par_p95_us,
-                    run.speedup_p50(),
-                    run.identical,
-                )
-            })
-            .collect();
         let scale_curves: Vec<String> = curves
             .iter()
             .map(|curve| {
@@ -572,9 +385,7 @@ fn run() -> Result<(), String> {
              \"algorithm\": \"{}\",\n  \"threads\": {},\n  \"smoke\": {},\n  \
              \"reps\": {},\n  \
              \"single_engine_wall_ms\": {:.3},\n  \"shard_counts\": [\n{}\n  ],\n  \
-             \"scale_curves\": [\n{}\n  ],\n  \
-             \"query_latency\": {{\"corpus_size\": {}, \"queries\": {}, \"reps\": {}, \
-             \"runs\": [\n{}\n  ], \"statement\": \"{}\"}}\n}}\n",
+             \"scale_curves\": [\n{}\n  ]\n}}\n",
             wf_bench::json_escape(&options.source),
             headline.corpus_size,
             headline.queries,
@@ -586,11 +397,6 @@ fn run() -> Result<(), String> {
             headline.baseline_ms,
             shard_reports(&headline.runs, "    "),
             scale_curves.join(",\n"),
-            latency_workflows.len(),
-            options.queries.min(latency_workflows.len()),
-            options.reps,
-            latency_reports.join(",\n"),
-            wf_bench::json_escape(&latency_summary),
         );
         std::fs::write(path, &report).map_err(|e| format!("cannot write '{path}': {e}"))?;
         println!("  report -> {path}");
@@ -603,28 +409,6 @@ fn run() -> Result<(), String> {
                  at {} shards (corpus {}) — this is a bug",
                 diverged.shards, curve.corpus_size
             ));
-        }
-    }
-    if let Some(diverged) = latency_runs.iter().find(|run| !run.identical) {
-        return Err(format!(
-            "racing scatter-gather hits diverged from the sequential frontier at {} shards \
-             — this is a bug",
-            diverged.shards
-        ));
-    }
-    if let Some(factor) = options.assert_latency {
-        // Regression guard against the sequential baseline: the racing
-        // path may win or tie, but at the highest shard count its p50
-        // must never exceed `factor` times the sequential p50 — thread
-        // spawn overhead is real on starved runners, a blow-up is a bug.
-        if let Some(last) = latency_runs.last() {
-            if (last.par_p50_us as f64) > factor * (last.seq_p50_us as f64).max(1.0) {
-                return Err(format!(
-                    "latency regression at {} shards: racing p50 {} us vs sequential \
-                     p50 {} us exceeds the --assert-latency factor {factor}",
-                    last.shards, last.par_p50_us, last.seq_p50_us
-                ));
-            }
         }
     }
     if options.assert_scaling {

@@ -18,8 +18,7 @@ use wf_model::{Workflow, WorkflowId};
 use wf_repo::{scan_top_k, CancelToken, PreselectionStrategy};
 use wf_sim::config::Preprocessing;
 use wf_sim::{
-    Corpus, CorpusService, MeasureKind, ModuleComparisonScheme, SearchParallelism, ShardedCorpus,
-    SimilarityConfig,
+    Corpus, CorpusService, MeasureKind, ModuleComparisonScheme, ShardedCorpus, SimilarityConfig,
 };
 
 fn six_schemes() -> Vec<ModuleComparisonScheme> {
@@ -61,41 +60,6 @@ fn sharded_topk_is_bit_identical_for_all_schemes_and_shard_counts() {
                     let expected = scan_top_k(single.measure(), qi, k);
                     let got = sharded.search(id, k).expect("query is resident");
                     assert_eq!(got, expected, "{name}: {shards} shards, query {id}, k {k}");
-                }
-            }
-        }
-    }
-}
-
-/// The same acceptance criterion for the *racing* scatter-gather: shard
-/// workers draining their shards in parallel against the shared
-/// threshold must stay bit-identical to the exhaustive scan over a single
-/// corpus — ids, scores, tie order — for every shard count and scheme.  Pruning
-/// is strictly below a floor that is always a true worst-of-k, so thread
-/// interleaving can change work done, never results.
-#[test]
-fn racing_topk_is_bit_identical_for_all_schemes_and_shard_counts() {
-    let workflows = demo_workflows(40, 17);
-    for scheme in six_schemes() {
-        let config = scheme_config(scheme);
-        let name = config.name();
-        let single = Corpus::build(config.clone(), workflows.clone());
-        for shards in [1usize, 2, 4, 8] {
-            let racing = ShardedCorpus::build(config.clone(), shards, workflows.clone())
-                .with_parallelism(SearchParallelism::Racing);
-            for (qi, id) in single.ids().iter().enumerate().step_by(4) {
-                for k in [1usize, 10] {
-                    let expected = scan_top_k(single.measure(), qi, k);
-                    let got = racing.search(id, k).expect("query is resident");
-                    assert_eq!(
-                        got.len(),
-                        expected.len(),
-                        "{name}: {shards} shards racing, query {id}, k {k}"
-                    );
-                    for (g, e) in got.iter().zip(&expected) {
-                        assert_eq!(g.id, e.id, "{name}: {shards} shards racing, query {id}");
-                        assert_eq!(g.score.to_bits(), e.score.to_bits());
-                    }
                 }
             }
         }
@@ -265,8 +229,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Degraded partials under a deadline that fires at a random point of
-    /// the scatter, sequential and racing paths alike.  Whatever the
-    /// trigger shard and interleaving:
+    /// the gated scatter.  Whatever the trigger shard:
     ///
     /// * `answered` has exactly one bit per shard;
     /// * every surviving hit carries the *exact* score the full ranking
@@ -275,9 +238,9 @@ proptest! {
     /// * hits keep the canonical (score desc, id asc) order and respect k;
     /// * an undegraded result is the plain search answer, bit for bit;
     /// * a trigger past the last shard (deadline never fires) cannot
-    ///   degrade either path.
+    ///   degrade the search.
     #[test]
-    fn cancelled_scatter_yields_exact_partials_in_both_modes(
+    fn cancelled_scatter_yields_exact_partials(
         shard_pow in 0u32..=3,
         trigger_pick in 0usize..1000,
         seed in 0u64..10_000,
@@ -287,61 +250,50 @@ proptest! {
         let trigger = trigger_pick % (shards + 1);
         let workflows = demo_workflows(24, seed);
         let config = SimilarityConfig::best_module_sets();
-        for parallelism in [SearchParallelism::Sequential, SearchParallelism::Racing] {
-            let service = CorpusService::new(
-                ShardedCorpus::build(config.clone(), shards, workflows.clone())
-                    .with_parallelism(parallelism),
+        let service = CorpusService::new(ShardedCorpus::build(config, shards, workflows.clone()));
+        let query = workflows[seed as usize % workflows.len()].id.clone();
+        let full = service
+            .search(&query, service.len())
+            .expect("query is resident");
+        let plain = service.search(&query, k).expect("query is resident");
+        let token = CancelToken::never();
+        let result = service
+            .search_deadline_with(&query, k, &token, |shard| {
+                if shard == trigger {
+                    token.cancel();
+                }
+                true
+            })
+            .expect("query is resident");
+        prop_assert_eq!(result.answered.len(), shards);
+        prop_assert!(result.hits.len() <= k);
+        for pair in result.hits.windows(2) {
+            let ordered = pair[0].score > pair[1].score
+                || (pair[0].score == pair[1].score && pair[0].id < pair[1].id);
+            prop_assert!(ordered, "hit order violated: {:?}", pair);
+        }
+        for hit in &result.hits {
+            let reference = full.iter().find(|h| h.id == hit.id);
+            prop_assert!(reference.is_some(), "hit {} not in the full ranking", &hit.id);
+            let reference = reference.expect("asserted above");
+            prop_assert_eq!(
+                hit.score.to_bits(),
+                reference.score.to_bits(),
+                "partial hit {} must keep its exact score",
+                &hit.id
             );
-            let query = workflows[seed as usize % workflows.len()].id.clone();
-            let full = service
-                .search(&query, service.len())
-                .expect("query is resident");
-            let plain = service.search(&query, k).expect("query is resident");
-            let token = CancelToken::never();
-            let result = service
-                .search_deadline_with(&query, k, &token, |shard| {
-                    if shard == trigger {
-                        token.cancel();
-                    }
-                    true
-                })
-                .expect("query is resident");
-            prop_assert_eq!(result.answered.len(), shards, "{}", parallelism);
-            prop_assert!(result.hits.len() <= k);
-            for pair in result.hits.windows(2) {
-                let ordered = pair[0].score > pair[1].score
-                    || (pair[0].score == pair[1].score && pair[0].id < pair[1].id);
-                prop_assert!(ordered, "{}: hit order violated: {:?}", parallelism, pair);
-            }
-            for hit in &result.hits {
-                let reference = full.iter().find(|h| h.id == hit.id);
-                prop_assert!(
-                    reference.is_some(),
-                    "{}: hit {} not in the full ranking",
-                    parallelism,
-                    &hit.id
-                );
-                let reference = reference.expect("asserted above");
-                prop_assert_eq!(
-                    hit.score.to_bits(),
-                    reference.score.to_bits(),
-                    "{}: partial hit {} must keep its exact score",
-                    parallelism,
-                    &hit.id
-                );
-            }
-            if result.degraded {
-                prop_assert!(result.answered.iter().any(|&a| !a), "{}", parallelism);
-            } else {
-                prop_assert!(result.answered.iter().all(|&a| a), "{}", parallelism);
-                prop_assert_eq!(&result.hits, &plain, "{}", parallelism);
-            }
-            if trigger == shards {
-                // The gate never matches a real shard, so the deadline
-                // never fires and both paths must answer in full.
-                prop_assert!(!result.degraded, "{}", parallelism);
-                prop_assert_eq!(&result.hits, &plain, "{}", parallelism);
-            }
+        }
+        if result.degraded {
+            prop_assert!(result.answered.iter().any(|&a| !a));
+        } else {
+            prop_assert!(result.answered.iter().all(|&a| a));
+            prop_assert_eq!(&result.hits, &plain);
+        }
+        if trigger == shards {
+            // The gate never matches a real shard, so the deadline never
+            // fires and the search must answer in full.
+            prop_assert!(!result.degraded);
+            prop_assert_eq!(&result.hits, &plain);
         }
     }
 }

@@ -543,6 +543,23 @@ mod tests {
     }
 
     #[test]
+    fn claim_units_re_raises_a_worker_panic_with_its_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            claim_units(6, 2, |i| {
+                if i == 3 {
+                    panic!("unit {i} failed on purpose");
+                }
+                i
+            })
+        });
+        let payload = caught.expect_err("the unit's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("unit 3 failed on purpose")
+        );
+    }
+
+    #[test]
     fn rank_candidates_scores_only_the_given_ids() {
         let repo = repository();
         let engine = SearchEngine::new(&repo, label_overlap);

@@ -492,9 +492,8 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
 }
 
 /// [`execute`] behind the job's panic boundary: a panic while the job
-/// runs — including one a racing search worker re-raises on join — is
-/// answered with a typed `Internal` error, and the worker goes on to its
-/// next job instead of dying with its queue still admitting work.
+/// runs is answered with a typed `Internal` error, and the worker goes on
+/// to its next job instead of dying with its queue still admitting work.
 ///
 /// Unwinding drops every lock guard the job held.  A search holds only
 /// shard *read* locks, which a panic does not poison; a panic under a

@@ -26,7 +26,7 @@ use wf_serve::{
     Client, ClientConfig, ClientError, FaultPlan, Request, Response, ServeError, Server,
     ServerConfig,
 };
-use wf_sim::{CorpusService, SearchParallelism, ShardedCorpus, SimilarityConfig};
+use wf_sim::{CorpusService, ShardedCorpus, SimilarityConfig};
 
 /// The one replay seed these tests inject faults from.  Printed in every
 /// assertion context so a failure names the seed that reproduces it.
@@ -125,81 +125,6 @@ fn deadline_returns_partial_degraded_result_within_slo() {
         stats.faults_injected >= 1,
         "the shard delay fault must have fired"
     );
-    server.shutdown();
-}
-
-/// The racing scatter-gather serves the same degradation contract over
-/// the wire: with intra-query shard workers racing the shared threshold,
-/// a deadlined query against a stalled shard still returns a flagged
-/// degraded partial with honest per-shard answered bits and exact scores
-/// — and, because each stalled shard only costs its *own* worker, the
-/// undelayed shards all answer.
-#[test]
-fn racing_deadline_returns_partial_degraded_result_within_slo() {
-    let (service, ids) = {
-        let workflows = generate_taverna_corpus(&TavernaCorpusConfig::small(40, 21)).0;
-        let ids: Vec<String> = workflows.iter().map(|w| w.id.0.clone()).collect();
-        let service = Arc::new(CorpusService::new(
-            ShardedCorpus::build(SimilarityConfig::best_module_sets(), 4, workflows)
-                .with_parallelism(SearchParallelism::Racing),
-        ));
-        (service, ids)
-    };
-    let plan = FaultPlan::new(FAULT_SEED).delay_shards(&[2], Duration::from_millis(400));
-    let server = Server::start(
-        Arc::clone(&service),
-        ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
-        Some(plan),
-    )
-    .expect("server starts");
-
-    let mut client = fast_client(server.addr(), 7);
-    let query = &ids[0];
-    let started = Instant::now();
-    let outcome = client
-        .search(query, 10, 80)
-        .expect("deadlined racing search still answers");
-    let elapsed = started.elapsed();
-    assert!(
-        elapsed < Duration::from_millis(300),
-        "racing deadline blew the SLO: took {elapsed:?} (seed {FAULT_SEED:#x})"
-    );
-    assert!(
-        outcome.degraded,
-        "the stalled shard must degrade the result"
-    );
-    assert_eq!(outcome.answered.len(), 4, "one answer flag per shard");
-    assert!(
-        !outcome.answered[2],
-        "a 400ms-delayed shard cannot answer inside an 80ms deadline"
-    );
-    // The stall pins one worker; every other shard has its own and
-    // finishes well inside the deadline.
-    for shard in [0usize, 1, 3] {
-        assert!(
-            outcome.answered[shard],
-            "undelayed shard {shard} must answer under racing workers"
-        );
-    }
-
-    let full = service
-        .search(&WorkflowId::new(query.clone()), ids.len())
-        .expect("query resident");
-    let reference: HashMap<&str, f64> = full.iter().map(|h| (h.id.0.as_str(), h.score)).collect();
-    for hit in &outcome.hits {
-        let expected = reference
-            .get(hit.id.as_str())
-            .unwrap_or_else(|| panic!("degraded hit {} not in reference", hit.id));
-        assert_eq!(
-            hit.score.to_bits(),
-            expected.to_bits(),
-            "degraded racing score for {} must be exact",
-            hit.id
-        );
-    }
     server.shutdown();
 }
 
@@ -321,80 +246,79 @@ fn saturation_sheds_with_typed_overloaded_instead_of_queueing() {
 }
 
 /// A panic inside a search costs neither its reply nor its worker: with
-/// ~15% of shard visits panicking (under every shard read lock, and on a
-/// racing worker thread that the join re-raises), every request is
-/// answered — a typed `Internal` error or exact hits — and searches keep
-/// succeeding after far more panics than the server has workers.
+/// ~15% of shard visits panicking (under every shard read lock), every
+/// request is answered — a typed `Internal` error or exact hits — and
+/// searches keep succeeding after far more panics than the server has
+/// workers.
 #[test]
 fn injected_panics_get_internal_replies_and_workers_survive() {
-    for parallelism in [SearchParallelism::Sequential, SearchParallelism::Racing] {
-        let workflows = generate_taverna_corpus(&TavernaCorpusConfig::small(32, 21)).0;
-        let ids: Vec<String> = workflows.iter().map(|w| w.id.0.clone()).collect();
-        let service = Arc::new(CorpusService::new(
-            ShardedCorpus::build(SimilarityConfig::best_module_sets(), 4, workflows)
-                .with_parallelism(parallelism),
-        ));
-        let plan = FaultPlan::new(FAULT_SEED).panic_shards(150);
-        let workers = 2;
-        let server = Server::start(
-            Arc::clone(&service),
-            ServerConfig {
-                workers,
-                ..ServerConfig::default()
-            },
-            Some(plan),
-        )
-        .expect("server starts");
-        let mut client = fast_client(server.addr(), 11);
-        const SEARCHES: usize = 48;
-        let mut panicked = Vec::new();
-        let mut served = Vec::new();
-        for i in 0..SEARCHES {
-            let query = &ids[i % ids.len()];
-            match client.search(query, 5, 0) {
-                Ok(outcome) => {
-                    assert!(!outcome.degraded, "{parallelism}: {query}");
-                    let exact: Vec<(String, u64)> = service
-                        .search(&WorkflowId::new(query.clone()), 5)
-                        .expect("resident")
-                        .iter()
-                        .map(|h| (h.id.0.clone(), h.score.to_bits()))
-                        .collect();
-                    let got: Vec<(String, u64)> = outcome
-                        .hits
-                        .iter()
-                        .map(|h| (h.id.clone(), h.score.to_bits()))
-                        .collect();
-                    assert_eq!(got, exact, "{parallelism}: {query}");
-                    served.push(i);
-                }
-                Err(ClientError::Rejected(ServeError::Internal { detail })) => {
-                    assert!(detail.contains("injected panic"), "{detail}");
-                    panicked.push(i);
-                }
-                Err(other) => panic!("{parallelism}, seed {FAULT_SEED:#x}: {other}"),
+    let workflows = generate_taverna_corpus(&TavernaCorpusConfig::small(32, 21)).0;
+    let ids: Vec<String> = workflows.iter().map(|w| w.id.0.clone()).collect();
+    let service = Arc::new(CorpusService::new(ShardedCorpus::build(
+        SimilarityConfig::best_module_sets(),
+        4,
+        workflows,
+    )));
+    let plan = FaultPlan::new(FAULT_SEED).panic_shards(150);
+    let workers = 2;
+    let server = Server::start(
+        Arc::clone(&service),
+        ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        },
+        Some(plan),
+    )
+    .expect("server starts");
+    let mut client = fast_client(server.addr(), 11);
+    const SEARCHES: usize = 48;
+    let mut panicked = Vec::new();
+    let mut served = Vec::new();
+    for i in 0..SEARCHES {
+        let query = &ids[i % ids.len()];
+        match client.search(query, 5, 0) {
+            Ok(outcome) => {
+                assert!(!outcome.degraded, "{query}");
+                let exact: Vec<(String, u64)> = service
+                    .search(&WorkflowId::new(query.clone()), 5)
+                    .expect("resident")
+                    .iter()
+                    .map(|h| (h.id.0.clone(), h.score.to_bits()))
+                    .collect();
+                let got: Vec<(String, u64)> = outcome
+                    .hits
+                    .iter()
+                    .map(|h| (h.id.clone(), h.score.to_bits()))
+                    .collect();
+                assert_eq!(got, exact, "{query}");
+                served.push(i);
             }
+            Err(ClientError::Rejected(ServeError::Internal { detail })) => {
+                assert!(detail.contains("injected panic"), "{detail}");
+                panicked.push(i);
+            }
+            Err(other) => panic!("seed {FAULT_SEED:#x}: {other}"),
         }
-        assert_eq!(panicked.len() + served.len(), SEARCHES);
-        assert!(
-            panicked.len() > 2 * workers,
-            "{parallelism}, seed {FAULT_SEED:#x}: only {} panics",
-            panicked.len()
-        );
-        // Had each panic cost a worker, nothing after the workers-th panic
-        // would have been answered.
-        assert!(
-            served.iter().any(|&i| i > panicked[2 * workers]),
-            "{parallelism}: searches succeed after more panics than workers"
-        );
-        // The control plane still answers, and the server's own books
-        // show one reply per request.
-        assert_eq!(client.len().expect("len"), ids.len() as u64);
-        let stats = server.metrics();
-        assert_eq!(stats.responses_error, panicked.len() as u64);
-        assert_eq!(stats.shed, 0);
-        server.shutdown();
     }
+    assert_eq!(panicked.len() + served.len(), SEARCHES);
+    assert!(
+        panicked.len() > 2 * workers,
+        "seed {FAULT_SEED:#x}: only {} panics",
+        panicked.len()
+    );
+    // Had each panic cost a worker, nothing after the workers-th panic
+    // would have been answered.
+    assert!(
+        served.iter().any(|&i| i > panicked[2 * workers]),
+        "searches succeed after more panics than workers"
+    );
+    // The control plane still answers, and the server's own books show
+    // one reply per request.
+    assert_eq!(client.len().expect("len"), ids.len() as u64);
+    let stats = server.metrics();
+    assert_eq!(stats.responses_error, panicked.len() as u64);
+    assert_eq!(stats.shed, 0);
+    server.shutdown();
 }
 
 /// Degradation path 3: with ~30% of replies severed mid-frame, a retrying

@@ -46,7 +46,7 @@ use wf_repo::{
 
 use crate::config::SimilarityConfig;
 use crate::profile::{ClassPairTable, ProfiledMeasure};
-use crate::shard::drain_shard;
+use crate::shard::frontier_scan;
 
 /// First token of a snapshot header line; anything else is not a snapshot.
 pub const SNAPSHOT_MAGIC: &str = "wfsim-corpus-snapshot";
@@ -225,13 +225,13 @@ impl Corpus {
     }
 
     /// [`Corpus::top_k_index`] plus pruning instrumentation.  Runs the
-    /// one-shard frontier every sharded search runs ([`drain_shard`]), so
-    /// it bounds candidates from the class table too.
+    /// frontier every sharded search runs (`frontier_scan`) over this one
+    /// corpus, so it bounds candidates from the class table too.
     pub fn top_k_with_stats(&self, query: usize, k: usize) -> (Vec<SearchHit>, SearchStats) {
         let features = self.measure.query_features(&self.originals[query]);
         let mut stats = SearchStats::default();
-        let hits = drain_shard(
-            self,
+        let hits = frontier_scan(
+            &[self],
             &self.measure.prepare(&features),
             &self.ids()[query],
             k,

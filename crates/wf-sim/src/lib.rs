@@ -81,7 +81,7 @@ pub use profile::{
     ClassPairTable, ModuleProfile, PreparedQuery, ProfiledMeasure, QueryFeatures, WorkflowProfile,
 };
 pub use shard::{
-    drain_shard, CorpusService, DegradedSearch, SearchParallelism, ShardOrigin, ShardSnapshotError,
+    CorpusService, DegradedSearch, SearchParallelism, ShardOrigin, ShardSnapshotError,
     ShardedCorpus,
 };
 pub use stacking::{learn_weights, weight_grid, LearnedWeights, RankEnsemble};

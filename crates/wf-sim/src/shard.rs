@@ -84,56 +84,16 @@ pub const SHARD_MANIFEST_VERSION: u32 = 3;
 /// The file a [`ShardedCorpus::save`] directory's manifest is written to.
 pub const SHARD_MANIFEST_FILE: &str = "manifest";
 
-/// How many workers one query's scatter runs on.
+/// The one scan schedule every sharded search runs: one global
+/// best-bound-first frontier on the calling thread.
 ///
-/// Both modes are **bit-identical** — ids, scores, tie order — to the
-/// exhaustive [`scan_top_k`](wf_repo::scan_top_k) over the whole corpus;
-/// the knob only sets the worker count the scatter is planned with:
-///
-/// * [`Sequential`](SearchParallelism::Sequential) is one worker, inline
-///   on the calling thread.  Without a shard gate every shard's
-///   candidates go into one global best-bound-first frontier, so
-///   scoring order is globally optimal and this mode does the *least*
-///   total work; the number of candidates scored is flat in shard count.
-///   This is the path the fault-free `wf-serve` server runs, and the only
-///   mode that may run inside a shuttle-mini model run (it spawns
-///   nothing).
-/// * [`Racing`](SearchParallelism::Racing) runs one worker per shard:
-///   each scans its own shard and all drain against the one shared
-///   lock-free [`SearchThreshold`], so every worker prunes against the
-///   globally tightening k-th-best floor.  Workers may score candidates a
-///   global frontier would have pruned (the floor tightens a little
-///   later), but pruning is *strictly below* a floor that is always a true
-///   worst-of-k of exactly-scored candidates, so no interleaving can
-///   change the merged result — only the work split.  What racing is kept
-///   for is isolation: a shard whose gate stalls pins only its own worker.
-///   The workers are plain `std` scoped threads.
+/// Kept only so `wfsim-bench`'s `.with_parallelism(SearchParallelism::Sequential)`
+/// still builds, until ROADMAP item 3's benchmark change drops that call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchParallelism {
-    /// One global frontier, scanned sequentially (the default).
+    /// One global frontier, scanned on the calling thread.
     #[default]
     Sequential,
-    /// One worker per shard, racing the shared threshold floor.
-    Racing,
-}
-
-impl SearchParallelism {
-    /// The number of workers a scan over `shard_count` shards uses.
-    fn workers_for(self, shard_count: usize) -> usize {
-        match self {
-            SearchParallelism::Sequential => 1,
-            SearchParallelism::Racing => shard_count.max(1),
-        }
-    }
-}
-
-impl fmt::Display for SearchParallelism {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SearchParallelism::Sequential => "sequential",
-            SearchParallelism::Racing => "racing",
-        })
-    }
 }
 
 fn hash_route(id: &WorkflowId, shards: usize) -> usize {
@@ -236,9 +196,6 @@ fn save_shards<R: std::ops::Deref<Target = Corpus>>(
 pub struct ShardedCorpus {
     config: SimilarityConfig,
     shards: Vec<Corpus>,
-    /// How a single query's scan is scheduled across the shards (a
-    /// runtime knob, not persisted by [`ShardedCorpus::save`]).
-    parallelism: SearchParallelism,
 }
 
 impl ShardedCorpus {
@@ -274,18 +231,13 @@ impl ShardedCorpus {
             .zip(measures)
             .map(|(originals, measure)| Corpus::from_profiled(originals, measure))
             .collect();
-        ShardedCorpus {
-            config,
-            shards,
-            parallelism: SearchParallelism::default(),
-        }
+        ShardedCorpus { config, shards }
     }
 
-    /// Sets the intra-query scan strategy (builder form).  Both modes are
-    /// bit-identical; see [`SearchParallelism`].  A [`CorpusService`]
-    /// wrapping this corpus inherits the strategy.
-    pub fn with_parallelism(mut self, parallelism: SearchParallelism) -> Self {
-        self.parallelism = parallelism;
+    /// Returns the corpus unchanged: [`SearchParallelism`] has one value.
+    /// Kept only until ROADMAP item 3's benchmark change drops
+    /// `wfsim-bench`'s call to it.
+    pub fn with_parallelism(self, _parallelism: SearchParallelism) -> Self {
         self
     }
 
@@ -435,8 +387,7 @@ impl ShardedCorpus {
         self.shards[0].measure().query_features(wf)
     }
 
-    /// One ungated [`scatter`] over the owned shards, planned with the
-    /// configured [`SearchParallelism`].
+    /// One ungated [`scatter`] over the owned shards.
     fn scatter(
         &self,
         features: &QueryFeatures,
@@ -444,18 +395,14 @@ impl ShardedCorpus {
         k: usize,
         cancel: &CancelToken,
     ) -> DegradedSearch {
-        let plan = ScatterPlan {
-            cancel,
-            gate: None,
-            workers: self.parallelism.workers_for(self.shards.len()),
-        };
         scatter(
             self.shards.len(),
             |i| &self.shards[i],
             features,
             exclude,
             k,
-            &plan,
+            cancel,
+            None,
         )
     }
 
@@ -751,7 +698,7 @@ impl DegradedSearch {
 /// mid-scan; the hits proven up to that point are exact (the frontier
 /// only reorders *scoring*, and top-k content is insertion-order
 /// independent).
-fn frontier_scan(
+pub(crate) fn frontier_scan(
     fronts: &[&Corpus],
     query: &PreparedQuery,
     exclude: &WorkflowId,
@@ -818,124 +765,76 @@ fn frontier_scan(
     )
 }
 
-/// Drains one shard's candidates against a caller-shared threshold: the
-/// one-shard [`frontier_scan`], pruning strictly below the threshold's
-/// floor and publishing every new worst-of-k into it.
-///
-/// `query` must be prepared ([`ProfiledMeasure::prepare`]) on this
-/// corpus, or on any shard of the sharded corpus it belongs to, while no
-/// shard has changed since.  This is what each one-shard unit of the
-/// scatter runs (gated or racing searches): each unit owns one shard's
-/// drain, and all units share one prepared query, one
-/// [`SearchThreshold`] and one [`CancelToken`] (polled between
-/// candidates, so a fired deadline abandons the drain mid-stream with
-/// exact partial hits).  It is public so the `wf-analyze` model-check
-/// suite can race real shard drains under the deterministic scheduler;
-/// hits come back in heap order — gather them with [`merge_top_k`].
-pub fn drain_shard(
-    corpus: &Corpus,
-    query: &PreparedQuery,
-    exclude: &WorkflowId,
-    k: usize,
-    threshold: &SearchThreshold,
-    cancel: &CancelToken,
-    stats: &mut SearchStats,
-) -> Vec<SearchHit> {
-    frontier_scan(&[corpus], query, exclude, k, threshold, cancel, stats)
-}
-
 /// A gate run on a shard before its scan: `false` vetoes the visit, and
 /// the gate may also stall (the serving layer's fault-injection hook).
-type ShardGate<'g> = &'g (dyn Fn(usize) -> bool + Sync);
+type ShardGate<'g> = &'g dyn Fn(usize) -> bool;
 
-/// Everything that varies between the sharded search entry points.
-struct ScatterPlan<'p> {
-    /// Polled before each unit and between candidates of every scan.
-    cancel: &'p CancelToken,
-    /// Run on each shard of a unit before the unit's scan.
-    gate: Option<ShardGate<'p>>,
-    /// From [`SearchParallelism::workers_for`].
-    workers: usize,
-}
-
-/// The one scatter-gather behind every sharded search entry point.
+/// The one scatter-gather behind every sharded search entry point, run on
+/// the calling thread.
 ///
 /// Every shard guard is taken up front, in ascending order (the lock
 /// order of [`CorpusService`]), and held to the gather, so the search
 /// sees one consistent cut of a live corpus.  The shards are then split
-/// into *units*, each scanned by one [`frontier_scan`] against one shared
-/// [`SearchThreshold`]:
+/// into *units*, scanned in shard order, each by one [`frontier_scan`]
+/// against one shared [`SearchThreshold`]:
 ///
-/// * with no gate and one worker, all shards form one unit: one global
-///   best-bound-first frontier, the least scoring work at any shard
-///   count;
-/// * otherwise each shard is its own unit.  A gate may stall, and work
-///   finished before a stall must survive it; racing workers need one
-///   unit per shard to claim.
+/// * with no gate, all shards form one unit: one global best-bound-first
+///   frontier, the least scoring work at any shard count;
+/// * with a gate, each shard is its own unit.  A gate may stall, and work
+///   finished before a stall must survive it.
 ///
-/// Each unit checks the token (a fired deadline leaves it unanswered),
-/// runs its gates (a veto skips it — one bad shard degrades coverage, not
-/// availability), then scans.  A unit is answered only if its gates
-/// passed and its scan was not cut.  Units run through [`claim_units`]:
-/// inline for one worker, off one ticket for more.
+/// Each unit checks the token (a fired deadline leaves it and every later
+/// unit unanswered), runs its gate (a veto skips it — one bad shard
+/// degrades coverage, not availability), then scans.  A unit is answered
+/// only if its gate passed and its scan was not cut.
 ///
-/// Bit-identical to [`scan_top_k`](wf_repo::scan_top_k) under every plan
-/// and interleaving: pruning is *strictly below* a floor that is always a
-/// true worst-of-k of `k` distinct exactly-scored candidates, so no pruned
-/// candidate can enter the merged top-k, and the gather
-/// ([`merge_top_k`]) canonicalizes order.  The plan changes only the work
-/// split and which shards a fired deadline leaves unanswered.
+/// Bit-identical to [`scan_top_k`](wf_repo::scan_top_k) under either
+/// split: pruning is *strictly below* a floor that is always a true
+/// worst-of-k of `k` distinct exactly-scored candidates, so no pruned
+/// candidate can enter the merged top-k, and the gather ([`merge_top_k`])
+/// canonicalizes order.  The split changes only the work done and which
+/// shards a fired deadline leaves unanswered.
 fn scatter<R: std::ops::Deref<Target = Corpus>>(
     shard_count: usize,
     shard_at: impl FnMut(usize) -> R,
     features: &QueryFeatures,
     exclude: &WorkflowId,
     k: usize,
-    plan: &ScatterPlan<'_>,
+    cancel: &CancelToken,
+    gate: Option<ShardGate<'_>>,
 ) -> DegradedSearch {
     let guards: Vec<R> = (0..shard_count).map(shard_at).collect();
     let fronts: Vec<&Corpus> = guards.iter().map(|guard| &**guard).collect();
-    let unit_len = if plan.gate.is_none() && plan.workers == 1 {
-        shard_count
-    } else {
-        1
-    };
-    let units: Vec<&[&Corpus]> = fronts.chunks(unit_len).collect();
+    let unit_len = if gate.is_none() { shard_count } else { 1 };
     // Every shard shares one class registry, read-locked here once, after
     // every shard guard: the query is bound and bounded for all units,
     // and the lock is released before any scan.
     let query = fronts[0].measure().prepare(features);
     let threshold = SearchThreshold::new();
-    let outcomes = claim_units(units.len(), plan.workers, |unit| {
-        let mut stats = SearchStats::default();
-        if plan.cancel.is_cancelled() {
+    let mut answered = vec![false; shard_count];
+    let mut stats = SearchStats::default();
+    let mut parts = Vec::new();
+    for (unit, shards) in fronts.chunks(unit_len).enumerate() {
+        if cancel.is_cancelled() {
             stats.cancelled = true;
-            return (Vec::new(), false, stats);
+            break;
         }
-        let first = unit * unit_len;
-        if let Some(gate) = plan.gate {
-            if !(first..first + units[unit].len()).all(gate) {
-                return (Vec::new(), false, stats);
-            }
+        // A gated unit is one shard, whose index is the unit's.
+        if gate.is_some_and(|gate| !gate(unit)) {
+            continue;
         }
-        let hits = frontier_scan(
-            units[unit],
+        let mut unit_stats = SearchStats::default();
+        parts.push(frontier_scan(
+            shards,
             &query,
             exclude,
             k,
             &threshold,
-            plan.cancel,
-            &mut stats,
-        );
-        (hits, !stats.cancelled, stats)
-    });
-    let mut answered = vec![false; shard_count];
-    let mut stats = SearchStats::default();
-    let mut parts = Vec::with_capacity(outcomes.len());
-    for (unit, (hits, unit_answered, unit_stats)) in outcomes.into_iter().enumerate() {
-        answered[unit * unit_len..][..units[unit].len()].fill(unit_answered);
+            cancel,
+            &mut unit_stats,
+        ));
+        answered[unit * unit_len..][..shards.len()].fill(!unit_stats.cancelled);
         stats.merge(&unit_stats);
-        parts.push(hits);
     }
     DegradedSearch {
         hits: merge_top_k(parts, k),
@@ -967,7 +866,7 @@ fn scatter<R: std::ops::Deref<Target = Corpus>>(
 ///   then runs any shard gate and scans.  With every shard read-locked no
 ///   writer can hold the registry, so a search never waits on it.  The
 ///   shard locks are held to the gather, so every search — plain,
-///   deadline, gated or racing — sees one consistent cut of the corpus,
+///   deadline or gated — sees one consistent cut of the corpus,
 ///   and a workflow removed (or added) *before* the search started is
 ///   guaranteed excluded (or visible): the churn invariant the stress
 ///   tests assert.  A gate that stalls therefore stalls with every read
@@ -979,20 +878,15 @@ pub struct CorpusService {
     config: SimilarityConfig,
     shards: Vec<RwLock<Corpus>>,
     threads: usize,
-    /// Intra-query scan strategy, inherited from the wrapped
-    /// [`ShardedCorpus`] (see [`SearchParallelism`]).
-    parallelism: SearchParallelism,
 }
 
 impl CorpusService {
-    /// Wraps a built sharded corpus for concurrent serving (inheriting
-    /// its [`SearchParallelism`]).
+    /// Wraps a built sharded corpus for concurrent serving.
     pub fn new(sharded: ShardedCorpus) -> Self {
         CorpusService {
             config: sharded.config,
             shards: sharded.shards.into_iter().map(RwLock::new).collect(),
             threads: 4,
-            parallelism: sharded.parallelism,
         }
     }
 
@@ -1012,7 +906,6 @@ impl CorpusService {
                 .into_iter()
                 .map(|lock| lock.into_inner().expect("shard lock poisoned"))
                 .collect(),
-            parallelism: self.parallelism,
         }
     }
 
@@ -1079,13 +972,12 @@ impl CorpusService {
     }
 
     /// Deadline-bound scatter-gather over the live corpus: the same
-    /// ungated scatter as [`CorpusService::search`] (with the default
-    /// sequential parallelism, one global frontier), polling `cancel`
-    /// between candidates.  A fired deadline returns the exact partial
-    /// top-k flagged [`degraded`](DegradedSearch::degraded); when it cuts
-    /// the global frontier, every shard is reported unanswered.  `None`
-    /// when the query id is not resident at the time the owning shard is
-    /// read.
+    /// ungated scatter as [`CorpusService::search`] (one global
+    /// frontier), polling `cancel` between candidates.  A fired deadline
+    /// returns the exact partial top-k flagged
+    /// [`degraded`](DegradedSearch::degraded); when it cuts the global
+    /// frontier, every shard is reported unanswered.  `None` when the
+    /// query id is not resident at the time the owning shard is read.
     pub fn search_deadline(
         &self,
         query: &WorkflowId,
@@ -1108,7 +1000,7 @@ impl CorpusService {
         query: &WorkflowId,
         k: usize,
         cancel: &CancelToken,
-        shard_gate: impl Fn(usize) -> bool + Sync,
+        shard_gate: impl Fn(usize) -> bool,
     ) -> Option<DegradedSearch> {
         let features = self.resident_features(query)?;
         Some(self.scatter(&features, query, k, cancel, Some(&shard_gate)))
@@ -1139,8 +1031,7 @@ impl CorpusService {
         Some(shard.measure().query_features(wf))
     }
 
-    /// One [`scatter`] over the live shards, planned with the service's
-    /// [`SearchParallelism`].
+    /// One [`scatter`] over the live shards.
     fn scatter(
         &self,
         features: &QueryFeatures,
@@ -1149,18 +1040,14 @@ impl CorpusService {
         cancel: &CancelToken,
         gate: Option<ShardGate<'_>>,
     ) -> DegradedSearch {
-        let plan = ScatterPlan {
-            cancel,
-            gate,
-            workers: self.parallelism.workers_for(self.shards.len()),
-        };
         scatter(
             self.shards.len(),
             |i| self.read(&self.shards[i]),
             features,
             exclude,
             k,
-            &plan,
+            cancel,
+            gate,
         )
     }
 
@@ -1781,106 +1668,6 @@ mod tests {
             .collect();
         assert_eq!(result.hits, expected, "admitted shards answer exactly");
         assert!(result.hits.len() < full.len(), "coverage genuinely shrank");
-    }
-
-    #[test]
-    fn racing_search_is_bit_identical_to_sequential_at_every_shard_count() {
-        for shards in [1, 2, 4, 8] {
-            let sequential = ShardedCorpus::build(config(), shards, sample());
-            let racing = ShardedCorpus::build(config(), shards, sample())
-                .with_parallelism(SearchParallelism::Racing);
-            assert_eq!(racing.parallelism.workers_for(shards), shards);
-            for id in sequential.ids() {
-                for k in [0, 2, 10] {
-                    let expected = sequential.search(&id, k).expect("resident");
-                    let got = racing.search(&id, k).expect("resident");
-                    assert_eq!(got.len(), expected.len());
-                    for (g, e) in got.iter().zip(&expected) {
-                        assert_eq!(g.id, e.id, "{shards} shards");
-                        assert_eq!(g.score.to_bits(), e.score.to_bits());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn racing_search_workflow_matches_sequential() {
-        let sequential = ShardedCorpus::build(config(), 4, sample());
-        let racing =
-            ShardedCorpus::build(config(), 4, sample()).with_parallelism(SearchParallelism::Racing);
-        let external = wf("external", &["run blast", "render report"]);
-        assert_eq!(
-            racing.search_workflow(&external, 10),
-            sequential.search_workflow(&external, 10)
-        );
-    }
-
-    #[test]
-    fn racing_never_token_deadline_search_equals_plain_search() {
-        let sharded =
-            ShardedCorpus::build(config(), 3, sample()).with_parallelism(SearchParallelism::Racing);
-        for id in sharded.ids() {
-            let plain = sharded.search(&id, 3).expect("resident");
-            let result = sharded
-                .search_deadline(&id, 3, &CancelToken::never())
-                .expect("resident");
-            assert!(!result.degraded, "a never token cannot degrade");
-            assert!(result.answered.iter().all(|&a| a));
-            assert_eq!(result.hits, plain, "query {id}");
-        }
-    }
-
-    #[test]
-    fn racing_pre_fired_deadline_returns_empty_fully_degraded_result() {
-        let sharded =
-            ShardedCorpus::build(config(), 2, sample()).with_parallelism(SearchParallelism::Racing);
-        let token = CancelToken::never();
-        token.cancel();
-        let result = sharded
-            .search_deadline(&"a".into(), 3, &token)
-            .expect("residency is checked before the deadline");
-        assert!(result.degraded);
-        assert_eq!(result.answered, vec![false, false]);
-        assert!(result.hits.is_empty());
-        assert!(result.stats.cancelled);
-        assert_eq!(result.stats.scored, 0);
-    }
-
-    #[test]
-    fn racing_vetoed_shard_degrades_coverage_not_correctness() {
-        let service = CorpusService::new(
-            ShardedCorpus::build(config(), 4, sample()).with_parallelism(SearchParallelism::Racing),
-        );
-        let query: WorkflowId = "a".into();
-        let full = service.search(&query, 10).expect("resident");
-        for vetoed in 0..4 {
-            let result = service
-                .search_deadline_with(&query, 10, &CancelToken::never(), |s| s != vetoed)
-                .expect("resident");
-            assert!(result.degraded, "vetoing shard {vetoed} must degrade");
-            for (shard, &answered) in result.answered.iter().enumerate() {
-                assert_eq!(answered, shard != vetoed, "shard {shard}");
-            }
-            assert!(result.hits.len() < full.len(), "shard {vetoed} held a hit");
-            for hit in &result.hits {
-                let reference = full
-                    .iter()
-                    .find(|h| h.id == hit.id)
-                    .expect("degraded hit exists in the full result");
-                assert_eq!(hit.score.to_bits(), reference.score.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn service_inherits_and_returns_parallelism() {
-        let sharded =
-            ShardedCorpus::build(config(), 2, sample()).with_parallelism(SearchParallelism::Racing);
-        let service = CorpusService::new(sharded);
-        assert_eq!(service.parallelism, SearchParallelism::Racing);
-        let back = service.into_sharded();
-        assert_eq!(back.parallelism, SearchParallelism::Racing);
     }
 
     /// A build and a load both profile every shard into one pool and one
