@@ -11,11 +11,10 @@
 //!   convention on search read paths, and the workspace-wide `unsafe`
 //!   ban.  Run it with `cargo run -p wf-analyze --bin wfsim_lint`.
 //! * the model-check suite (under `tests/`) — deterministic interleaving
-//!   exploration of the lock-free search core using the vendored
-//!   `shuttle-mini` scheduler: the monotone `SearchThreshold` floor
-//!   under racing observers, merge determinism, and `CorpusService`
-//!   search-versus-churn linearizability, plus a mutation test proving
-//!   the checker actually catches the bug class it exists for.
+//!   exploration of the concurrent search core using the vendored
+//!   `shuttle-mini` scheduler: `CorpusService` search-versus-churn
+//!   linearizability, plus a mutation test proving the checker actually
+//!   catches the lost-update bug class.
 //!
 //! The rule table, the allow-comment syntax, and how to reproduce a
 //! failing model-check schedule from its seed are documented in the

@@ -1,17 +1,18 @@
-//! Deterministic concurrency model checks for the lock-free search core.
+//! Deterministic concurrency model checks for the serving search core.
 //!
-//! These tests run the *real* production types — `SearchThreshold`,
-//! `TopK`/`merge_top_k`, `CorpusService` — under the vendored
-//! `shuttle-mini` scheduler, which serializes every instrumented atomic
-//! and lock operation and explores thread interleavings either
-//! exhaustively (small state spaces) or randomly-but-reproducibly from a
-//! fixed seed.  A failure reports the exact schedule trace; re-running
-//! with the same seed replays the identical interleaving.
+//! These tests run the production `CorpusService` — searches racing live
+//! churn — under the vendored `shuttle-mini` scheduler, which serializes
+//! every instrumented atomic and lock operation and explores thread
+//! interleavings either exhaustively (small state spaces) or
+//! randomly-but-reproducibly from a fixed seed.  A failure reports the
+//! exact schedule trace; re-running with the same seed replays the
+//! identical interleaving.
 //!
-//! The suite closes with a mutation test: a copy of the threshold with
-//! its `fetch_max` "un-fixed" into a racy load+store must be *caught* by
-//! the checker, with the same failing schedule on every run — evidence
-//! the harness can actually see the bug class it exists to prevent.
+//! The suite closes with a mutation test: a racy score floor, a
+//! monotone maximum built from a separate load and store instead of
+//! `fetch_max`, must be *caught* by the checker, with the same failing
+//! schedule on every run — evidence the harness can actually see the
+//! lost-update bug class.
 
 #![deny(unsafe_code)]
 
@@ -21,127 +22,8 @@ use std::sync::Arc;
 use shuttle_mini::sync::atomic::AtomicU64;
 use shuttle_mini::{check_exhaustive, check_random, thread};
 use wf_model::{builder::WorkflowBuilder, ModuleType, Workflow, WorkflowId};
-use wf_repo::{merge_top_k, SearchHit, SearchThreshold, TopK};
+use wf_repo::SearchHit;
 use wf_sim::{CorpusService, ShardedCorpus, SimilarityConfig};
-
-// ---------------------------------------------------------------------
-// SearchThreshold: the shared lock-free score floor.
-// ---------------------------------------------------------------------
-
-/// Racing `observe` calls from three threads must always leave the floor
-/// at the maximum published score, under *every* interleaving, and each
-/// thread must see the floor monotonically non-decreasing.
-#[test]
-fn threshold_floor_is_max_under_every_interleaving() {
-    let report = check_exhaustive(50_000, || {
-        let threshold = Arc::new(SearchThreshold::new());
-        let monotone = {
-            let t = Arc::clone(&threshold);
-            thread::spawn(move || {
-                t.observe(0.25);
-                let after = t.floor();
-                assert!(after >= 0.25, "own observation not visible: {after}");
-            })
-        };
-        let publisher = {
-            let t = Arc::clone(&threshold);
-            thread::spawn(move || t.observe(0.75))
-        };
-        threshold.observe(0.5);
-        monotone.join().expect("monotone observer panicked");
-        publisher.join().expect("publisher panicked");
-        assert_eq!(threshold.floor(), 0.75, "floor must be the global max");
-    });
-    report.assert_ok();
-    assert!(
-        report.complete,
-        "the threshold schedule tree must be fully explored, \
-         ran {} schedules",
-        report.schedules
-    );
-}
-
-/// Non-finite and negative scores must be ignored under races too.
-#[test]
-fn threshold_ignores_junk_scores_under_races() {
-    let report = check_exhaustive(50_000, || {
-        let threshold = Arc::new(SearchThreshold::new());
-        let t = Arc::clone(&threshold);
-        let junk = thread::spawn(move || {
-            t.observe(f64::NAN);
-            t.observe(-3.0);
-            t.observe(f64::INFINITY);
-        });
-        threshold.observe(0.4);
-        junk.join().expect("junk observer panicked");
-        assert_eq!(threshold.floor(), 0.4);
-    });
-    report.assert_ok();
-    assert!(report.complete);
-}
-
-// ---------------------------------------------------------------------
-// merge_top_k: gather determinism under racing partial producers.
-// ---------------------------------------------------------------------
-
-fn hit(id: &str, score: f64) -> SearchHit {
-    SearchHit {
-        id: WorkflowId::new(id),
-        score,
-    }
-}
-
-/// Two workers scan disjoint candidate slices with a shared threshold,
-/// pruning strictly below the floor, exactly like the per-shard scan.
-/// Whatever the interleaving, the merged result must be the same top-k
-/// the sequential scan produces: threshold pruning is admissible, so the
-/// race can change *work done*, never *results*.
-#[test]
-fn merged_top_k_is_identical_under_every_interleaving() {
-    const K: usize = 2;
-    let slice_a = [("a1", 0.9_f64), ("a2", 0.5), ("a3", 0.1)];
-    let slice_b = [("b1", 0.8_f64), ("b2", 0.7), ("b3", 0.3)];
-    // The schedule-independent reference: top-k over both slices.
-    let reference = merge_top_k(
-        [
-            slice_a.iter().map(|(i, s)| hit(i, *s)).collect::<Vec<_>>(),
-            slice_b.iter().map(|(i, s)| hit(i, *s)).collect::<Vec<_>>(),
-        ],
-        K,
-    );
-
-    let scan = |slice: &[(&str, f64)], threshold: &SearchThreshold| -> Vec<SearchHit> {
-        let mut top = TopK::new(K);
-        for (id, score) in slice {
-            // Strictly-below-floor pruning on an exact bound, as in the
-            // production scan loop.
-            if *score < threshold.floor() {
-                continue;
-            }
-            top.insert(hit(id, *score));
-            if let Some(worst) = top.worst_score() {
-                threshold.observe(worst);
-            }
-        }
-        top.into_hits()
-    };
-
-    let report = check_exhaustive(200_000, move || {
-        let threshold = Arc::new(SearchThreshold::new());
-        let t = Arc::clone(&threshold);
-        let worker = thread::spawn(move || scan(&slice_b, &t));
-        let part_a = scan(&slice_a, &threshold);
-        let part_b = worker.join().expect("scan worker panicked");
-        let merged = merge_top_k([part_a, part_b], K);
-        assert_eq!(merged, reference, "merge must be schedule-independent");
-    });
-    report.assert_ok();
-    assert!(
-        report.complete,
-        "two-worker scan tree must be fully explored, ran {} schedules",
-        report.schedules
-    );
-}
 
 // ---------------------------------------------------------------------
 // CorpusService: scatter-gather search racing live churn.
@@ -379,8 +261,9 @@ fn service_search_racing_class_freeing_and_minting_writers_matches_a_quiescent_s
 // Mutation test: the checker must catch the un-fixed threshold.
 // ---------------------------------------------------------------------
 
-/// `SearchThreshold` with the bug the real one avoids: max via separate
-/// load + store instead of `fetch_max`, a racy read-modify-write.
+/// A shared monotone score floor with the lost-update bug: max via a
+/// separate load + store instead of `fetch_max`, a racy
+/// read-modify-write.
 struct BrokenThreshold(AtomicU64);
 
 impl BrokenThreshold {
@@ -405,7 +288,7 @@ impl BrokenThreshold {
 }
 
 /// The exhaustive explorer must find the lost update in the broken
-/// threshold — and find the *same* first failing schedule on every run,
+/// floor — and find the *same* first failing schedule on every run,
 /// trace and all.  This is the harness's own regression test: if the
 /// scheduler ever stops exploring the racy window, this test fails.
 #[test]

@@ -20,7 +20,7 @@
 //! * [`threshold`] — connected-component clustering at a similarity
 //!   threshold and near-duplicate detection (the "functionally equivalent
 //!   workflows" task).
-//! * [`kmedoids`] — k-medoids (PAM-style) partitioning for a fixed number
+//! * [`kmedoids`](mod@kmedoids) — k-medoids (PAM-style) partitioning for a fixed number
 //!   of clusters.
 //! * [`quality`] — external cluster quality metrics against the latent
 //!   ground truth of the synthetic corpus (purity, Rand index, adjusted

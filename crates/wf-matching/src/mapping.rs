@@ -56,9 +56,11 @@ impl Mapping {
     }
 
     /// The additive similarity score `Σ sim(m, m')` over all mapped pairs —
-    /// the `nnsim` building block of the paper's measures.
+    /// the `nnsim` building block of the paper's measures.  An empty
+    /// mapping weighs `+0.0`, the score a zero bound stands for (a float
+    /// `sum` of nothing is `-0.0`).
     pub fn total_weight(&self) -> f64 {
-        self.pairs.iter().map(|p| p.weight).sum()
+        self.pairs.iter().fold(0.0, |total, p| total + p.weight)
     }
 
     /// The right partner mapped to a given left index, if any.
@@ -227,6 +229,8 @@ mod tests {
         assert_eq!(m.right_of(7), None);
         assert_eq!(m.left_of(7), None);
         assert_eq!(m.to_string(), "{0↔1 (1.000), 2↔0 (0.500)}");
+        // Nothing mapped weighs +0.0, never -0.0.
+        assert_eq!(Mapping::new(Vec::new()).total_weight().to_bits(), 0);
     }
 
     #[test]

@@ -23,11 +23,11 @@
 //!   validation.
 //! * [`builder`] — an ergonomic builder for constructing workflows in tests,
 //!   examples and the synthetic corpus generator.
-//! * [`format`] — a small, dependency-free, line-oriented text format for
+//! * [`format`](mod@format) — a small, dependency-free, line-oriented text format for
 //!   workflows ("wfl"), standing in for the custom graph format into which
 //!   the paper converted myExperiment RDF and Galaxy JSON.
 //! * [`json`] — serde/JSON (de)serialization of whole workflows and corpora.
-//! * [`validate`] — structural validation with precise error reporting.
+//! * [`validate`](mod@validate) — structural validation with precise error reporting.
 //! * [`stats`] — per-workflow statistics used by the corpus-statistics
 //!   experiment.
 //!

@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 use wf_model::WorkflowId;
 
-use crate::search::{hit_ordering, SearchHit, SearchThreshold, TopK};
+use crate::search::{hit_ordering, SearchHit, TopK};
 
 /// A corpus-resident similarity measure addressable by corpus index.
 ///
@@ -241,47 +241,46 @@ pub fn sort_best_bound_first(candidates: &mut [RankedCandidate]) {
 /// `candidates` must arrive in [`sort_best_bound_first`] order, or as a
 /// [`RankedFrontier`] (`total` is its length, needed for prune
 /// accounting); `score` computes the exact score of a candidate index and
-/// `id_of` resolves its workflow id.  Each
-/// new worst-of-k is published to `threshold`, and the loop stops as soon
-/// as the best remaining bound falls *strictly* below the threshold floor
-/// — admissible, so the kept hits (returned in heap order; gather them
-/// with [`merge_top_k`](crate::search::merge_top_k)) are exactly the true
-/// top-k contributions of this candidate stream.
+/// `id_of` resolves its workflow id.  Every scored candidate is offered to
+/// the caller's `top`, which may already hold the hits of earlier streams
+/// of the same search.  Once `top` is full, its worst kept score is the
+/// floor, and the loop stops as soon as the best remaining bound falls
+/// *strictly* below it — admissible, so `top` ends up holding exactly the
+/// true top-k of every candidate it was offered or that was pruned.
 ///
 /// `cancel` is polled between candidates: once it fires, the remaining
-/// stream is abandoned (`stats.abandoned`, `stats.cancelled`) and the hits
-/// gathered so far are returned — each still an exact score, so a
+/// stream is abandoned (`stats.abandoned`, `stats.cancelled`) and `top`
+/// keeps the hits gathered so far — each still an exact score, so a
 /// deadline-bound caller can serve them as an honest *partial* result.
 /// Non-deadline callers pass
 /// [`CancelToken::never`](crate::search::CancelToken::never), which
 /// reduces the poll to one relaxed load.
 // lint:hot this loop runs once per candidate of every bounded search;
 // wfsim_lint forbids lock acquisition and heap allocation inside it.
-#[allow(clippy::too_many_arguments)] // the scan's full contract: stream + budget + cancellation
 pub fn scan_ranked_candidates<I, F, G>(
     candidates: I,
     total: usize,
-    k: usize,
-    threshold: &SearchThreshold,
+    top: &mut TopK,
     cancel: &crate::search::CancelToken,
     stats: &mut SearchStats,
     mut score: F,
     mut id_of: G,
-) -> Vec<SearchHit>
-where
+) where
     I: IntoIterator<Item = RankedCandidate>,
     F: FnMut(usize) -> f64,
     G: FnMut(usize) -> WorkflowId,
 {
-    if k == 0 {
+    if top.k == 0 {
         stats.pruned += total;
-        return Vec::new();
+        return;
     }
-    let mut top = TopK::new(k);
+    // The heap's worst-of-k, copied out so the per-candidate check is one
+    // compare; 0 prunes nothing, as bounds are non-negative.
+    let mut floor = top.worst_score().unwrap_or(0.0);
     let mut remaining = total;
     for candidate in candidates {
         // A fired deadline abandons the rest of the stream: everything
-        // already kept is exact, so the caller can mark the merged result
+        // already kept is exact, so the caller can mark the result
         // degraded instead of blocking past its SLO.
         if cancel.is_cancelled() {
             stats.abandoned += remaining;
@@ -291,7 +290,7 @@ where
         // Best-bound-first order: once the bound of the next candidate
         // drops below the floor, no later candidate can displace anything
         // (score <= bound < floor <= final k-th best), so stop scoring.
-        if candidate.bound < threshold.floor() {
+        if candidate.bound < floor {
             stats.pruned += remaining;
             break;
         }
@@ -310,10 +309,9 @@ where
             score,
         });
         if let Some(worst) = top.worst_score() {
-            threshold.observe(worst);
+            floor = worst;
         }
     }
-    top.into_hits()
 }
 
 /// A lazy best-bound-first stream over one search's candidates.
@@ -411,7 +409,7 @@ pub fn scan_top_k<S: CorpusScorer + ?Sized>(scorer: &S, query: usize, k: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{merge_top_k, CancelToken};
+    use crate::search::CancelToken;
 
     /// A toy corpus-resident measure: workflows are token-id sets, the
     /// similarity is the exact Jaccard index, the bound the size quotient.
@@ -513,17 +511,17 @@ mod tests {
         };
         let frontier = RankedFrontier::new(candidates);
         let total = frontier.total();
-        let hits = scan_ranked_candidates(
+        let mut top = TopK::new(k);
+        scan_ranked_candidates(
             frontier,
             total,
-            k,
-            &SearchThreshold::new(),
+            &mut top,
             &CancelToken::never(),
             &mut stats,
             |i| scorer.score(query, i),
             |i| scorer.workflow_id(i).clone(),
         );
-        (merge_top_k([hits], k), stats)
+        (top.into_sorted_hits(), stats)
     }
 
     /// The frontier scan returns the exhaustive scan's hits and accounts
@@ -664,17 +662,20 @@ mod tests {
         token.cancel();
         let mut stats = SearchStats::default();
         let total = candidates.len();
-        let hits = scan_ranked_candidates(
+        let mut top = TopK::new(3);
+        scan_ranked_candidates(
             candidates,
             total,
-            3,
-            &SearchThreshold::new(),
+            &mut top,
             &token,
             &mut stats,
             |i| scorer.score(0, i),
             |i| scorer.workflow_id(i).clone(),
         );
-        assert!(hits.is_empty(), "nothing was scored before the token fired");
+        assert!(
+            top.into_sorted_hits().is_empty(),
+            "nothing was scored before the token fired"
+        );
         assert!(stats.cancelled);
         assert_eq!(stats.abandoned, total);
         assert_eq!(stats.scored, 0);
@@ -707,11 +708,11 @@ mod tests {
         let scored = std::cell::Cell::new(0usize);
         let mut stats = SearchStats::default();
         let total = frontier.total();
-        let hits = scan_ranked_candidates(
+        let mut top = TopK::new(4);
+        scan_ranked_candidates(
             frontier,
             total,
-            4,
-            &SearchThreshold::new(),
+            &mut top,
             &token,
             &mut stats,
             |i| {
@@ -729,7 +730,7 @@ mod tests {
         assert!(stats.cancelled);
         assert_eq!(stats.scored, 3);
         assert_eq!(stats.abandoned, 1);
-        let mut hits = merge_top_k(vec![hits], 4);
+        let mut hits = top.into_sorted_hits();
         hits.sort_by(|x, y| x.id.cmp(&y.id));
         let got: Vec<(String, u64)> = hits
             .iter()

@@ -56,8 +56,6 @@ pub use preselect::{
 };
 pub use projection::importance_projection;
 pub use repository::Repository;
-pub use search::{
-    claim_units, merge_top_k, CancelToken, SearchEngine, SearchHit, SearchThreshold, TopK,
-};
+pub use search::{claim_units, merge_top_k, CancelToken, SearchEngine, SearchHit, TopK};
 pub use type_classes::TypeClass;
 pub use usage::UsageStatistics;

@@ -18,11 +18,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
-// The model-checkable atomic shim: `std::sync::atomic::AtomicU64` outside
-// a model run, a deterministic scheduling point inside one (see
-// `vendor/shuttle-mini` and `wf-analyze`'s model-check suite).
-use shuttle_mini::sync::atomic::AtomicU64;
-
 use wf_model::{Workflow, WorkflowId};
 
 use crate::repository::Repository;
@@ -77,7 +72,7 @@ impl Ord for WorstFirst {
 /// cannot enter the result list.  Produces exactly the hits (ids, scores
 /// and tie-order) a full sort of all inserted hits would produce.
 pub struct TopK {
-    k: usize,
+    pub(crate) k: usize,
     heap: BinaryHeap<WorstFirst>,
 }
 
@@ -135,10 +130,9 @@ impl TopK {
 
 /// Merges several partial hit lists into one global top-k, best first.
 ///
-/// This is the single gather step shared by every fan-out search path: the
-/// per-thread winners of the parallel engines and the per-shard winners of
-/// a scatter-gather search both feed their partial lists through here.  The
-/// merge runs every hit through one bounded [`TopK`] heap
+/// This is the gather step of [`SearchEngine::top_k`], whose chunks each
+/// fill their own heap on a worker thread.  The merge runs every hit
+/// through one bounded [`TopK`] heap
 /// (`O(total · log k)` instead of sorting all partials), so it produces
 /// exactly the hits — ids, scores *and* tie order — that a full
 /// [canonical](TopK) sort of the concatenated partials would produce,
@@ -151,53 +145,6 @@ pub fn merge_top_k(parts: impl IntoIterator<Item = Vec<SearchHit>>, k: usize) ->
         }
     }
     top.into_sorted_hits()
-}
-
-/// A monotonically rising score floor shared by the branches of one
-/// fan-out top-k search (worker threads, or the shards of a scatter-gather
-/// search).
-///
-/// Every branch publishes the score of its weakest kept hit once its local
-/// [`TopK`] is full; [`SearchThreshold::floor`] is the maximum published so
-/// far.  Because a published floor is the k-th best of `k` *true* scores of
-/// distinct candidates, the final global k-th best score is at least the
-/// floor — so a candidate whose admissible upper bound falls *strictly*
-/// below the floor can never enter the merged top-k (ties at the floor are
-/// still scored), and pruning on it keeps the gathered result bit-identical
-/// under every interleaving.
-///
-/// Lock-free: the floor is an `AtomicU64` holding the score's IEEE-754
-/// bits, which order like the scores themselves for the non-negative values
-/// the [`CorpusScorer`](crate::CorpusScorer) contract guarantees.
-#[derive(Debug, Default)]
-pub struct SearchThreshold(AtomicU64);
-
-impl SearchThreshold {
-    /// A threshold with floor 0 (nothing published yet; with strict-below
-    /// pruning a zero floor prunes nothing, as bounds are non-negative).
-    pub fn new() -> Self {
-        SearchThreshold(AtomicU64::new(0.0f64.to_bits()))
-    }
-
-    /// Publishes a branch's weakest kept score; the floor only ever rises.
-    /// Non-finite or negative scores are ignored.
-    pub fn observe(&self, score: f64) {
-        if score.is_finite() && score >= 0.0 {
-            // ordering: Relaxed — the floor is a monotone pruning hint, not
-            // a synchronization edge.  fetch_max keeps the cell itself
-            // consistent; a reader that misses this publication merely
-            // prunes less and still produces the exact top-k.
-            self.0.fetch_max(score.to_bits(), AtomicOrdering::Relaxed);
-        }
-    }
-
-    /// The highest score floor published so far.
-    pub fn floor(&self) -> f64 {
-        // ordering: Relaxed — a stale floor is always a *lower* floor
-        // (the cell only rises), and a lower floor is admissible: it can
-        // only under-prune, never skip a true top-k candidate.
-        f64::from_bits(self.0.load(AtomicOrdering::Relaxed))
-    }
 }
 
 /// A cooperative cancellation token with an optional deadline, shared by
@@ -668,22 +615,6 @@ mod tests {
         );
         assert_eq!(tied[0].id.as_str(), "a");
         assert_eq!(tied[1].id.as_str(), "m");
-    }
-
-    #[test]
-    fn search_threshold_is_a_monotone_maximum() {
-        let t = SearchThreshold::new();
-        assert_eq!(t.floor(), 0.0);
-        t.observe(0.4);
-        assert_eq!(t.floor(), 0.4);
-        t.observe(0.2); // lower publications never sink the floor
-        assert_eq!(t.floor(), 0.4);
-        t.observe(0.9);
-        assert_eq!(t.floor(), 0.9);
-        t.observe(f64::NAN);
-        t.observe(f64::INFINITY);
-        t.observe(-1.0);
-        assert_eq!(t.floor(), 0.9, "junk observations are ignored");
     }
 
     #[test]

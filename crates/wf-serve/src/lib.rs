@@ -9,8 +9,8 @@
 //! * [`protocol`] — a length-prefixed binary framing with a strict codec:
 //!   truncated, oversized, wrong-version and garbage frames decode to
 //!   typed [`WireError`]s, never panics or unbounded allocations.
-//! * [`server`] — acceptor + per-connection readers + a bounded worker
-//!   pool.  Admission control sheds (typed [`ServeError::Overloaded`]
+//! * [`server`] — acceptor + per-connection readers + a worker pool
+//!   popping one bounded queue.  Admission control sheds (typed [`ServeError::Overloaded`]
 //!   with a retry hint) instead of queueing without bound; per-request
 //!   deadlines ride the [`wf_repo::CancelToken`] into the scatter-gather
 //!   scan and come back as exact *degraded* partial results that record

@@ -165,7 +165,7 @@ pub struct ServeMetrics {
     pub responses_ok: Counter,
     /// Typed error responses written (including sheds).
     pub responses_error: Counter,
-    /// Requests shed by admission control (every worker queue full).
+    /// Requests shed by admission control (work queue full).
     pub shed: Counter,
     /// Searches that returned a degraded (partial) result.
     pub degraded: Counter,

@@ -38,7 +38,7 @@ pub const MIN_PAYLOAD_LEN: u32 = 10;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Liveness probe; answered on the connection's reader thread so it
-    /// stays responsive even when the worker queues are saturated.
+    /// stays responsive even when the work queue is saturated.
     Ping,
     /// Top-k similarity search for a resident workflow id, with an optional
     /// per-request deadline (0 = server default).
@@ -99,7 +99,7 @@ pub enum Response {
 pub enum ServeError {
     /// The query id is not resident in the corpus.
     NotFound { id: String },
-    /// Admission control shed the request: every worker queue was full.
+    /// Admission control shed the request: the work queue was full.
     /// Retry after roughly `retry_after_ms` — the server's hint, derived
     /// from its queue drain rate configuration.
     Overloaded { retry_after_ms: u32 },

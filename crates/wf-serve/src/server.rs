@@ -6,10 +6,12 @@
 //! * one **reader** thread per connection — decodes frames, answers
 //!   control requests (PING/STATS/LEN) inline so health checks stay
 //!   responsive under load, and enqueues work requests;
-//! * a fixed pool of **worker** threads, each draining a *bounded* queue.
+//! * a fixed pool of **worker** threads, all popping one *bounded* queue,
+//!   so a queued job goes to whichever worker frees up first and never
+//!   waits behind a slow job while another worker idles.
 //!
-//! Admission control is shed-on-full: when every worker queue is at
-//! capacity the request is answered immediately with a typed
+//! Admission control is shed-on-full: when the queue is at capacity the
+//! request is answered immediately with a typed
 //! [`ServeError::Overloaded`] carrying a retry hint, instead of queueing
 //! without bound.  Deadlines are anchored at *arrival*, so time spent
 //! queued counts against the budget and an expired job degrades quickly
@@ -18,7 +20,7 @@
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -37,9 +39,9 @@ use crate::protocol::{
 /// Tuning knobs for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads (one bounded queue each).
+    /// Worker threads, all popping one bounded queue.
     pub workers: usize,
-    /// Per-worker queue capacity; the total admission window is
+    /// Queued jobs allowed per worker; the total admission window is
     /// `workers * queue_depth` plus the requests currently executing.
     pub queue_depth: usize,
     /// Deadline applied to searches that do not carry their own
@@ -88,7 +90,7 @@ struct Job {
     writer: Arc<ConnWriter>,
 }
 
-/// A bounded MPSC queue feeding one worker.
+/// The bounded MPMC queue every worker pops.
 struct WorkQueue {
     jobs: Mutex<VecDeque<Job>>,
     available: Condvar,
@@ -213,8 +215,7 @@ struct Shared {
     fault: Option<FaultState>,
     metrics: ServeMetrics,
     shutdown: AtomicBool,
-    queues: Vec<WorkQueue>,
-    round_robin: AtomicUsize,
+    queue: WorkQueue,
 }
 
 impl Shared {
@@ -248,8 +249,7 @@ impl Server {
             fault: fault.map(FaultState::new),
             metrics: ServeMetrics::new(),
             shutdown: AtomicBool::new(false),
-            queues: (0..workers).map(|_| WorkQueue::new(queue_depth)).collect(),
-            round_robin: AtomicUsize::new(0),
+            queue: WorkQueue::new(workers.saturating_mul(queue_depth)),
         });
 
         let worker_handles = (0..workers)
@@ -257,7 +257,7 @@ impl Server {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("wf-serve-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, w))
+                    .spawn(move || worker_loop(&shared))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
 
@@ -295,7 +295,7 @@ impl ServerHandle {
         self.shared.metrics.snapshot()
     }
 
-    /// Stops accepting, drains the worker queues and joins the worker and
+    /// Stops accepting, drains the work queue and joins the worker and
     /// acceptor threads.  Reader threads notice the flag within one read
     /// timeout and exit on their own.
     pub fn shutdown(mut self) {
@@ -306,9 +306,7 @@ impl ServerHandle {
         // ordering: Relaxed — advisory latch; the dummy connection below
         // and the condvar wakeups are the actual synchronisation edges.
         if !self.shared.shutdown.swap(true, Ordering::Relaxed) {
-            for queue in &self.shared.queues {
-                queue.available.notify_all();
-            }
+            self.shared.queue.available.notify_all();
             // Unblock the acceptor's blocking `accept`.
             let _ = TcpStream::connect(self.addr);
         }
@@ -441,20 +439,12 @@ fn dispatch(request_id: u64, request: Request, writer: &Arc<ConnWriter>, shared:
     }
 }
 
-/// Admission control: offer the job to every worker queue once (starting
-/// round-robin); shed with a typed Overloaded reply when all are full.
+/// Admission control: queue the job, or shed it with a typed Overloaded
+/// reply when the queue is full.
 fn enqueue_or_shed(job: Job, shared: &Arc<Shared>) {
-    // ordering: Relaxed — the counter only spreads load; any interleaving
-    // is correct.
-    let start = shared.round_robin.fetch_add(1, Ordering::Relaxed);
-    let n = shared.queues.len();
-    let mut job = job;
-    for i in 0..n {
-        match shared.queues[(start + i) % n].try_push(job) {
-            Ok(()) => return,
-            Err(back) => job = back,
-        }
-    }
+    let Err(job) = shared.queue.try_push(job) else {
+        return;
+    };
     shared.metrics.shed.incr();
     let reply = Response::Error(ServeError::Overloaded {
         retry_after_ms: shared.config.retry_after_ms,
@@ -474,10 +464,9 @@ fn send_reply(request_id: u64, response: &Response, writer: &Arc<ConnWriter>, sh
     writer.write_reply(&frame, shared);
 }
 
-fn worker_loop(shared: &Arc<Shared>, index: usize) {
-    let queue = &shared.queues[index];
+fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        match queue.pop(Duration::from_millis(50)) {
+        match shared.queue.pop(Duration::from_millis(50)) {
             Some(job) => {
                 let response = execute_caught(&job, shared);
                 send_reply(job.request_id, &response, &job.writer, shared);
@@ -493,7 +482,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
 
 /// [`execute`] behind the job's panic boundary: a panic while the job
 /// runs is answered with a typed `Internal` error, and the worker goes on
-/// to its next job instead of dying with its queue still admitting work.
+/// to its next job instead of dying while the queue still admits work.
 ///
 /// Unwinding drops every lock guard the job held.  A search holds only
 /// shard *read* locks, which a panic does not poison; a panic under a
@@ -599,7 +588,7 @@ fn execute(job: &Job, shared: &Shared) -> Response {
                 .remove(&WorkflowId::new(id.clone()))
                 .is_some(),
         },
-        // Control requests never reach a queue; answering Pong keeps the
+        // Control requests never reach the queue; answering Pong keeps the
         // match total without a panic path.
         Request::Ping | Request::Stats | Request::Len => Response::Pong,
     }

@@ -245,6 +245,73 @@ fn saturation_sheds_with_typed_overloaded_instead_of_queueing() {
     server.shutdown();
 }
 
+/// No head-of-line blocking: with two workers, one busy with a stalled
+/// search, a queued job goes to the idle worker instead of waiting behind
+/// the stall.  The two jobs after the search are Adds with malformed
+/// workflow JSON: a worker answers them `BadRequest` without touching the
+/// corpus, so the only thing they can wait on is the queue (a valid write
+/// would also wait for the stalled search's shard read locks).
+#[test]
+fn queued_jobs_do_not_wait_behind_a_slow_search_while_a_worker_idles() {
+    let (service, ids) = build_service(24, 4);
+    // Every search visits shard 0, so every search stalls 400ms.
+    let plan = FaultPlan::new(FAULT_SEED).delay_shards(&[0], Duration::from_millis(400));
+    let server = Server::start(
+        service,
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+        Some(plan),
+    )
+    .expect("server starts");
+    let addr = server.addr();
+    let mut writers: Vec<Client> = (0..2).map(|i| fast_client(addr, 10 + i)).collect();
+    for client in &mut writers {
+        client.ping().expect("connect before the stall");
+    }
+
+    let query = ids[0].clone();
+    let slow = std::thread::spawn(move || fast_client(addr, 9).search(&query, 5, 0));
+    // The delay fault counts itself before it stalls: from then on the
+    // search occupies a worker for 400ms.
+    let waiting = Instant::now();
+    while server.metrics().faults_injected == 0 {
+        assert!(
+            waiting.elapsed() < Duration::from_secs(5),
+            "search never ran"
+        );
+        std::thread::yield_now();
+    }
+    let malformed = Request::Add {
+        workflow_json: "{not a workflow".to_owned(),
+    };
+    let mut last = Duration::ZERO;
+    for client in &mut writers {
+        let started = Instant::now();
+        match client.request(&malformed) {
+            Err(ClientError::Rejected(ServeError::BadRequest { .. })) => {}
+            other => panic!("expected typed BadRequest, got {other:?}"),
+        }
+        last = started.elapsed();
+    }
+    assert!(
+        !slow.is_finished(),
+        "the slow search must still be running for the test to mean anything"
+    );
+    assert!(
+        last < Duration::from_millis(200),
+        "the third request waited {last:?} behind a 400ms search while a worker idled \
+         (seed {FAULT_SEED:#x})"
+    );
+    let outcome = slow
+        .join()
+        .expect("search thread")
+        .expect("slow search answers");
+    assert!(!outcome.degraded, "a stall without a deadline only delays");
+    server.shutdown();
+}
+
 /// A panic inside a search costs neither its reply nor its worker: with
 /// ~15% of shard visits panicking (under every shard read lock), every
 /// request is answered — a typed `Internal` error or exact hits — and

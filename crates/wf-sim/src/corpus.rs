@@ -40,9 +40,7 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 use wf_model::{CorpusStats, Workflow, WorkflowId};
-use wf_repo::{
-    merge_top_k, CancelToken, CorpusScorer, SearchHit, SearchStats, SearchThreshold, TokenIndex,
-};
+use wf_repo::{CancelToken, CorpusScorer, SearchHit, SearchStats, TokenIndex, TopK};
 
 use crate::config::SimilarityConfig;
 use crate::profile::{ClassPairTable, ProfiledMeasure};
@@ -229,17 +227,17 @@ impl Corpus {
     /// corpus, so it bounds candidates from the class table too.
     pub fn top_k_with_stats(&self, query: usize, k: usize) -> (Vec<SearchHit>, SearchStats) {
         let features = self.measure.query_features(&self.originals[query]);
+        let mut top = TopK::new(k);
         let mut stats = SearchStats::default();
-        let hits = frontier_scan(
+        frontier_scan(
             &[self],
             &self.measure.prepare(&features),
             &self.ids()[query],
-            k,
-            &SearchThreshold::new(),
+            &mut top,
             &CancelToken::never(),
             &mut stats,
         );
-        (merge_top_k([hits], k), stats)
+        (top.into_sorted_hits(), stats)
     }
 
     /// Serializes the corpus's original workflows, in corpus order, with a
@@ -625,7 +623,7 @@ mod tests {
 
     /// The served search rebuilt from its parts the slow way: every pair
     /// bounded afresh with [`ProfiledMeasure::upper_bound_profile`], all
-    /// candidates fully sorted, one scan with a fresh threshold.  The
+    /// candidates fully sorted, one scan into a fresh heap.  The
     /// class-table bound and the lazy frontier must walk the candidates
     /// exactly like this, so hits *and* stats are compared.
     fn per_pair_top_k(corpus: &Corpus, query: usize, k: usize) -> (Vec<SearchHit>, SearchStats) {
@@ -650,17 +648,17 @@ mod tests {
         };
         wf_repo::sort_best_bound_first(&mut candidates);
         let total = candidates.len();
-        let hits = wf_repo::scan_ranked_candidates(
+        let mut top = TopK::new(k);
+        wf_repo::scan_ranked_candidates(
             candidates,
             total,
-            k,
-            &SearchThreshold::new(),
+            &mut top,
             &CancelToken::never(),
             &mut stats,
             |i| measure.score(query, i),
             |i| measure.workflow_id(i).clone(),
         );
-        (merge_top_k([hits], k), stats)
+        (top.into_sorted_hits(), stats)
     }
 
     /// Hits equal the exhaustive scan, and hits plus stats equal the

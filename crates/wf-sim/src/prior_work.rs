@@ -17,7 +17,7 @@ use crate::module_cmp::ModuleComparisonScheme;
 /// One row of Table 1: a prior approach and its reconstruction.
 #[derive(Debug, Clone)]
 pub struct PriorApproach {
-    /// The paper's citation key, e.g. "[34] Silva et al.".
+    /// The paper's citation key, e.g. `"[34] Silva et al."`.
     pub reference: &'static str,
     /// Short description of the original approach.
     pub description: &'static str,

@@ -538,7 +538,7 @@ impl ProfiledMeasure {
 
     /// Profiles `workflows` for an already constructed measure (e.g. one
     /// built with [`WorkflowSimilarity::with_usage`]) — the one-shard case
-    /// of [`ProfiledMeasure::build_shared`].
+    /// of `ProfiledMeasure::build_shared`.
     pub fn from_measure(inner: WorkflowSimilarity, workflows: &[Workflow]) -> Self {
         ProfiledMeasure::build_shared(&inner, &[workflows])
             .pop()
@@ -712,7 +712,7 @@ impl ProfiledMeasure {
     /// under one read lock of the registry: binds the features to the
     /// corpus pool once and, for Module Sets, bounds every query module
     /// against every live class once — the table behind
-    /// [`ClassBounds::bound`].
+    /// `ClassBounds::bound`.
     ///
     /// A pair the preselection vetoes holds `0.0`, as in the per-pair
     /// reference.  Each class's column maximum (its best bound over the

@@ -5,7 +5,7 @@
 //! The paper scores a static repository offline; the ROADMAP north-star is
 //! a serving system answering heavy query traffic *while* workflows are
 //! uploaded and deleted — the repository-scale setting Davidson et al.
-//! describe for myExperiment-style search.  One [`Corpus`](crate::Corpus)
+//! describe for myExperiment-style search.  One [`Corpus`]
 //! cannot get there alone: a single `&mut` mutation path stalls every
 //! reader, one `StringPool` and one inverted index serialize all profiling,
 //! and a single snapshot file is rewritten wholesale on every save.  This
@@ -20,13 +20,11 @@
 //!   bounding it once against every live class (a [`PreparedQuery`]),
 //!   then bounding every shard's candidates from that one table (nothing
 //!   scored yet), and runs **one global best-bound-first scan** over all
-//!   of them in one [`RankedFrontier`](wf_repo::RankedFrontier): the scan
-//!   always scores the globally best-bound candidate and tightens a single
-//!   shared [`SearchThreshold`], so the pruning power of the
-//!   admissible-bound search is independent of how many shards the corpus
-//!   is split into.  The **gather** is the shared
-//!   [`merge_top_k`](wf_repo::merge_top_k) canonicalization of the one
-//!   scan's hits.
+//!   of them in one [`RankedFrontier`]: the scan always scores the
+//!   globally best-bound candidate into the search's one top-k heap and
+//!   prunes against that heap's worst kept score, so the pruning power of
+//!   the admissible-bound search is independent of how many shards the
+//!   corpus is split into.  The **gather** is that heap, sorted.
 //! * [`CorpusService`] — the concurrent wrapper: one `RwLock` per shard,
 //!   so searches proceed on all shards concurrently with churn that only
 //!   write-locks the single owning shard, plus a parallel batch-query API.
@@ -41,10 +39,10 @@
 //! *frozen* pool ([`wf_text::FrozenInterner`]), which reproduces every
 //! token-set comparison bit-for-bit without mutating it.  Pruning
 //! only ever skips a candidate whose admissible upper bound falls
-//! *strictly* below the shared threshold floor — and the floor is always a
-//! true k-th best score of `k` distinct candidates, so no pruned candidate
-//! can enter the merged top-k, under any scan order or thread
-//! interleaving.  The gather step sorts by the canonical `(score desc, id
+//! *strictly* below the floor — the worst score the search's one top-k
+//! heap keeps once full, always a true k-th best score of `k` distinct
+//! candidates — so no pruned candidate can enter the top-k, under any
+//! scan order.  The gather step sorts by the canonical `(score desc, id
 //! asc)` hit ordering, so ids, scores *and* tie order equal the
 //! exhaustive [`scan_top_k`](wf_repo::scan_top_k) over one corpus holding
 //! every shard's workflows.
@@ -62,8 +60,8 @@ use shuttle_mini::sync::{RwLock, RwLockReadGuard};
 
 use wf_model::{Workflow, WorkflowId};
 use wf_repo::{
-    claim_units, merge_top_k, scan_ranked_candidates, CancelToken, RankedCandidate, RankedFrontier,
-    SearchHit, SearchStats, SearchThreshold,
+    claim_units, scan_ranked_candidates, CancelToken, RankedCandidate, RankedFrontier, SearchHit,
+    SearchStats, TopK,
 };
 
 use crate::config::SimilarityConfig;
@@ -651,7 +649,7 @@ impl Error for ShardSnapshotError {
 /// off as complete.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradedSearch {
-    /// The merged top-k over every candidate that was actually scored.
+    /// The top-k over every candidate that was actually scored.
     pub hits: Vec<SearchHit>,
     /// Per shard: true when the scan unit covering that shard passed its
     /// gate and ran to completion.  A unit cut short mid-scan still
@@ -678,12 +676,12 @@ impl DegradedSearch {
 
 /// The frontier core: bound every candidate of the listed corpora from a
 /// query prepared for them all and run **one** [`scan_ranked_candidates`]
-/// over them, merged by a [`RankedFrontier`].  The scan always scores the
-/// globally best-bound candidate across every corpus, tightens the
-/// caller's shared threshold, and stops when the best remaining bound
-/// *anywhere* falls below the floor — so pruning power is that of one
-/// scan over the whole corpus, independent of how many fronts the corpus
-/// is split into.  Scoring goes through one per-query memo of exact
+/// over them, merged by a [`RankedFrontier`], into the caller's `top`.
+/// The scan always scores the globally best-bound candidate across every
+/// corpus and stops when the best remaining bound *anywhere* falls below
+/// the worst score `top` keeps — so pruning power is that of one scan
+/// over the whole corpus, independent of how many fronts the corpus is
+/// split into.  Scoring goes through one per-query memo of exact
 /// module-pair similarities, shared by every front.
 ///
 /// Each candidate is keyed by its shard-major position: the candidates
@@ -693,20 +691,17 @@ impl DegradedSearch {
 /// one, and bit-identical to the per-pair bound
 /// [`ProfiledMeasure::upper_bound_profile`].
 ///
-/// Returns the scan's heap-order hits (callers canonicalize through
-/// [`merge_top_k`]).  A fired `cancel` abandons the merged stream
-/// mid-scan; the hits proven up to that point are exact (the frontier
-/// only reorders *scoring*, and top-k content is insertion-order
-/// independent).
+/// A fired `cancel` abandons the merged stream mid-scan; the hits `top`
+/// holds at that point are exact (the frontier only reorders *scoring*,
+/// and top-k content is insertion-order independent).
 pub(crate) fn frontier_scan(
     fronts: &[&Corpus],
     query: &PreparedQuery,
     exclude: &WorkflowId,
-    k: usize,
-    threshold: &SearchThreshold,
+    top: &mut TopK,
     cancel: &CancelToken,
     stats: &mut SearchStats,
-) -> Vec<SearchHit> {
+) {
     let mut offsets = Vec::with_capacity(fronts.len());
     let mut candidates: Vec<RankedCandidate> =
         Vec::with_capacity(fronts.iter().map(|corpus| corpus.len()).sum());
@@ -750,8 +745,7 @@ pub(crate) fn frontier_scan(
     scan_ranked_candidates(
         frontier,
         total,
-        k,
-        threshold,
+        top,
         cancel,
         stats,
         |position| {
@@ -762,7 +756,7 @@ pub(crate) fn frontier_scan(
             let (corpus, local) = locate(position);
             corpus.ids()[local].clone()
         },
-    )
+    );
 }
 
 /// A gate run on a shard before its scan: `false` vetoes the visit, and
@@ -776,7 +770,8 @@ type ShardGate<'g> = &'g dyn Fn(usize) -> bool;
 /// order of [`CorpusService`]), and held to the gather, so the search
 /// sees one consistent cut of a live corpus.  The shards are then split
 /// into *units*, scanned in shard order, each by one [`frontier_scan`]
-/// against one shared [`SearchThreshold`]:
+/// into the search's one top-k heap, so a unit prunes against the hits
+/// of every unit before it:
 ///
 /// * with no gate, all shards form one unit: one global best-bound-first
 ///   frontier, the least scoring work at any shard count;
@@ -791,7 +786,7 @@ type ShardGate<'g> = &'g dyn Fn(usize) -> bool;
 /// Bit-identical to [`scan_top_k`](wf_repo::scan_top_k) under either
 /// split: pruning is *strictly below* a floor that is always a true
 /// worst-of-k of `k` distinct exactly-scored candidates, so no pruned
-/// candidate can enter the merged top-k, and the gather ([`merge_top_k`])
+/// candidate can enter the top-k, and the gather (the heap's sort)
 /// canonicalizes order.  The split changes only the work done and which
 /// shards a fired deadline leaves unanswered.
 fn scatter<R: std::ops::Deref<Target = Corpus>>(
@@ -810,10 +805,9 @@ fn scatter<R: std::ops::Deref<Target = Corpus>>(
     // every shard guard: the query is bound and bounded for all units,
     // and the lock is released before any scan.
     let query = fronts[0].measure().prepare(features);
-    let threshold = SearchThreshold::new();
+    let mut top = TopK::new(k);
     let mut answered = vec![false; shard_count];
     let mut stats = SearchStats::default();
-    let mut parts = Vec::new();
     for (unit, shards) in fronts.chunks(unit_len).enumerate() {
         if cancel.is_cancelled() {
             stats.cancelled = true;
@@ -823,21 +817,13 @@ fn scatter<R: std::ops::Deref<Target = Corpus>>(
         if gate.is_some_and(|gate| !gate(unit)) {
             continue;
         }
-        let mut unit_stats = SearchStats::default();
-        parts.push(frontier_scan(
-            shards,
-            &query,
-            exclude,
-            k,
-            &threshold,
-            cancel,
-            &mut unit_stats,
-        ));
-        answered[unit * unit_len..][..shards.len()].fill(!unit_stats.cancelled);
-        stats.merge(&unit_stats);
+        frontier_scan(shards, &query, exclude, &mut top, cancel, &mut stats);
+        // A scan that saw the token fire ends the loop at the next check,
+        // so `cancelled` can only have been set by this unit.
+        answered[unit * unit_len..][..shards.len()].fill(!stats.cancelled);
     }
     DegradedSearch {
-        hits: merge_top_k(parts, k),
+        hits: top.into_sorted_hits(),
         degraded: answered.contains(&false),
         answered,
         stats,
@@ -1607,13 +1593,45 @@ mod tests {
         assert_eq!(result.stats.scored, 0);
     }
 
+    /// Ids and score bits of a hit list, for bit-identity assertions.
+    fn hit_bits(hits: &[SearchHit]) -> Vec<(WorkflowId, u64)> {
+        hits.iter()
+            .map(|hit| (hit.id.clone(), hit.score.to_bits()))
+            .collect()
+    }
+
+    /// The brute-force scan over one unsharded corpus of [`sample`].
+    fn sample_scan_oracle(query: &WorkflowId, k: usize) -> Vec<(WorkflowId, u64)> {
+        let single = Corpus::build(config(), sample());
+        let index = single.index_of(query).expect("resident");
+        hit_bits(&wf_repo::scan_top_k(single.measure(), index, k))
+    }
+
     #[test]
     fn vetoed_shard_degrades_coverage_not_correctness() {
         // Four shards, every one holding a hit the full search returns.
-        let service = CorpusService::new(ShardedCorpus::build(config(), 4, sample()));
+        let sharded = ShardedCorpus::build(config(), 4, sample());
+        let residents: Vec<Vec<WorkflowId>> = sharded
+            .shards()
+            .iter()
+            .map(|shard| shard.ids().to_vec())
+            .collect();
+        let service = CorpusService::new(sharded);
         let query: WorkflowId = "a".into();
-        let full = service.search(&query, 10).expect("resident");
-        for vetoed in 0..4 {
+        let (full, full_stats) = {
+            let result = service
+                .search_deadline(&query, 10, &CancelToken::never())
+                .expect("resident");
+            (result.hits, result.stats)
+        };
+        // With the gate open, the four one-shard units fill one heap: the
+        // brute-force scan's hits, bit for bit, from the same candidates.
+        let open = service
+            .search_deadline_with(&query, 10, &CancelToken::never(), |_| true)
+            .expect("resident");
+        assert_eq!(hit_bits(&open.hits), sample_scan_oracle(&query, 10));
+        assert_eq!(open.stats.candidates, full_stats.candidates);
+        for (vetoed, vetoed_residents) in residents.iter().enumerate() {
             let result = service
                 .search_deadline_with(&query, 10, &CancelToken::never(), |s| s != vetoed)
                 .expect("resident");
@@ -1632,6 +1650,14 @@ mod tests {
                     .expect("degraded hit exists in the full result");
                 assert_eq!(hit.score.to_bits(), reference.score.to_bits());
             }
+            // k covers the corpus, so the surviving units' one heap holds
+            // exactly the full ranking minus the vetoed shard's residents.
+            let expected: Vec<SearchHit> = full
+                .iter()
+                .filter(|hit| !vetoed_residents.contains(&hit.id))
+                .cloned()
+                .collect();
+            assert_eq!(hit_bits(&result.hits), hit_bits(&expected));
         }
     }
 
@@ -1862,6 +1888,11 @@ mod tests {
             .expect("resident");
         assert_eq!(gated.answered, vec![true, true]);
         assert_eq!(gated.hits, full);
+        // One heap carried across the gated units: the brute-force scan's
+        // hits over one unsharded corpus, bit for bit, and every candidate
+        // enumerated exactly as the ungated search does.
+        assert_eq!(hit_bits(&gated.hits), sample_scan_oracle(&query, 4));
+        assert_eq!(gated.stats.candidates, frontier_stats.candidates);
         assert!(service
             .search_deadline(&"nope".into(), 4, &CancelToken::never())
             .is_none());

@@ -210,7 +210,7 @@ const GALLOP_RATIO: usize = 16;
 ///
 /// The workhorse behind [`TokenIdSet::intersection_len`]: a `u64`
 /// word-batched merge for similar sizes and a galloping (exponential
-/// probe + binary search) path when one side is ≥ [`GALLOP_RATIO`]×
+/// probe + binary search) path when one side is ≥ `GALLOP_RATIO`×
 /// larger.  Exactly equivalent to the classic three-way scalar merge
 /// ([`intersect_sorted_scalar`]) for every valid input.
 // lint:hot innermost loop of every token-set comparison; wfsim_lint

@@ -4,10 +4,10 @@
 //! comparison schemes (Section 2.1.1) rely on a small set of text
 //! primitives, implemented here without external dependencies:
 //!
-//! * [`levenshtein`] — the Levenshtein edit distance and the normalized
+//! * [`levenshtein`](mod@levenshtein) — the Levenshtein edit distance and the normalized
 //!   string similarity derived from it (`pll`, `pw0`, `pw3` label / script /
 //!   description comparison).
-//! * [`tokenize`] — the Bag-of-Words tokenization pipeline: split on
+//! * [`tokenize`](mod@tokenize) — the Bag-of-Words tokenization pipeline: split on
 //!   whitespace and underscores, lowercase, strip non-alphanumeric
 //!   characters.
 //! * [`stopwords`] — the English stop-word list applied to workflow titles
