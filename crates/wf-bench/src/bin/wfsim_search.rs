@@ -303,7 +303,8 @@ fn run_benchmark(options: &Options, repository: &Repository) -> Result<(), Strin
          \"comparisons_pruned\": 0}},\n    \
          {{\"engine\": \"indexed\", \"wall_ms\": {:.3}, \"build_ms\": {:.3}, \
          \"comparisons_scored\": {}, \"comparisons_pruned\": {}, \
-         \"zero_bound_shortcuts\": {}, \"shared_token_candidates\": {}}}\n  ],\n  \
+         \"zero_bound_shortcuts\": {}, \"shared_token_candidates\": {}, \
+         \"bounds_refined\": {}}}\n  ],\n  \
          \"identical_hits\": {},\n  \"speedup_scan_over_indexed\": {:.3}\n}}\n",
         wf_bench::json_escape(&options.source),
         n,
@@ -319,6 +320,7 @@ fn run_benchmark(options: &Options, repository: &Repository) -> Result<(), Strin
         stats_total.pruned + stats_total.zero_bound,
         stats_total.zero_bound,
         stats_total.shared_token_candidates,
+        stats_total.bounds_refined,
         identical,
         speedup,
     );

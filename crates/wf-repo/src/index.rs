@@ -10,7 +10,8 @@
 //!
 //! This module holds the measure-independent pieces: [`TokenIndex`]
 //! counts the label tokens a candidate shares with the query,
-//! [`RankedFrontier`] yields candidates best bound first, and
+//! [`RankedFrontier`] yields candidates best bound first, computing a
+//! candidate's bound only when a cheaper key brings it to the head, and
 //! [`scan_ranked_candidates`] is the one prune-and-score loop every
 //! bounded search runs (the corpus layer of `wf-sim` feeds it bounds from
 //! its per-query class table).  The scan is exact: because every bound is
@@ -24,6 +25,7 @@
 //! degrades to an exhaustive — but still corpus-resident — scan.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use wf_model::WorkflowId;
@@ -176,6 +178,10 @@ pub struct SearchStats {
     /// but possibly incomplete prefix of the candidate stream's true
     /// contribution, and callers must surface the result as degraded.
     pub cancelled: bool,
+    /// Full bounds a lazy [`RankedFrontier`] computed: the candidates
+    /// that reached its head on a cheap key and were refined there.
+    /// Zero for measures without a bound.
+    pub bounds_refined: usize,
 }
 
 impl SearchStats {
@@ -198,6 +204,7 @@ impl SearchStats {
         self.shared_token_candidates += other.shared_token_candidates;
         self.abandoned += other.abandoned;
         self.cancelled |= other.cancelled;
+        self.bounds_refined += other.bounds_refined;
     }
 }
 
@@ -239,14 +246,17 @@ pub fn sort_best_bound_first(candidates: &mut [RankedCandidate]) {
 /// strict-below-floor pruning and the stats accounting live in one place.
 ///
 /// `candidates` must arrive in [`sort_best_bound_first`] order, or as a
-/// [`RankedFrontier`] (`total` is its length, needed for prune
-/// accounting); `score` computes the exact score of a candidate index and
-/// `id_of` resolves its workflow id.  Every scored candidate is offered to
-/// the caller's `top`, which may already hold the hits of earlier streams
-/// of the same search.  Once `top` is full, its worst kept score is the
-/// floor, and the loop stops as soon as the best remaining bound falls
-/// *strictly* below it — admissible, so `top` ends up holding exactly the
-/// true top-k of every candidate it was offered or that was pruned.
+/// [`RankedFrontier`], which yields that order while computing only the
+/// bounds it pops (pass it by `&mut` to read its
+/// [`RankedFrontier::bounds_refined`] afterwards); `total` is the
+/// stream's length, needed for prune accounting.  `score` computes the
+/// exact score of a candidate index and `id_of` resolves its workflow id.
+/// Every scored candidate is offered to the caller's `top`, which may
+/// already hold the hits of earlier streams of the same search.  Once
+/// `top` is full, its worst kept score is the floor, and the loop stops as
+/// soon as the best remaining bound falls *strictly* below it —
+/// admissible, so `top` ends up holding exactly the true top-k of every
+/// candidate it was offered or that was pruned.
 ///
 /// `cancel` is polled between candidates: once it fires, the remaining
 /// stream is abandoned (`stats.abandoned`, `stats.cancelled`) and `top`
@@ -316,77 +326,147 @@ pub fn scan_ranked_candidates<I, F, G>(
 
 /// A lazy best-bound-first stream over one search's candidates.
 ///
-/// This is the scheduling core of the sharded scatter-gather search: the
+/// This is the scheduling core of every bound-pruned search: the
 /// candidates of every shard go into one frontier, keyed by shard-major
 /// position (the shard's offset plus its local index), so a single
 /// [`scan_ranked_candidates`] over it prunes with the same power as one
 /// engine over the whole corpus, independent of how the candidates are
 /// partitioned.
 ///
-/// The frontier is a binary heap in the canonical [`sort_best_bound_first`]
-/// order, built in O(n) and popped in O(log n): a scan that prunes after a
-/// few dozen candidates never pays for sorting the thousands it skips, and
-/// the frontier still yields exactly the sorted sequence (the order is
-/// total, so the heap has no tie of its own to break).  Index-ascending
-/// ties on shard-major positions resolve to the earliest shard, then the
-/// earliest local index — a deterministic order; the final top-k content
-/// is insertion-order independent anyway (every non-pruned candidate is
-/// scored exactly, and [`TopK`] keeps the k best under the canonical
-/// score-then-id order).  What the frontier has yielded is not a coverage
-/// report: [`scan_ranked_candidates`] pops a candidate before it checks
-/// its cancel token, so callers report coverage from the scan's
-/// `stats.cancelled`.
-pub struct RankedFrontier {
-    heap: BinaryHeap<ScanFirst>,
+/// Each candidate enters under a *key*.  With a `refine` closure the key
+/// is a cheap upper bound on the candidate's bound, and `refine(index)`
+/// computes the bound itself; without one the key is the bound (or
+/// `f64::INFINITY` for a measure that cannot bound), and the entry
+/// arrives refined.  The frontier is a binary heap, built in O(n), that
+/// orders entries by key descending; at equal key an unrefined entry
+/// comes first, then overlap descending, then index ascending.  An
+/// unrefined entry at the head is refined and sifted back in place; a
+/// refined entry at the head is yielded.  At that moment every unrefined
+/// key — and so every bound behind one — is strictly below the yielded
+/// bound, so the frontier yields exactly the [`sort_best_bound_first`]
+/// order of the refined bounds.  A scan that prunes after a few dozen
+/// candidates therefore refines only the candidates whose key reaches its
+/// last bound, never bounding or sorting the thousands it skips.
+///
+/// Index-ascending ties on shard-major positions resolve to the earliest
+/// shard, then the earliest local index — a deterministic order; the
+/// final top-k content is insertion-order independent anyway (every
+/// non-pruned candidate is scored exactly, and [`TopK`] keeps the k best
+/// under the canonical score-then-id order).  What the frontier has
+/// yielded is not a coverage report: [`scan_ranked_candidates`] pops a
+/// candidate before it checks its cancel token, so callers report
+/// coverage from the scan's `stats.cancelled`.
+pub struct RankedFrontier<R> {
+    heap: BinaryHeap<FrontierEntry>,
     total: usize,
+    refinements: usize,
+    refine: Option<R>,
 }
 
-/// A [`RankedCandidate`] ordered so that the max-heap pops the candidate
-/// [`scan_order`] scans first.
-struct ScanFirst(RankedCandidate);
+/// A frontier entry: a candidate under its key, which is its exact bound
+/// once `refined`.
+struct FrontierEntry {
+    key: f64,
+    refined: bool,
+    overlap: u32,
+    index: usize,
+}
 
-impl Ord for ScanFirst {
+impl Ord for FrontierEntry {
+    /// The max-heap pops the greatest entry: key descending, unrefined
+    /// before refined, overlap descending, index ascending.  A total order
+    /// for non-NaN keys, because corpus indices are distinct.
     fn cmp(&self, other: &Self) -> Ordering {
-        scan_order(&other.0, &self.0)
+        self.key
+            .partial_cmp(&other.key)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| other.refined.cmp(&self.refined))
+            .then_with(|| self.overlap.cmp(&other.overlap))
+            .then_with(|| other.index.cmp(&self.index))
     }
 }
 
-impl PartialOrd for ScanFirst {
+impl PartialOrd for FrontierEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl PartialEq for ScanFirst {
+impl PartialEq for FrontierEntry {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 
-impl Eq for ScanFirst {}
+impl Eq for FrontierEntry {}
 
-impl RankedFrontier {
+impl<R: FnMut(usize) -> f64> RankedFrontier<R> {
     /// A frontier over candidates with distinct indices, in any order.
-    pub fn new(candidates: Vec<RankedCandidate>) -> Self {
+    /// With `refine`, each candidate's `bound` is its key and must be at
+    /// least what `refine` returns for its index; without it, each
+    /// `bound` is exact.
+    pub fn new(candidates: Vec<RankedCandidate>, refine: Option<R>) -> Self {
+        let refined = refine.is_none();
         RankedFrontier {
             total: candidates.len(),
-            heap: candidates.into_iter().map(ScanFirst).collect(),
+            heap: candidates
+                .into_iter()
+                .map(|candidate| FrontierEntry {
+                    key: candidate.bound,
+                    refined,
+                    overlap: candidate.overlap,
+                    index: candidate.index,
+                })
+                .collect(),
+            refinements: 0,
+            refine,
         }
     }
+}
 
+impl<R> RankedFrontier<R> {
     /// Total candidates, popped or not.
     pub fn total(&self) -> usize {
         self.total
     }
+
+    /// Bounds computed so far by `refine`.
+    pub fn bounds_refined(&self) -> usize {
+        self.refinements
+    }
 }
 
-impl Iterator for RankedFrontier {
+impl<R: FnMut(usize) -> f64> Iterator for RankedFrontier<R> {
     type Item = RankedCandidate;
 
     /// Pops the best-bound candidate (bound descending, then overlap
-    /// descending, then index ascending).
+    /// descending, then index ascending), refining the entries that reach
+    /// the head on their key first.
+    // lint:hot once per yielded or refined candidate of every bounded
+    // search: a refinement rewrites the head in place, so the heap's
+    // storage is reused and nothing allocates.
     fn next(&mut self) -> Option<RankedCandidate> {
-        self.heap.pop().map(|ScanFirst(head)| head)
+        loop {
+            let mut head = self.heap.peek_mut()?;
+            if head.refined {
+                let head = PeekMut::pop(head);
+                return Some(RankedCandidate {
+                    index: head.index,
+                    bound: head.key,
+                    overlap: head.overlap,
+                });
+            }
+            let refine = self
+                .refine
+                .as_mut()
+                .expect("only a frontier with a refine closure holds unrefined entries");
+            let bound = refine(head.index);
+            debug_assert!(bound <= head.key, "a key must dominate its bound");
+            head.key = bound;
+            head.refined = true;
+            self.refinements += 1;
+            // Dropping `head` sifts the refined entry down.
+        }
     }
 }
 
@@ -491,16 +571,24 @@ mod tests {
         )
     }
 
-    /// A best-bound-first search over the toy: every other workflow
-    /// ranked by the toy bound (`INFINITY` when unbounded) and its token
-    /// overlap in a [`RankedFrontier`], then the one shared scan.
+    /// A frontier whose bounds are exact: nothing to refine.
+    fn exact(candidates: Vec<RankedCandidate>) -> RankedFrontier<fn(usize) -> f64> {
+        RankedFrontier::new(candidates, None)
+    }
+
+    /// A best-bound-first search over the toy: every other workflow in a
+    /// [`RankedFrontier`] under its token overlap and the key 1.0 (which
+    /// dominates every Jaccard bound), refined to the toy bound at the
+    /// head — or at `INFINITY`, refined already, when unbounded — then the
+    /// one shared scan.
     fn frontier_top_k(scorer: &ToyScorer, query: usize, k: usize) -> (Vec<SearchHit>, SearchStats) {
         let overlaps = TokenIndex::build(scorer).overlap_counts(scorer.label_token_ids(query));
+        let key = if scorer.bounded { 1.0 } else { f64::INFINITY };
         let candidates: Vec<RankedCandidate> = (0..scorer.corpus_len())
             .filter(|&i| i != query)
             .map(|i| RankedCandidate {
                 index: i,
-                bound: scorer.bound(query, i).unwrap_or(f64::INFINITY),
+                bound: key,
                 overlap: overlaps[i],
             })
             .collect();
@@ -509,11 +597,12 @@ mod tests {
             shared_token_candidates: candidates.iter().filter(|c| c.overlap > 0).count(),
             ..SearchStats::default()
         };
-        let frontier = RankedFrontier::new(candidates);
+        let refine = |i| scorer.bound(query, i).expect("only a bounded toy refines");
+        let mut frontier = RankedFrontier::new(candidates, scorer.bounded.then_some(refine));
         let total = frontier.total();
         let mut top = TopK::new(k);
         scan_ranked_candidates(
-            frontier,
+            &mut frontier,
             total,
             &mut top,
             &CancelToken::never(),
@@ -521,6 +610,7 @@ mod tests {
             |i| scorer.score(query, i),
             |i| scorer.workflow_id(i).clone(),
         );
+        stats.bounds_refined = frontier.bounds_refined();
         (top.into_sorted_hits(), stats)
     }
 
@@ -545,6 +635,15 @@ mod tests {
                     );
                     if k == 0 {
                         assert_eq!(stats.pruned, stats.candidates, "{what}: scores nothing");
+                    }
+                    if bounded {
+                        assert!(
+                            stats.scored + stats.zero_bound <= stats.bounds_refined
+                                && stats.bounds_refined <= stats.candidates,
+                            "{what}: every yielded candidate was refined once: {stats:?}"
+                        );
+                    } else {
+                        assert_eq!(stats.bounds_refined, 0, "{what}: nothing to refine");
                     }
                 }
             }
@@ -641,6 +740,7 @@ mod tests {
             shared_token_candidates: 3,
             abandoned: 0,
             cancelled: false,
+            bounds_refined: 6,
         };
         assert!((stats.pruned_fraction() - 0.6).abs() < 1e-12);
         assert_eq!(SearchStats::default().pruned_fraction(), 0.0);
@@ -702,7 +802,7 @@ mod tests {
             bound,
             overlap: 1,
         };
-        let frontier = RankedFrontier::new(vec![rc(0, 0.9), rc(2, 0.5), rc(1, 0.8), rc(3, 0.4)]);
+        let frontier = exact(vec![rc(0, 0.9), rc(2, 0.5), rc(1, 0.8), rc(3, 0.4)]);
         let bounds = [0.9, 0.8, 0.5, 0.4];
         let token = CancelToken::never();
         let scored = std::cell::Cell::new(0usize);
@@ -759,7 +859,7 @@ mod tests {
             rc(4, 0.5, 4),
             rc(1, 0.5, 1),
         ];
-        let mut frontier = RankedFrontier::new(candidates);
+        let mut frontier = exact(candidates);
         assert_eq!(frontier.total(), 6);
 
         let order: Vec<usize> = frontier.by_ref().map(|c| c.index).collect();
@@ -783,15 +883,18 @@ mod tests {
         let mut a = SearchStats {
             abandoned: 3,
             cancelled: true,
+            bounds_refined: 4,
             ..SearchStats::default()
         };
         let b = SearchStats {
             abandoned: 2,
             cancelled: false,
+            bounds_refined: 7,
             ..SearchStats::default()
         };
         a.merge(&b);
         assert_eq!(a.abandoned, 5);
+        assert_eq!(a.bounds_refined, 11);
         assert!(a.cancelled, "cancellation is sticky under merge");
     }
 }

@@ -662,19 +662,41 @@ mod tests {
     }
 
     /// Hits equal the exhaustive scan, and hits plus stats equal the
-    /// per-pair reference, for every query and k.
+    /// per-pair reference, for every query and k.  The reference bounds
+    /// every candidate up front, so the frontier's `bounds_refined` is
+    /// checked on its own: every candidate the scan examined was refined,
+    /// and none twice — or none at all for a measure without a bound.
     fn assert_served_matches_references(corpus: &Corpus, queries: &[usize], what: &str) {
         for &query in queries {
+            let measure = corpus.measure();
+            let bounded = measure
+                .upper_bound_profile(measure.profile(query), query)
+                .is_some();
             for k in [0, 1, 3, 10, corpus.len()] {
                 let expected = wf_repo::scan_top_k(corpus.measure(), query, k);
                 let (hits, stats) = corpus.top_k_with_stats(query, k);
                 assert_eq!(hits, expected, "{what}: query {query}, k {k}");
                 assert_eq!(corpus.top_k_index(query, k), expected);
+                let refined = stats.bounds_refined;
                 assert_eq!(
-                    (hits, stats),
+                    (
+                        hits,
+                        SearchStats {
+                            bounds_refined: 0,
+                            ..stats
+                        }
+                    ),
                     per_pair_top_k(corpus, query, k),
                     "{what}: per-pair reference, query {query}, k {k}"
                 );
+                if bounded {
+                    assert!(
+                        stats.scored + stats.zero_bound <= refined && refined <= stats.candidates,
+                        "{what}: refined {refined}, query {query}, k {k}: {stats:?}"
+                    );
+                } else {
+                    assert_eq!(refined, 0, "{what}: nothing to refine, query {query}");
+                }
                 assert_eq!(stats.candidates, corpus.len() - 1);
                 assert_eq!(
                     stats.scored + stats.pruned + stats.zero_bound,
@@ -741,6 +763,36 @@ mod tests {
             pruned += corpus.top_k_with_stats(0, 3).1.pruned;
         }
         assert!(pruned > 0, "the generated corpus exercises pruning");
+    }
+
+    /// Exact scan work of the served search on a fixed corpus: 16 evenly
+    /// spaced queries of the 2,000-workflow demo corpus (seed 7), top 10.
+    /// These totals change only when the scan's work does; a change that
+    /// moves them updates them here and says why.  Every candidate used to
+    /// get its full bound (`bounds_refined` = `candidates`); the lazy
+    /// frontier refines only those whose column key reaches the scan's
+    /// last bound.
+    #[test]
+    fn golden_work_counts_of_the_served_search() {
+        let (workflows, _) =
+            wf_corpus::generate_taverna_corpus(&wf_corpus::TavernaCorpusConfig::small(2_000, 7));
+        let corpus = Corpus::build(config(), workflows);
+        let mut total = SearchStats::default();
+        for query in (0..16).map(|i| i * corpus.len() / 16) {
+            total.merge(&corpus.top_k_with_stats(query, 10).1);
+        }
+        let counts = (
+            total.candidates,
+            total.scored,
+            total.pruned,
+            total.zero_bound,
+            total.bounds_refined,
+        );
+        assert_eq!(
+            counts,
+            (31_984, 998, 30_986, 0, 1_176),
+            "(candidates, scored, pruned, zero_bound, bounds_refined)"
+        );
     }
 
     /// A write that finds the shared class registry poisoned panics before

@@ -1174,8 +1174,8 @@ pub(crate) struct ClassBounds<'m> {
 impl ClassBounds<'_> {
     /// The Module Sets upper bound of the query against the workflow at
     /// `candidate`.
-    // lint:hot evaluated once per candidate of every bounded search:
-    // table reads over the candidate's class ids, no allocation.
+    // lint:hot evaluated once per refined candidate of every bounded
+    // search: table reads over the candidate's class ids, no allocation.
     pub(crate) fn bound(&mut self, candidate: usize) -> f64 {
         let classes = self.classes.of(candidate);
         let table = self.table;
@@ -1193,6 +1193,29 @@ impl ClassBounds<'_> {
         }
         finish_bound(row_best, col_best, table.normalization)
     }
+
+    /// The column side of [`ClassBounds::bound`] alone: the top-m sum of
+    /// the candidate's stored class column maxima, with the same slack,
+    /// cap and normalization.  One read per candidate module instead of
+    /// `na`, and never below the full bound in floating point, which takes
+    /// the smaller of this sum and the row side's through the same
+    /// monotone steps — the key a lazy frontier ranks the candidate by
+    /// until it reaches the head.
+    // lint:hot evaluated once per candidate of every bounded search: one
+    // stored read per candidate module, no allocation.
+    pub(crate) fn column_key(&mut self, candidate: usize) -> f64 {
+        let classes = self.classes.of(candidate);
+        let table = self.table;
+        let col_best = &mut self.sides[..classes.len()];
+        for (col, &class) in col_best.iter_mut().zip(classes) {
+            *col = table.col_max[class as usize];
+        }
+        let (na, nb) = (table.na, col_best.len());
+        if na == 0 || nb == 0 {
+            return empty_side_bound(na, nb, table.normalization);
+        }
+        relaxed_bound(top_m_sum(col_best, na.min(nb)), na, nb, table.normalization)
+    }
 }
 
 /// The Module Sets bound from the per-side maxima of the per-pair bounds:
@@ -1201,26 +1224,44 @@ impl ClassBounds<'_> {
 /// query's.  Relaxing the one-to-one mapping two ways — each mapped pair's
 /// weight is at most its row's maximum *and* its column's, and at most
 /// `m = min(|A|, |B|)` pairs are mapped — bounds nnsim by the smaller of
-/// the two "sum of the top m per-side maxima" estimates, capped at `m`,
-/// which is pushed through the (monotone) normalization.  Both slices are
-/// scratch, reordered here.  Shared by the per-pair reference and the
-/// class-table bound.
+/// the two "sum of the top m per-side maxima" estimates, finished by
+/// [`relaxed_bound`].  Both slices are scratch, reordered here.  Shared by
+/// the per-pair reference and the class-table bound.
+// lint:hot once per refined candidate; works in the caller's scratch.
+fn finish_bound(row_best: &mut [f64], col_best: &mut [f64], normalization: Normalization) -> f64 {
+    let (na, nb) = (row_best.len(), col_best.len());
+    if na == 0 || nb == 0 {
+        return empty_side_bound(na, nb, normalization);
+    }
+    let mapped = na.min(nb);
+    relaxed_bound(
+        top_m_sum(row_best, mapped).min(top_m_sum(col_best, mapped)),
+        na,
+        nb,
+        normalization,
+    )
+}
+
+/// The exact score of a pair with an empty side: an empty side forces an
+/// empty mapping.
+fn empty_side_bound(na: usize, nb: usize, normalization: Normalization) -> f64 {
+    match normalization {
+        Normalization::None => 0.0,
+        Normalization::SizeNormalized => jaccard_normalize(0.0, na, nb),
+    }
+}
+
+/// A top-m sum of per-side maxima (`na`, `nb` both non-zero) turned into
+/// the bound: capped at `m`, pushed through the (monotone) normalization.
 ///
 /// The returned bound carries an m²·ε admissibility slack so it dominates
 /// the exact score *in floating point*, not just mathematically — the
 /// best-bound-first scans prune on the raw bound, and a 1-ulp shortfall
 /// (different summation order than the mapping's) would silently drop an
-/// exact top-k member.
-// lint:hot once per bounded candidate; works in the caller's scratch.
-fn finish_bound(row_best: &mut [f64], col_best: &mut [f64], normalization: Normalization) -> f64 {
-    let (na, nb) = (row_best.len(), col_best.len());
-    if na == 0 || nb == 0 {
-        // Exact: an empty side forces an empty mapping.
-        return match normalization {
-            Normalization::None => 0.0,
-            Normalization::SizeNormalized => jaccard_normalize(0.0, na, nb),
-        };
-    }
+/// exact top-k member.  Every step is monotone in `top_m` under IEEE
+/// rounding, so a larger sum never yields a smaller bound.
+// lint:hot once per bounded candidate and once per refinement.
+fn relaxed_bound(top_m: f64, na: usize, nb: usize, normalization: Normalization) -> f64 {
     let mapped = na.min(nb);
     // Admissibility slack: the bound and the exact score sum the same
     // per-pair values in different orders (top-m of per-side maxima vs the
@@ -1231,8 +1272,7 @@ fn finish_bound(row_best: &mut [f64], col_best: &mut [f64], normalization: Norma
     // rounding noise; `jaccard_normalize` is monotone in `nnsim` under IEEE
     // rounding, so pre-normalization slack suffices.
     let slack = (mapped * mapped) as f64 * f64::EPSILON;
-    let nnsim_bound = (top_m_sum(row_best, mapped).min(top_m_sum(col_best, mapped)) + slack)
-        .min(mapped as f64 + slack);
+    let nnsim_bound = (top_m + slack).min(mapped as f64 + slack);
     match normalization {
         Normalization::None => nnsim_bound,
         Normalization::SizeNormalized => jaccard_normalize(nnsim_bound, na, nb),
@@ -1867,25 +1907,47 @@ mod tests {
     }
 
     /// The class-table bound of `query` against every workflow of
-    /// `measure`, each compared by bits with the per-pair reference.
-    fn assert_table_bound_matches(measure: &ProfiledMeasure, query: &Workflow, what: &str) {
+    /// `measure`, each compared by bits with the per-pair reference, and
+    /// dominated by the candidate's column key.  Returns how many pairs
+    /// had two module-less sides.
+    fn assert_table_bound_matches(
+        measure: &ProfiledMeasure,
+        query: &Workflow,
+        what: &str,
+    ) -> usize {
         let prepared = measure.prepare(&measure.query_features(query));
         let mut table = measure
             .class_bounds(&prepared)
             .expect("module sets is bounded");
         let query = prepared.profile();
+        let mut both_empty = 0;
         for candidate in 0..measure.len() {
             let want = measure
                 .upper_bound_profile(query, candidate)
                 .expect("module sets is bounded");
-            assert_eq!(
-                table.bound(candidate).to_bits(),
-                want.to_bits(),
-                "{what}: {} vs {}",
-                query.workflow().id,
-                measure.ids()[candidate]
+            let pair = || {
+                format!(
+                    "{what}: {} vs {}",
+                    query.workflow().id,
+                    measure.ids()[candidate]
+                )
+            };
+            let bound = table.bound(candidate);
+            assert_eq!(bound.to_bits(), want.to_bits(), "{}", pair());
+            let key = table.column_key(candidate);
+            assert!(
+                key >= bound,
+                "{}: column key {key} below bound {bound}",
+                pair()
             );
+            if query.modules().is_empty() && measure.profile(candidate).modules().is_empty() {
+                both_empty += 1;
+                if measure.inner().config().normalization == Normalization::SizeNormalized {
+                    assert_eq!((key, bound), (1.0, 1.0), "{}: two empty sides", pair());
+                }
+            }
         }
+        both_empty
     }
 
     /// Class ids in use (live or free) and the free ones, in free-list
@@ -1906,15 +1968,18 @@ mod tests {
         for config in bound_configs() {
             let name = format!("{} {:?}", config.name(), config.normalization);
             let mut measure = ProfiledMeasure::new(config, residents);
+            let mut both_empty = 0;
             assert!(
                 ids_and_free(&measure).1.is_empty(),
                 "{name}: built from scratch"
             );
             for query in residents {
-                assert_table_bound_matches(&measure, query, &format!("{name} resident"));
+                both_empty +=
+                    assert_table_bound_matches(&measure, query, &format!("{name} resident"));
             }
             for query in &externals {
-                assert_table_bound_matches(&measure, query, &format!("{name} external"));
+                both_empty +=
+                    assert_table_bound_matches(&measure, query, &format!("{name} external"));
             }
             // Churn: removals free the ids of the classes only they held,
             // and the additions that follow found classes the corpus has
@@ -1925,7 +1990,8 @@ mod tests {
             let (_, freed) = ids_and_free(&measure);
             assert!(!freed.is_empty(), "{name}: no class freed");
             for query in residents.iter().step_by(5) {
-                assert_table_bound_matches(&measure, query, &format!("{name} churned"));
+                both_empty +=
+                    assert_table_bound_matches(&measure, query, &format!("{name} churned"));
             }
             for wf in &externals {
                 measure.add_workflow(wf);
@@ -1937,7 +2003,8 @@ mod tests {
                 "{name}: a freed id was not reused"
             );
             for query in residents.iter().step_by(5).chain(&externals) {
-                assert_table_bound_matches(&measure, query, &format!("{name} re-added"));
+                both_empty +=
+                    assert_table_bound_matches(&measure, query, &format!("{name} re-added"));
             }
             // Dropping the additions frees the ids of the classes only they
             // held; adding them back reuses exactly those ids.
@@ -1950,15 +2017,17 @@ mod tests {
             assert_eq!(after_ids, ids, "{name}: a removal minted an id");
             assert!(after_free.len() > free.len(), "{name}: nothing freed");
             for query in residents.iter().step_by(5) {
-                assert_table_bound_matches(&measure, query, &format!("{name} freed"));
+                both_empty += assert_table_bound_matches(&measure, query, &format!("{name} freed"));
             }
             for wf in externals.iter().rev() {
                 measure.add_workflow(wf);
             }
             assert_eq!(ids_and_free(&measure), (ids, free), "{name}");
             for query in residents.iter().step_by(5).chain(&externals) {
-                assert_table_bound_matches(&measure, query, &format!("{name} reused"));
+                both_empty +=
+                    assert_table_bound_matches(&measure, query, &format!("{name} reused"));
             }
+            assert!(both_empty > 0, "{name}: no pair of module-less workflows");
         }
     }
 

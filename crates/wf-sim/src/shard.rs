@@ -18,9 +18,11 @@
 //!   routing is stateless and an id never lives in two shards.  A top-k
 //!   query **scatters** by binding the query once to the corpus pool and
 //!   bounding it once against every live class (a [`PreparedQuery`]),
-//!   then bounding every shard's candidates from that one table (nothing
-//!   scored yet), and runs **one global best-bound-first scan** over all
-//!   of them in one [`RankedFrontier`]: the scan always scores the
+//!   then keying every shard's candidates by the column side of their
+//!   bound from that one table (nothing scored yet), and runs **one
+//!   global best-bound-first scan** over all of them in one lazy
+//!   [`RankedFrontier`], which computes a candidate's full bound only when
+//!   it reaches the head: the scan always scores the
 //!   globally best-bound candidate into the search's one top-k heap and
 //!   prunes against that heap's worst kept score, so the pruning power of
 //!   the admissible-bound search is independent of how many shards the
@@ -69,7 +71,7 @@ use crate::corpus::{
     config_fingerprint, dedup_last_wins, fnv1a64, sync_dir, write_atomic, Corpus, SnapshotError,
 };
 use crate::pipeline::WorkflowSimilarity;
-use crate::profile::{PreparedQuery, ProfiledMeasure, QueryFeatures};
+use crate::profile::{ClassBounds, PreparedQuery, ProfiledMeasure, QueryFeatures};
 
 /// First token of a shard-manifest header line.
 pub const SHARD_MANIFEST_MAGIC: &str = "wfsim-shard-manifest";
@@ -674,22 +676,28 @@ impl DegradedSearch {
     }
 }
 
-/// The frontier core: bound every candidate of the listed corpora from a
+/// The frontier core: key every candidate of the listed corpora from a
 /// query prepared for them all and run **one** [`scan_ranked_candidates`]
-/// over them, merged by a [`RankedFrontier`], into the caller's `top`.
-/// The scan always scores the globally best-bound candidate across every
-/// corpus and stops when the best remaining bound *anywhere* falls below
-/// the worst score `top` keeps — so pruning power is that of one scan
-/// over the whole corpus, independent of how many fronts the corpus is
-/// split into.  Scoring goes through one per-query memo of exact
+/// over them, merged by a lazy [`RankedFrontier`], into the caller's
+/// `top`.  The scan always scores the globally best-bound candidate across
+/// every corpus and stops when the best remaining bound *anywhere* falls
+/// below the worst score `top` keeps — so pruning power is that of one
+/// scan over the whole corpus, independent of how many fronts the corpus
+/// is split into.  Scoring goes through one per-query memo of exact
 /// module-pair similarities, shared by every front.
 ///
 /// Each candidate is keyed by its shard-major position: the candidates
 /// of the fronts before it plus its local corpus index.  The frontier's
 /// index-ascending tie order on that key is front ascending, then local
-/// ascending.  Bounds are admissible, or `INFINITY` for measures without
-/// one, and bit-identical to the per-pair bound
-/// [`ProfiledMeasure::upper_bound_profile`].
+/// ascending.  A Module Sets candidate enters under its column key
+/// ([`ClassBounds::column_key`]), an upper bound on its bound read from
+/// one stored maximum per module, and gets its full class-table bound
+/// ([`ClassBounds::bound`]) only when it reaches the frontier's head
+/// (`stats.bounds_refined` counts those).  That bound is admissible and
+/// bit-identical to the per-pair bound
+/// [`ProfiledMeasure::upper_bound_profile`], so the scan sees exactly the
+/// sorted order of every candidate's full bound.  Candidates of measures
+/// without a bound enter refined, at `INFINITY`.
 ///
 /// A fired `cancel` abandons the merged stream mid-scan; the hits `top`
 /// holds at that point are exact (the frontier only reorders *scoring*,
@@ -705,16 +713,20 @@ pub(crate) fn frontier_scan(
     let mut offsets = Vec::with_capacity(fronts.len());
     let mut candidates: Vec<RankedCandidate> =
         Vec::with_capacity(fronts.iter().map(|corpus| corpus.len()).sum());
-    for corpus in fronts {
+    // One bound reader per front, or none for a measure without a bound.
+    let mut bounds: Vec<ClassBounds> = fronts
+        .iter()
+        .filter_map(|corpus| corpus.measure().class_bounds(query))
+        .collect();
+    for (front, corpus) in fronts.iter().enumerate() {
         let offset = offsets.last().map_or(0, |&(start, len)| start + len);
         offsets.push((offset, corpus.len()));
-        let measure = corpus.measure();
         let overlaps = corpus
             .token_index()
             .overlap_counts(query.profile().label_tokens().ids());
         // Corpus ids are unique, so the excluded id is at most one index.
-        let excluded = measure.index_of(exclude);
-        let mut bounds = measure.class_bounds(query);
+        let excluded = corpus.measure().index_of(exclude);
+        let mut keys = bounds.get_mut(front);
         for (index, &overlap) in overlaps.iter().enumerate() {
             if Some(index) == excluded {
                 continue;
@@ -722,12 +734,12 @@ pub(crate) fn frontier_scan(
             if overlap > 0 {
                 stats.shared_token_candidates += 1;
             }
-            let bound = bounds
+            let key = keys
                 .as_mut()
-                .map_or(f64::INFINITY, |bounds| bounds.bound(index));
+                .map_or(f64::INFINITY, |keys| keys.column_key(index));
             candidates.push(RankedCandidate {
                 index: offset + index,
-                bound,
+                bound: key,
                 overlap,
             });
         }
@@ -736,27 +748,35 @@ pub(crate) fn frontier_scan(
     // The front holding a shard-major position, and the local index there.
     let locate = |position: usize| {
         let front = offsets.partition_point(|&(start, len)| start + len <= position);
-        (fronts[front], position - offsets[front].0)
+        (front, position - offsets[front].0)
     };
     // A unit holds at least one front, and all fronts share one registry.
     let mut memo = fronts[0].measure().pair_memo(query);
-    let frontier = RankedFrontier::new(candidates);
+    let bounded = !bounds.is_empty();
+    let refine = |position| {
+        let (front, local) = locate(position);
+        bounds[front].bound(local)
+    };
+    let mut frontier = RankedFrontier::new(candidates, bounded.then_some(refine));
     let total = frontier.total();
     scan_ranked_candidates(
-        frontier,
+        &mut frontier,
         total,
         top,
         cancel,
         stats,
         |position| {
-            let (corpus, local) = locate(position);
-            corpus.measure().score_profile_memo(query, local, &mut memo)
+            let (front, local) = locate(position);
+            fronts[front]
+                .measure()
+                .score_profile_memo(query, local, &mut memo)
         },
         |position| {
-            let (corpus, local) = locate(position);
-            corpus.ids()[local].clone()
+            let (front, local) = locate(position);
+            fronts[front].ids()[local].clone()
         },
     );
+    stats.bounds_refined += frontier.bounds_refined();
 }
 
 /// A gate run on a shard before its scan: `false` vetoes the visit, and
