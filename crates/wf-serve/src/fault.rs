@@ -52,10 +52,11 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Every visit to one of `shards` stalls for `delay` before the scan
-    /// (cooperatively — the stall aborts early when the request's deadline
-    /// fires, so a delayed shard degrades the result instead of blowing
-    /// the SLO).
+    /// Every admission of one of `shards` stalls for `delay`, before the
+    /// search's one scan (cooperatively — the stall aborts early when the
+    /// request's deadline fires, so a delayed shard degrades the result
+    /// instead of blowing the SLO; a deadline that fires during admission
+    /// returns no hits).
     pub fn delay_shards(mut self, shards: &[usize], delay: Duration) -> Self {
         self.slow_shards = shards.to_vec();
         self.shard_delay = delay;
@@ -109,9 +110,10 @@ impl FaultPlan {
 pub enum ShardFault {
     /// Visit the shard normally.
     Pass,
-    /// Stall (cooperatively) before scanning the shard.
+    /// Stall (cooperatively) while admitting the shard, before the scan.
     Delay(Duration),
-    /// Veto the visit: the shard goes unanswered and the result degrades.
+    /// Veto the shard: the scan leaves it out, it goes unanswered and the
+    /// result degrades.
     Fail,
     /// Panic inside the search.
     Panic,

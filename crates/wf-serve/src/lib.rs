@@ -14,14 +14,14 @@
 //!   with a retry hint) instead of queueing without bound; per-request
 //!   deadlines ride the [`wf_repo::CancelToken`] into the scatter-gather
 //!   scan and come back as exact *degraded* partial results that record
-//!   which shards answered.  Without a fault plan a search runs
-//!   [`wf_sim::CorpusService::search_deadline`] — the same global
-//!   best-bound-first frontier as an in-process
-//!   [`wf_sim::ShardedCorpus::search`] — so a deadline that cuts it
-//!   returns exact partial hits with every shard unanswered.  Only a
-//!   server started with a [`FaultPlan`] gates each shard
-//!   ([`wf_sim::CorpusService::search_deadline_with`]) and scans them one
-//!   unit per shard, so work finished before an injected stall survives.
+//!   which shards answered.  Every search is one
+//!   [`wf_sim::CorpusService::search_deadline_with`] call: the shard gate
+//!   admits every shard unless a [`FaultPlan`] stalls or vetoes it, and
+//!   then one global best-bound-first frontier — the scan of an
+//!   in-process [`wf_sim::ShardedCorpus::search`] — covers the admitted
+//!   shards.  A deadline that cuts the scan returns exact partial hits
+//!   with every shard unanswered; one that fires while an injected stall
+//!   holds admission returns no hits.
 //! * [`client`] — a retrying client with jittered exponential backoff
 //!   that distinguishes retryable (overload, reset, timeout) from
 //!   non-retryable (bad request) failures and reuses request ids across

@@ -526,32 +526,32 @@ fn execute(job: &Job, shared: &Shared) -> Response {
             };
             let query_id = WorkflowId::new(query.clone());
             let k = *k as usize;
-            // Without a fault plan there is no gate, so the search runs the
-            // same global frontier as an in-process `ShardedCorpus::search`.
-            let outcome = match &shared.fault {
-                None => shared.service.search_deadline(&query_id, k, &cancel),
-                Some(state) => {
-                    let gate = |shard: usize| match state.shard_fault(shard) {
-                        ShardFault::Pass => true,
-                        ShardFault::Delay(delay) => {
-                            shared.metrics.faults_injected.incr();
-                            cooperative_sleep(&cancel, delay);
-                            true
-                        }
-                        ShardFault::Fail => {
-                            shared.metrics.faults_injected.incr();
-                            false
-                        }
-                        ShardFault::Panic => {
-                            shared.metrics.faults_injected.incr();
-                            panic!("injected panic visiting shard {shard}");
-                        }
-                    };
-                    shared
-                        .service
-                        .search_deadline_with(&query_id, k, &cancel, gate)
+            // The fault plan, if any, admits, stalls or vetoes each shard
+            // before the one global frontier scans the admitted shards.
+            let gate = |shard: usize| {
+                let Some(state) = &shared.fault else {
+                    return true;
+                };
+                match state.shard_fault(shard) {
+                    ShardFault::Pass => true,
+                    ShardFault::Delay(delay) => {
+                        shared.metrics.faults_injected.incr();
+                        cooperative_sleep(&cancel, delay);
+                        true
+                    }
+                    ShardFault::Fail => {
+                        shared.metrics.faults_injected.incr();
+                        false
+                    }
+                    ShardFault::Panic => {
+                        shared.metrics.faults_injected.incr();
+                        panic!("injected panic visiting shard {shard}");
+                    }
                 }
             };
+            let outcome = shared
+                .service
+                .search_deadline_with(&query_id, k, &cancel, gate);
             shared.metrics.search_latency.record(job.arrival.elapsed());
             match outcome {
                 None => Response::Error(ServeError::NotFound { id: query.clone() }),

@@ -772,27 +772,49 @@ mod tests {
     /// get its full bound (`bounds_refined` = `candidates`); the lazy
     /// frontier refines only those whose column key reaches the scan's
     /// last bound.
+    ///
+    /// The same queries through an 8-shard corpus and through the
+    /// service's gated search (gate open, the path `wf-serve` runs) do the
+    /// same work: every sharded search is one frontier over its admitted
+    /// shards.
     #[test]
     fn golden_work_counts_of_the_served_search() {
+        use crate::shard::{CorpusService, ShardedCorpus};
+
         let (workflows, _) =
             wf_corpus::generate_taverna_corpus(&wf_corpus::TavernaCorpusConfig::small(2_000, 7));
-        let corpus = Corpus::build(config(), workflows);
-        let mut total = SearchStats::default();
-        for query in (0..16).map(|i| i * corpus.len() / 16) {
-            total.merge(&corpus.top_k_with_stats(query, 10).1);
+        let corpus = Corpus::build(config(), workflows.clone());
+        let queries: Vec<usize> = (0..16).map(|i| i * corpus.len() / 16).collect();
+        let sharded = ShardedCorpus::build(config(), 8, workflows);
+        fn totals(stats: impl Iterator<Item = SearchStats>) -> [usize; 5] {
+            let mut total = SearchStats::default();
+            stats.for_each(|stats| total.merge(&stats));
+            [
+                total.candidates,
+                total.scored,
+                total.pruned,
+                total.zero_bound,
+                total.bounds_refined,
+            ]
         }
-        let counts = (
-            total.candidates,
-            total.scored,
-            total.pruned,
-            total.zero_bound,
-            total.bounds_refined,
-        );
-        assert_eq!(
-            counts,
-            (31_984, 998, 30_986, 0, 1_176),
-            "(candidates, scored, pruned, zero_bound, bounds_refined)"
-        );
+        let golden = [31_984, 998, 30_986, 0, 1_176];
+        let what = "[candidates, scored, pruned, zero_bound, bounds_refined]";
+        let single = totals(queries.iter().map(|&q| corpus.top_k_with_stats(q, 10).1));
+        assert_eq!(single, golden, "one corpus: {what}");
+        let ids: Vec<WorkflowId> = queries.iter().map(|&q| corpus.ids()[q].clone()).collect();
+        let eight = totals(ids.iter().map(|id| {
+            let (_, stats) = sharded.search_with_stats(id, 10).expect("resident");
+            stats
+        }));
+        assert_eq!(eight, golden, "8 shards: {what}");
+        let service = CorpusService::new(sharded);
+        let served = totals(ids.iter().map(|id| {
+            service
+                .search_deadline_with(id, 10, &CancelToken::never(), |_| true)
+                .expect("resident")
+                .stats
+        }));
+        assert_eq!(served, golden, "served, open gate: {what}");
     }
 
     /// A write that finds the shared class registry poisoned panics before
